@@ -24,6 +24,8 @@ online-decoding premise implies:
   :class:`MultiFeedlineRunner` replicates the chain per feedline across
   pluggable :class:`ShardExecutor` backends (serial/thread/process) and
   merges the per-feedline reports into one :class:`ClusterReport`.
+- :mod:`repro.pipeline.blas` — the per-shard OpenBLAS thread budget
+  applied before process shards fork.
 """
 
 from repro.pipeline.batching import (

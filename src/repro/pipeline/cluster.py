@@ -52,6 +52,7 @@ from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError
 from repro.physics.device import ChipConfig, multi_feedline_chips
 from repro.physics.drift import DriftModel
+from repro.pipeline.blas import limit_openblas_threads
 from repro.pipeline.metrics import PipelineReport
 from repro.pipeline.runner import (
     DEFAULT_DESIGN,
@@ -300,12 +301,16 @@ class _PoolShardExecutor(ShardExecutor):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
+        self._before_spawn()
         self._pool = self._pool_cls(max_workers=self.workers)
         # ``concurrent.futures`` pools spawn workers lazily on first
         # submit; serving pools are long-lived, so pre-spawn here and
         # keep cold-start (fork/thread creation) out of the measured
         # dispatch path.
         list(self._pool.map(_warmup, range(self.workers)))
+
+    def _before_spawn(self) -> None:
+        """Runs in the creating process before any worker exists."""
 
     def map(self, fn, tasks):
         return list(self._pool.map(fn, tasks))
@@ -327,10 +332,26 @@ class ProcessShardExecutor(_PoolShardExecutor):
     Workers rebuild discriminators from calibration-registry artifacts
     (see :func:`_run_feedline`) — fitted models are never pickled across
     the process boundary.
+
+    BLAS share: before the pool forks, the *creating* process's OpenBLAS
+    thread count is lowered to ``max(1, available_cpus() // workers)``
+    (see :mod:`repro.pipeline.blas`), so the shards together use no more
+    BLAS threads than there are CPUs. Forked workers inherit that count;
+    with a share of one they never start an OpenBLAS helper thread, which
+    would otherwise busy-wait after every GEMM and take CPU from the other
+    shards. The count is only ever lowered, and it stays lowered in the
+    creating process after the pool is gone: setting it inside the
+    workers, or restoring it after the fork, restarts a helper thread that
+    spins for about 0.1 s each time. The inheritance relies on the
+    ``fork`` start method, the Linux default. Without OpenBLAS this is a
+    no-op.
     """
 
     name = "process"
     _pool_cls = ProcessPoolExecutor
+
+    def _before_spawn(self) -> None:
+        limit_openblas_threads(max(1, available_cpus() // self.workers))
 
 
 _EXECUTORS: dict[str, type[ShardExecutor]] = {

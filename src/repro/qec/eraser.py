@@ -63,6 +63,18 @@ class EraserConfig:
             raise ConfigurationError("activity_threshold must be >= 1")
         if self.direct_evidence_cycles < 1:
             raise ConfigurationError("direct_evidence_cycles must be >= 1")
+        # A window holds at most ``window`` cycles of evidence, so a larger
+        # threshold is a policy that can never fire.
+        if self.activity_threshold > self.window:
+            raise ConfigurationError(
+                f"activity_threshold ({self.activity_threshold}) must be <= "
+                f"window ({self.window})"
+            )
+        if self.direct_evidence_cycles > self.window:
+            raise ConfigurationError(
+                f"direct_evidence_cycles ({self.direct_evidence_cycles}) must "
+                f"be <= window ({self.window})"
+            )
 
 
 @dataclass
@@ -136,12 +148,12 @@ class LevelStreamSpeculator:
             raise ConfigurationError("n_qubits must be >= 1")
         self.config = config or EraserConfig(multi_level=True)
         self.n_qubits = n_qubits
-        # Circular evidence window with running per-qubit sums: the sink
-        # consumer path is latency-instrumented, so the per-shot update
-        # must not reallocate the window.
-        self._history = np.zeros((self.config.window, n_qubits), dtype=np.int64)
-        self._sums = np.zeros(n_qubits, dtype=np.int64)
-        self._pos = 0
+        # Per qubit, the absolute cycle numbers of the |2> readouts inside
+        # the last ``window`` cycles that no LRC has reset yet (at most
+        # ``direct_evidence_cycles - 1`` of them). Only a |2> readout can
+        # make a qubit fire, so the consumer walks the hits and costs
+        # O(|2> readouts) per batch, not O(shots x qubits).
+        self._pending: list[list[int]] = [[] for _ in range(n_qubits)]
         self.shots_seen = 0
         self.flags_per_qubit = np.zeros(n_qubits, dtype=np.int64)
         self.leaked_per_qubit = np.zeros(n_qubits, dtype=np.int64)
@@ -172,20 +184,30 @@ class LevelStreamSpeculator:
             )
         flags = np.zeros(levels.shape, dtype=bool)
         window = self.config.window
-        for i, row in enumerate(levels):
-            evidence = (row == 2).astype(np.int64)
-            self.leaked_per_qubit += evidence
-            self._sums += evidence - self._history[self._pos]
-            self._history[self._pos] = evidence
-            self._pos = (self._pos + 1) % window
-            fired = self._sums >= self.config.direct_evidence_cycles
-            flags[i] = fired
-            if fired.any():
+        needed = self.config.direct_evidence_cycles
+        first_cycle = self.shots_seen
+        # (qubit, row) of every |2> readout, qubit-major and rows ascending.
+        qubits, rows = np.nonzero((levels == 2).T)
+        fired_qubits: list[int] = []
+        fired_rows: list[int] = []
+        for q, row in zip(qubits.tolist(), rows.tolist()):
+            cycle = first_cycle + row
+            pending = self._pending[q]
+            while pending and cycle - pending[0] >= window:
+                del pending[0]
+            pending.append(cycle)
+            if len(pending) >= needed:
                 # The requested LRC resets the evidence, as in run_eraser.
-                self._history[:, fired] = 0
-                self._sums[fired] = 0
+                pending.clear()
+                fired_qubits.append(q)
+                fired_rows.append(row)
+        if fired_rows:
+            flags[fired_rows, fired_qubits] = True
+            self.flags_per_qubit += np.bincount(
+                fired_qubits, minlength=self.n_qubits
+            )
+        self.leaked_per_qubit += np.bincount(qubits, minlength=self.n_qubits)
         self.shots_seen += levels.shape[0]
-        self.flags_per_qubit += flags.sum(axis=0)
         return flags
 
     def summary(self) -> dict:
