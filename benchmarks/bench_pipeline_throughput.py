@@ -8,28 +8,30 @@ measured per-shot compute latency is scored against the FPGA decision
 budget.
 
 The cluster sweep streams a feedline-count x shard-executor grid through
-:func:`repro.pipeline.run_multi_feedline_pipeline` (warm registry, so the
-grid times serving, not calibration) and records global shots/sec per
-cell — the scaling story of the multi-feedline refactor.
+:class:`repro.pipeline.MultiFeedlineRunner` (warm registry, so the grid
+times serving, not calibration) and records global shots/sec per cell —
+the scaling story of the multi-feedline refactor.
 
 The serve-warm bench (``pipeline_serve_warm``) compares one warmed
 :class:`repro.serve.ReadoutService` session running the same traffic
-repeatedly against the same number of cold ``repro.api.run_pipeline``
+repeatedly against the same number of cold :func:`repro.serve.serve_once`
 calls: the session must perform zero refits after warm-up and beat the
 cold calls' aggregate shots/sec (which pay calibration every time) —
 the amortization story of the serving redesign.
 
 The zero-copy bench (``pipeline_zero_copy``) replays one pre-generated
-corpus through shared memory under the legacy per-channel engine and
-the fused zero-copy engine — identical assignment counts required, and
-the fused engine must not be slower. With the simulator out of the
-timed window, this is the serving-throughput headline of the fused
-kernel + buffer-ring + shared-memory refactor.
+corpus through shared memory with the fused zero-copy engine and checks
+it against the offline oracle — ``MLRDiscriminator.predict`` on the same
+corpus with the same artifact, which runs the per-channel demod ->
+decimate -> matched-filter chain. Assignment counts must be identical.
+With the simulator out of the timed window, this is the
+serving-throughput headline of the fused kernel + buffer-ring +
+shared-memory refactor.
 
 Runs standalone too (that is how the perf trajectory is recorded)::
 
     PYTHONPATH=src:. python benchmarks/bench_pipeline_throughput.py \
-        --shots 2000 --workers 4 --json BENCH_pipeline.json
+        --shots 2000 --json BENCH_pipeline.json
 """
 
 from __future__ import annotations
@@ -37,38 +39,43 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
+import time
+
+import numpy as np
 
 from benchmarks.conftest import record_bench_result, run_once
 from repro.config import get_profile
-from repro.pipeline import (
-    PipelineConfig,
-    run_multi_feedline_pipeline,
-    run_streaming_pipeline,
+from repro.pipeline import MultiFeedlineRunner, PipelineConfig
+from repro.serve import (
+    BatchingSpec,
+    CalibrationSpec,
+    ReadoutService,
+    ServeSpec,
+    TrafficSpec,
+    serve_once,
 )
 
 
-def _stream_cold_and_warm(profile, n_shots=2000, workers=2, batch_size=64):
+def _spec(shots, batch_size, registry_dir=None):
+    """The single-feedline serving spec every arm here runs."""
+    return ServeSpec(
+        traffic=TrafficSpec(shots=shots),
+        batching=BatchingSpec(batch_size=batch_size),
+        calibration=CalibrationSpec(registry_dir=registry_dir),
+    )
+
+
+def _stream_cold_and_warm(profile, n_shots=2000, batch_size=64):
     """Cold (fit + stream) then warm (load + stream) runs, one registry."""
     with tempfile.TemporaryDirectory() as registry_dir:
-        cold = run_streaming_pipeline(
-            profile,
-            n_shots=n_shots,
-            workers=workers,
-            batch_size=batch_size,
-            registry_dir=registry_dir,
-        )
-        warm = run_streaming_pipeline(
-            profile,
-            n_shots=n_shots,
-            workers=workers,
-            batch_size=batch_size,
-            registry_dir=registry_dir,
-        )
+        spec = _spec(n_shots, batch_size, registry_dir)
+        cold = serve_once(spec, profile=profile)
+        warm = serve_once(spec, profile=profile)
     return cold, warm
 
 
 def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
-    """One warm ReadoutService session vs ``repeat`` cold run_pipeline calls.
+    """One warm ReadoutService session vs ``repeat`` cold serve_once calls.
 
     Cold calls keep no registry, so each pays the full calibration fit;
     the warm session fits once during ``warm()`` and then serves every
@@ -76,12 +83,9 @@ def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
     ``MLRDiscriminator.fit`` (in-process, single-feedline) so the
     zero-refit claim is measured, not assumed.
     """
-    import time
-
-    from repro.api import run_pipeline
     from repro.discriminators.mlr import MLRDiscriminator
-    from repro.serve import BatchingSpec, ReadoutService, ServeSpec, TrafficSpec
 
+    spec = _spec(shots, batch_size)
     fit_calls = []
     original_fit = MLRDiscriminator.fit
 
@@ -94,15 +98,11 @@ def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
         cold_walls = []
         for _ in range(repeat):
             start = time.perf_counter()
-            run_pipeline(profile, shots=shots, batch_size=batch_size)
+            serve_once(spec, profile=profile)
             cold_walls.append(time.perf_counter() - start)
         cold_fits = len(fit_calls)
 
         fit_calls.clear()
-        spec = ServeSpec(
-            traffic=TrafficSpec(shots=shots),
-            batching=BatchingSpec(batch_size=batch_size),
-        )
         with ReadoutService(spec, profile=profile) as service:
             reports = [service.run() for _ in range(repeat)]
             stats = service.stats
@@ -151,25 +151,20 @@ def _cluster_sweep(
     lands on every backend equally instead of biasing whichever cell
     happens to run last.
     """
-    from repro.pipeline import MultiFeedlineRunner
     from repro.pipeline.cluster import available_cpus
     from repro.physics.device import multi_feedline_chips
 
     cpus = available_cpus()
-    config = PipelineConfig(workers=1, adaptive_batching=adaptive)
+    config = PipelineConfig(adaptive_batching=adaptive)
     chips = multi_feedline_chips(
         max(feedline_counts), n_qubits=qubits_per_feedline
     )
     results = {}
     with tempfile.TemporaryDirectory() as registry_dir:
-        run_multi_feedline_pipeline(
-            profile,
-            64,
-            chips,
-            executor="serial",
-            config=config,
-            registry_dir=registry_dir,
-        )
+        with MultiFeedlineRunner(
+            chips, profile, executor="serial", registry_dir=registry_dir
+        ) as primer:
+            primer.prefit()
         for n_feedlines in feedline_counts:
             runners = {
                 executor: MultiFeedlineRunner(
@@ -210,18 +205,19 @@ def _cluster_sweep(
 
 
 def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
-    """Fused zero-copy serving vs the legacy per-channel chain, replayed.
+    """Fused zero-copy serving vs the offline oracle, replayed.
 
     Traffic is pre-generated once and replayed through shared memory
     (:meth:`MultiFeedlineRunner.run_replay`), so the timed window
     contains discrimination only — the honest serving number, with the
-    simulator out of the loop. Both engines replay the *same* corpus
-    through the same warm registry artifact; their assignment counts
-    must match exactly, and the fused engine must not be slower.
+    simulator out of the loop. The oracle is offline
+    ``MLRDiscriminator.predict`` on the same corpus with the same
+    registry artifact; served assignment counts must match it exactly.
+    Both arms keep the fastest of ``rounds`` repeats.
     """
     from repro.data import generate_corpus
     from repro.physics.device import default_five_qubit_chip
-    from repro.pipeline import MultiFeedlineRunner
+    from repro.pipeline import CalibrationRegistry, fit_or_load_discriminator
 
     chip = default_five_qubit_chip()
     corpus = generate_corpus(
@@ -229,62 +225,71 @@ def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
         shots_per_state=max(1, shots // chip.n_levels**chip.n_qubits),
         seed=profile.seed + 7,
     )
-    results = {}
     with tempfile.TemporaryDirectory() as registry_dir:
-        for engine in ("legacy", "fused"):
-            with MultiFeedlineRunner(
-                [chip],
-                profile,
-                executor="serial",
-                config=PipelineConfig(batch_size=batch_size, engine=engine),
-                registry_dir=registry_dir,
-            ) as runner:
-                runner.prefit()  # cold fit lands before any timed replay
-                best = None
-                for _ in range(rounds):
-                    report = runner.run_replay([corpus])
-                    if (
-                        best is None
-                        or report.shots_per_second > best.shots_per_second
-                    ):
-                        best = report
-            results[engine] = best
+        with MultiFeedlineRunner(
+            [chip],
+            profile,
+            executor="serial",
+            config=PipelineConfig(batch_size=batch_size),
+            registry_dir=registry_dir,
+        ) as runner:
+            runner.prefit()  # cold fit lands before any timed replay
+            served = max(
+                (runner.run_replay([corpus]) for _ in range(rounds)),
+                key=lambda report: report.shots_per_second,
+            )
+            device = runner.feedlines[0].registry_device
+        model, _ = fit_or_load_discriminator(
+            profile,
+            CalibrationRegistry(registry_dir),
+            chip=chip,
+            device=device,
+        )
+    oracle_wall = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        labels = model.predict(corpus)
+        oracle_wall = min(oracle_wall, time.perf_counter() - start)
 
-    def digest(report):
-        (feedline,) = report.feedline_reports.values()
-        return {
-            "shots_per_second": report.shots_per_second,
-            "wall_seconds": report.wall_seconds,
-            "accuracy": report.accuracy,
-            "assignment_counts": feedline.assignment_counts,
-        }
-
-    legacy, fused = digest(results["legacy"]), digest(results["fused"])
+    (feedline,) = served.feedline_reports.values()
+    fused = {
+        "shots_per_second": served.shots_per_second,
+        "wall_seconds": served.wall_seconds,
+        "accuracy": feedline.accuracy,
+        "assignment_counts": feedline.assignment_counts,
+    }
+    oracle = {
+        "shots_per_second": corpus.n_traces / oracle_wall,
+        "wall_seconds": oracle_wall,
+        "accuracy": float(np.mean(labels == corpus.labels)),
+        "assignment_counts": np.bincount(
+            labels, minlength=chip.n_levels**chip.n_qubits
+        ).tolist(),
+    }
     return {
         "n_shots": corpus.n_traces,
         "batch_size": batch_size,
         "rounds": rounds,
-        "legacy": legacy,
+        "oracle": oracle,
         "fused": fused,
         "counts_identical": (
-            legacy["assignment_counts"] == fused["assignment_counts"]
+            oracle["assignment_counts"] == fused["assignment_counts"]
         ),
-        "speedup": (
-            fused["shots_per_second"] / legacy["shots_per_second"]
-        ),
+        "speedup": fused["shots_per_second"] / oracle["shots_per_second"],
     }
 
 
 def test_pipeline_zero_copy(benchmark, profile):
     result = run_once(benchmark, _zero_copy, profile, shots=1000, rounds=2)
 
-    # Same traffic, same artifact: the fused engine must be a pure
-    # optimization — identical assignments, never slower.
+    # Same traffic, same artifact: serving must decide exactly what the
+    # offline oracle decides, and never be slower than its per-channel
+    # chain.
     assert result["counts_identical"] is True
-    assert result["fused"]["accuracy"] == result["legacy"]["accuracy"]
+    assert result["fused"]["accuracy"] == result["oracle"]["accuracy"]
     assert (
         result["fused"]["shots_per_second"]
-        >= result["legacy"]["shots_per_second"]
+        >= result["oracle"]["shots_per_second"]
     )
 
     record_bench_result("pipeline_zero_copy", result)
@@ -298,7 +303,7 @@ def test_pipeline_throughput(benchmark, profile):
     assert warm.calibration_cached is True
     assert warm.n_shots == 2000
     assert warm.shots_per_second > 0
-    for stage in ("demod", "matched_filter", "discriminate", "sink"):
+    for stage in ("matched_filter", "discriminate", "sink"):
         summary = warm.stage_summaries[stage]
         assert summary["p99_ms"] >= summary["p50_ms"] >= 0.0
     # A software runtime cannot beat the 5-cycle FPGA datapath.
@@ -365,7 +370,6 @@ def test_pipeline_cluster_sweep(benchmark, profile):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--shots", type=int, default=2000)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--profile", default="quick")
     parser.add_argument(
@@ -405,10 +409,7 @@ def main(argv=None) -> int:
 
     profile = get_profile(args.profile)
     cold, warm = _stream_cold_and_warm(
-        profile,
-        n_shots=args.shots,
-        workers=args.workers,
-        batch_size=args.batch_size,
+        profile, n_shots=args.shots, batch_size=args.batch_size
     )
     print(cold.format_table())
     print()
@@ -429,16 +430,16 @@ def main(argv=None) -> int:
         profile, shots=args.shots, batch_size=args.batch_size * 4
     )
     payload["pipeline_zero_copy"] = zero_copy
-    print("\nzero-copy replay (fused vs legacy engine, shots/s):")
-    print(f"  legacy per-channel      "
-          f"{zero_copy['legacy']['shots_per_second']:>10.0f}")
+    print("\nzero-copy replay vs offline oracle (shots/s):")
+    print(f"  offline predict oracle  "
+          f"{zero_copy['oracle']['shots_per_second']:>10.0f}")
     print(f"  fused zero-copy         "
           f"{zero_copy['fused']['shots_per_second']:>10.0f}  "
           f"({zero_copy['speedup']:.1f}x, counts identical: "
           f"{zero_copy['counts_identical']})")
     payload["pipeline_serve_warm"] = serve
     print("\nwarm service vs cold calls (aggregate shots/s):")
-    print(f"  cold run_pipeline x{serve['repeat']}  "
+    print(f"  cold serve_once x{serve['repeat']}   "
           f"{serve['cold']['shots_per_second']:>10.0f}")
     print(f"  warm ReadoutService     "
           f"{serve['warm']['shots_per_second']:>10.0f}  "

@@ -26,8 +26,8 @@ Layout
     Surface-code leakage dynamics, ERASER/ERASER+M speculation, and the
     QEC cycle-time model.
 ``repro.pipeline``
-    Streaming readout runtime: trace sources, micro-batched and
-    channel-sharded demod/matched-filter/NN stages, a calibration
+    Streaming readout runtime: trace sources, micro-batched fused
+    matched-filter/NN stages (demod folded into the kernels), a calibration
     registry serving fitted artifacts by (device, qubit, profile),
     backpressure-aware sinks into QEC speculation, and per-stage
     latency/throughput instrumentation against the FPGA cycle budget.

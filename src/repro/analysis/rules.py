@@ -719,9 +719,8 @@ class NoHiddenCopyChecker(Checker):
     ``hstack``, ``.copy()``, ``.astype(...)``, and fancy indexing with a
     list literal all silently allocate and copy, so in ``repro.dsp`` and
     ``repro.pipeline.{stages,buffers,shm}`` each such call is a finding.
-    Intentional cold-path sites (load-time kernel prep, the legacy
-    reference chain) carry a pragma naming why the copy is off the hot
-    path.
+    Intentional cold-path sites (load-time kernel prep) carry a pragma
+    naming why the copy is off the hot path.
     """
 
     rule = "no-hidden-copy"

@@ -22,17 +22,14 @@ Pieces
   of ``format_table()``.
 - :func:`run` / :func:`run_suite` — execute one experiment or a
   name/tag selection (optionally concurrent, with shared caches).
-- :func:`run_pipeline` — the streaming runtime as a library call: one
-  or many feedlines, pluggable shard executors, adaptive micro-batching.
-  Since the serving redesign it is a thin shim over
-  :mod:`repro.serve` — repeated traffic should hold a
-  :class:`repro.serve.ReadoutService` and amortize warm-up across runs.
+- The streaming runtime is driven by a :class:`repro.serve.ServeSpec`:
+  :func:`repro.serve.serve_once` for one run, a
+  :class:`repro.serve.ReadoutService` to amortize warm-up across runs.
 - ``repro.discriminators.registry`` — the sibling plugin registry that
   resolves design names (``"ours"``, ``"fnn"``, ...) to discriminator
   classes for training, pipeline calibration, and artifact loading.
 """
 
-from repro.api.pipeline import run_pipeline
 from repro.api.registry import (
     ExperimentRegistry,
     ExperimentSpec,
@@ -54,6 +51,5 @@ __all__ = [
     "experiments",
     "jsonify",
     "run",
-    "run_pipeline",
     "run_suite",
 ]

@@ -4,7 +4,7 @@ Subcommands::
 
     repro run <exp|tag|all> [...] [--profile P] [--seed S] [--workers N] [--json PATH]
     repro list [--tags]
-    repro pipeline [--shots N] [--workers N] [...] [--prune]
+    repro pipeline [--shots N] [--feedlines N] [...] [--prune]
     repro serve --spec spec.json [--shots N] [--repeat K] [--json PATH]
     repro fleet --spec fleet.json [--tenants A B] [--runs K] [--json PATH]
     repro record --out DIR [--shots N] [--backend B] [--json PATH]
@@ -27,7 +27,7 @@ Examples::
     repro run table4 --profile quick --json table4.json
     repro run fidelity --workers 2
     repro fig5b --profile full --seed 7
-    repro pipeline --shots 2000 --workers 4 --profile quick
+    repro pipeline --shots 2000 --profile quick
     repro pipeline --feedlines 3 --executor process --adaptive-batching
     repro pipeline --prune --max-age-s 604800
     repro serve --spec examples/serve_spec.json --repeat 5 --json serve.json
@@ -157,7 +157,7 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
         prog="repro pipeline",
         description=(
             "Stream simulated readout traffic through the batched "
-            "demod -> matched-filter -> discriminator -> ERASER runtime, "
+            "fused matched-filter -> discriminator -> ERASER runtime, "
             "reporting shots/sec and per-stage p50/p99 latency"
         ),
     )
@@ -166,12 +166,6 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
         type=int,
         default=2000,
         help="shots to stream, per feedline (default: 2000)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="channel-shard workers for demod/matched-filter (default: 1)",
     )
     parser.add_argument(
         "--feedlines",
@@ -801,7 +795,6 @@ def _run_pipeline(argv: list[str]) -> int:
             feedlines=args.feedlines,
             executor=args.executor,
             workers=args.shard_workers,
-            channel_workers=args.workers,
             qubits_per_feedline=args.qubits_per_feedline,
         ),
         batching=BatchingSpec(

@@ -115,8 +115,8 @@ class MatchedFilterFeatureExtractor:
     ) -> np.ndarray:
         """Demodulate and decimate one qubit channel of raw feedline traces.
 
-        The shared front half of both offline :meth:`transform` and the
-        streaming engine's channel shards.
+        The front half of offline :meth:`fit` and :meth:`transform`; the
+        streaming engine folds it into :meth:`fused_kernel_bank` instead.
         """
         return boxcar_decimate(
             demodulate(feedline, if_frequency_ghz, times_ns), self.decimation

@@ -111,7 +111,8 @@ def fuse_demod_decimation(
 ) -> np.ndarray:
     """Fold demod tone and boxcar decimation into matched-filter kernels.
 
-    The legacy per-channel chain computes, per trace ``z``,
+    The per-channel chain (offline feature extraction) computes, per
+    trace ``z``,
 
         score_k = Re < K_k, boxcar(z * tone, factor) >,
 

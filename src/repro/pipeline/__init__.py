@@ -8,9 +8,9 @@ online-decoding premise implies:
   bounded chunks from the simulator or a saved corpus.
 - :mod:`repro.pipeline.batching` — :class:`MicroBatcher` re-chunks the
   stream into fixed-size dispatch batches.
-- :mod:`repro.pipeline.stages` — vectorized demod → matched-filter →
-  per-qubit-NN stages, channel-sharded across ``concurrent.futures``
-  workers.
+- :mod:`repro.pipeline.stages` — the fused engine: demod and
+  decimation folded into one matched-filter matmul, then the per-qubit
+  NN heads, all vectorized over a micro-batch.
 - :mod:`repro.pipeline.registry` — :class:`CalibrationRegistry` persists
   fitted artifacts (kernels, scalers, NN weights) by
   (device, qubit, profile) so warm runs skip retraining.
@@ -18,8 +18,9 @@ online-decoding premise implies:
   feeds ERASER+M leakage speculation in :mod:`repro.qec.eraser`.
 - :mod:`repro.pipeline.metrics` — per-stage p50/p99 latency, throughput,
   and the measured-vs-FPGA cycle-budget check.
-- :mod:`repro.pipeline.runner` — :class:`ReadoutPipeline` and the
-  turnkey :func:`run_streaming_pipeline` used by ``repro pipeline``.
+- :mod:`repro.pipeline.runner` — :class:`ReadoutPipeline`, whose
+  ``run(source)`` streams any :class:`TraceSource`, and the registry
+  lookup that resolves its fitted model.
 - :mod:`repro.pipeline.cluster` — multi-feedline sharding:
   :class:`MultiFeedlineRunner` replicates the chain per feedline across
   pluggable :class:`ShardExecutor` backends (serial/thread/process) and
@@ -44,7 +45,6 @@ from repro.pipeline.cluster import (
     ShardExecutor,
     ThreadShardExecutor,
     get_shard_executor,
-    run_multi_feedline_pipeline,
 )
 from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import LatencyStats, PipelineReport, StageTimings
@@ -55,7 +55,6 @@ from repro.pipeline.runner import (
     ReadoutPipeline,
     calibration_key,
     fit_or_load_discriminator,
-    run_streaming_pipeline,
     validate_streamable_design,
 )
 from repro.pipeline.shm import (
@@ -76,11 +75,7 @@ from repro.pipeline.source import (
     SimulatorTraceSource,
     TraceSource,
 )
-from repro.pipeline.stages import (
-    ENGINE_MODES,
-    BatchDiscriminationEngine,
-    BatchResult,
-)
+from repro.pipeline.stages import BatchDiscriminationEngine, BatchResult
 
 __all__ = [
     "ShotChunk",
@@ -95,7 +90,6 @@ __all__ = [
     "AdaptiveBatcher",
     "BufferRing",
     "MIN_PER_SHOT_SECONDS",
-    "ENGINE_MODES",
     "ADAPTIVE_BUDGET_SLACK",
     "DriftMonitor",
     "EXECUTOR_NAMES",
@@ -107,7 +101,6 @@ __all__ = [
     "get_shard_executor",
     "ClusterReport",
     "MultiFeedlineRunner",
-    "run_multi_feedline_pipeline",
     "BatchDiscriminationEngine",
     "BatchResult",
     "CalibrationKey",
@@ -124,6 +117,5 @@ __all__ = [
     "ReadoutPipeline",
     "calibration_key",
     "fit_or_load_discriminator",
-    "run_streaming_pipeline",
     "validate_streamable_design",
 ]

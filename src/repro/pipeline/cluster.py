@@ -50,14 +50,18 @@ from repro.analysis.lockgraph import trace_lock
 from repro.config import Profile
 from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError
-from repro.physics.device import ChipConfig, multi_feedline_chips
+from repro.physics.device import ChipConfig
 from repro.physics.drift import DriftModel
 from repro.pipeline.blas import limit_openblas_threads
 from repro.pipeline.metrics import PipelineReport
+from repro.pipeline.registry import CalibrationRegistry
 from repro.pipeline.runner import (
     DEFAULT_DESIGN,
     PipelineConfig,
-    run_streaming_pipeline,
+    ReadoutPipeline,
+    calibration_key,
+    fit_or_load_discriminator,
+    validate_streamable_design,
 )
 from repro.pipeline.shm import (
     SharedMemoryTraceSource,
@@ -79,7 +83,6 @@ __all__ = [
     "validate_executor",
     "ClusterReport",
     "MultiFeedlineRunner",
-    "run_multi_feedline_pipeline",
 ]
 
 
@@ -167,9 +170,6 @@ def _prefit_feedline(task: _PrefitTask) -> tuple[str, bool]:
     Same-key feedlines stay fit-once through the registry's in-process
     and cross-process fit locks.
     """
-    from repro.pipeline.registry import CalibrationRegistry
-    from repro.pipeline.runner import fit_or_load_discriminator
-
     _, cached = fit_or_load_discriminator(
         task.profile,
         CalibrationRegistry(task.registry_dir),
@@ -215,31 +215,50 @@ def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
     instead of simulating traffic (the mapping is dropped on the way
     out; the parent owns the unlink).
     """
-    source = None
+    registry = (
+        CalibrationRegistry(task.registry_dir)
+        if task.registry_dir is not None
+        else None
+    )
+    discriminator, cached = fit_or_load_discriminator(
+        task.profile,
+        registry,
+        chip=task.chip,
+        device=task.device,
+        design=task.design,
+        version=task.version,
+    )
+    serve_chip = task.chip
     if task.replay is not None:
         source = SharedMemoryTraceSource(
             task.replay, task.chip, chunk_size=task.chunk_size
         )
-    try:
-        report = run_streaming_pipeline(
-            task.profile,
-            n_shots=task.n_shots,
+    else:
+        # Simulated traffic resolves through the instrument-backend seam
+        # (lazy import: repro.backends sits above the pipeline).
+        from repro.backends.simulator import SimulatorBackend
+
+        source = SimulatorBackend(
+            task.chip,
             chunk_size=task.chunk_size,
-            registry_dir=task.registry_dir,
-            chip=task.chip,
-            device=task.device,
-            seed=task.seed,
-            design=task.design,
-            config=task.config,
-            version=task.version,
-            drift_model=task.drift_model,
-            drift_shot_offset=task.drift_shot_offset,
-            calibration_shot_offset=task.calibration_shot_offset,
-            source=source,
+            drift=task.drift_model,
+            shot_offset=task.drift_shot_offset,
+        ).trace_source(task.n_shots, seed=task.seed)
+        if task.drift_model is not None and not task.drift_model.is_null:
+            # Demodulate with the device snapshot the served kernels were
+            # calibrated at: the drifted device for a recalibrated
+            # artifact, the declared one for version 0.
+            serve_chip = task.drift_model.chip_at(
+                task.chip, task.calibration_shot_offset
+            )
+    try:
+        report = ReadoutPipeline(discriminator, serve_chip, task.config).run(
+            source
         )
     finally:
-        if source is not None:
+        if task.replay is not None:
             source.close()
+    report.calibration_cached = cached
     report.details["feedline"] = task.name
     return task.name, report
 
@@ -721,8 +740,8 @@ class MultiFeedlineRunner:
         — forked shards timesharing one core additionally thrash the
         cache across address spaces).
     config:
-        Per-feedline runtime config (batching, channel workers,
-        backpressure, adaptive batching).
+        Per-feedline runtime config (batching, backpressure, adaptive
+        batching, drift detection).
     chunk_size:
         Shots per source chunk inside each feedline.
     registry_dir:
@@ -730,7 +749,8 @@ class MultiFeedlineRunner:
         its own calibration from scratch (no artifacts stored) — fine
         for ``serial``/``thread``, wasteful but correct for ``process``.
     design:
-        Registered discriminator design served on every feedline.
+        Registered discriminator design served on every feedline; must
+        resolve to the MLR family (checked here, once).
     pool:
         Injected shard executor (typically a :class:`ShardPoolLease` on
         a fleet's :class:`SharedShardPool`). When given, the runner
@@ -767,6 +787,7 @@ class MultiFeedlineRunner:
                 f"feedline names must be unique, got {names}"
             )
         validate_executor(executor)
+        validate_streamable_design(design)
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.feedlines = tuple(specs)
@@ -904,9 +925,6 @@ class MultiFeedlineRunner:
                 "recalibrate() needs a registry_dir: versioned artifacts "
                 "are the hand-off between recalibration and serving shards"
             )
-        from repro.pipeline.registry import CalibrationRegistry
-        from repro.pipeline.runner import calibration_key
-
         fit_profile = profile if profile is not None else self.profile
         # The next version must exceed both the version *we* serve and
         # anything already stored — a persistent registry may hold
@@ -1025,19 +1043,26 @@ class MultiFeedlineRunner:
         """
         if n_shots < 1:
             raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-        tasks = self._tasks(
-            n_shots, seed, drift_model=drift_model,
-            drift_shot_offset=drift_shot_offset,
+        return self._dispatch(
+            self._tasks(
+                n_shots, seed, drift_model=drift_model,
+                drift_shot_offset=drift_shot_offset,
+            )
         )
+
+    def _dispatch(self, tasks: Sequence[_FeedlineTask]) -> ClusterReport:
+        """Run feedline tasks through the shard pool; aggregate report.
+
+        Heterogeneous feedlines dispatch heaviest-first (greedy
+        longest-first); per-feedline seeds are fixed in the tasks, so
+        the dispatch order cannot change any result.
+        """
         shard_executor = self._get_executor()
         ordered = _placement_order(tasks)
         try:
             # The timed window covers dispatch and shard execution only:
             # pool spawn (pre-warmed at construction) and teardown are
             # serving-lifetime costs, not per-stream throughput.
-            # Heterogeneous feedlines dispatch heaviest-first (greedy
-            # longest-first); per-feedline seeds were fixed above, so the
-            # dispatch order cannot change any result.
             wall_start = time.perf_counter()
             results = shard_executor.map(_run_feedline, ordered)
             wall = time.perf_counter() - wall_start
@@ -1156,69 +1181,7 @@ class MultiFeedlineRunner:
                 )
                 for index, spec in enumerate(self.feedlines)
             ]
-            shard_executor = self._get_executor()
-            ordered = _placement_order(tasks)
-            try:
-                wall_start = time.perf_counter()
-                results = shard_executor.map(_run_feedline, ordered)
-                wall = time.perf_counter() - wall_start
-            except BaseException:
-                # Same policy as run(): a failed dispatch may leave the
-                # pool wedged; rebuild it next time.
-                self.close()
-                raise
+            return self._dispatch(tasks)
         finally:
             for block in blocks.values():
                 block.unlink()
-
-        by_name = dict(results)
-        reports = {task.name: by_name[task.name] for task in tasks}
-        total_shots = sum(r.n_shots for r in reports.values())
-        return ClusterReport(
-            executor=self.executor,
-            workers=self.workers,
-            n_shots=total_shots,
-            wall_seconds=wall,
-            shots_per_second=total_shots / wall if wall > 0 else 0.0,
-            feedline_reports=reports,
-            placement={task.name: slot for slot, task in enumerate(ordered)},
-        )
-
-
-def run_multi_feedline_pipeline(
-    profile: Profile,
-    n_shots: int,
-    feedlines: int | Sequence[FeedlineSpec | ChipConfig] = 2,
-    *,
-    executor: str = "thread",
-    workers: int | None = None,
-    config: PipelineConfig | None = None,
-    chunk_size: int = 256,
-    registry_dir: str | Path | None = None,
-    design: str = DEFAULT_DESIGN,
-    seed: int | None = None,
-    qubits_per_feedline: int = 5,
-) -> ClusterReport:
-    """Turnkey multi-feedline run: build the cluster, stream, aggregate.
-
-    ``feedlines`` may be a count — readout groups then come from
-    :func:`repro.physics.device.multi_feedline_chips` with
-    ``qubits_per_feedline`` qubits each — or an explicit sequence of
-    specs/chips. ``n_shots`` is per feedline. See
-    :class:`MultiFeedlineRunner` for the remaining knobs.
-    """
-    if isinstance(feedlines, int):
-        feedlines = multi_feedline_chips(
-            feedlines, n_qubits=qubits_per_feedline
-        )
-    with MultiFeedlineRunner(
-        feedlines,
-        profile,
-        executor=executor,
-        workers=workers,
-        config=config,
-        chunk_size=chunk_size,
-        registry_dir=registry_dir,
-        design=design,
-    ) as runner:
-        return runner.run(n_shots, seed=seed)

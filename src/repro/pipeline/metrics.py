@@ -1,7 +1,7 @@
 """Per-stage latency and throughput instrumentation for the runtime.
 
 Every micro-batch that flows through the pipeline is timed stage by stage
-(demod, matched filter, discriminate, sink); :class:`LatencyStats`
+(matched filter, discriminate, sink); :class:`LatencyStats`
 aggregates the samples into p50/p99 quantiles and the final
 :class:`PipelineReport` scores the measured per-shot compute latency
 against the FPGA decision budget of :mod:`repro.fpga.latency` — the
@@ -128,7 +128,7 @@ class LatencyStats:
 
 
 #: Canonical stage order in reports.
-STAGE_ORDER = ("demod", "matched_filter", "discriminate", "sink")
+STAGE_ORDER = ("matched_filter", "discriminate", "sink")
 
 
 class StageTimings:

@@ -1,13 +1,13 @@
 """The streaming readout runtime: source → stages → sink, instrumented.
 
 :class:`ReadoutPipeline` wires a :class:`~repro.pipeline.source
-.TraceSource` through the micro-batcher and the channel-sharded
-discrimination engine into a result sink, timing every stage and scoring
-the measured per-shot compute latency against the FPGA decision budget.
-:func:`run_streaming_pipeline` is the turnkey entry point the CLI and the
-throughput benchmark use: it resolves calibration through a
+.TraceSource` through the micro-batcher and the fused discrimination
+engine into a result sink, timing every stage and scoring the measured
+per-shot compute latency against the FPGA decision budget.
+:func:`fit_or_load_discriminator` resolves the served model through a
 :class:`~repro.pipeline.registry.CalibrationRegistry` (fit once, then
-serve from disk) and streams freshly simulated traffic end to end.
+serve from disk). Turnkey runs go through a
+:class:`~repro.serve.spec.ServeSpec` (:func:`repro.serve.serve_once`).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from repro.discriminators.mlr import MLRDiscriminator
 from repro.exceptions import ConfigurationError
 from repro.fpga.latency import check_cycle_budget, decision_budget_ns
 from repro.physics.device import ChipConfig, default_five_qubit_chip
-from repro.physics.drift import DriftModel
 from repro.pipeline.batching import AdaptiveBatcher, MicroBatcher
 from repro.pipeline.buffers import make_buffer_ring
 from repro.pipeline.drift import DriftMonitor
@@ -36,7 +33,7 @@ from repro.pipeline.metrics import PipelineReport, StageTimings
 from repro.pipeline.registry import CalibrationKey, CalibrationRegistry
 from repro.pipeline.sink import EraserSpeculationSink, QueueingSink, ResultSink
 from repro.pipeline.source import TraceSource
-from repro.pipeline.stages import ENGINE_MODES, BatchDiscriminationEngine
+from repro.pipeline.stages import BatchDiscriminationEngine
 
 __all__ = [
     "ADAPTIVE_BUDGET_SLACK",
@@ -44,7 +41,6 @@ __all__ = [
     "ReadoutPipeline",
     "calibration_key",
     "fit_or_load_discriminator",
-    "run_streaming_pipeline",
     "validate_streamable_design",
 ]
 
@@ -72,8 +68,6 @@ class PipelineConfig:
     batch_size:
         Shots per dispatched micro-batch (the initial size when adaptive
         batching is on).
-    workers:
-        Channel-shard workers; 1 runs the shards inline.
     max_pending:
         Sink queue capacity in batches before backpressure blocks
         dispatch.
@@ -100,19 +94,12 @@ class PipelineConfig:
         EWMA weight of the newest batch in the drift monitor.
     drift_min_shots:
         Shots the monitor must see before it may alarm.
-    engine:
-        Discrimination engine mode: ``"fused"`` (default) scores every
-        channel with one matmul over precomputed fused kernels, writing
-        into reused ring buffers; ``"legacy"`` runs the per-channel
-        demod → decimate → matched-filter reference chain (the mode
-        ``workers`` shards across threads).
 
     Source chunking is the :class:`TraceSource`'s own knob, not runtime
     configuration — see ``chunk_size`` on the source constructors.
     """
 
     batch_size: int = 64
-    workers: int = 1
     max_pending: int = 8
     adaptive_batching: bool = False
     max_batch_size: int = 1024
@@ -121,15 +108,13 @@ class PipelineConfig:
     drift_threshold: float = 0.1
     drift_ewma_alpha: float = 0.25
     drift_min_shots: int = 50
-    engine: str = "fused"
 
     def __post_init__(self) -> None:
         # Collect every violation before raising, so a config with
         # several bad knobs reports them all in one pass instead of
         # failing one field at a time.
         problems: list[str] = []
-        for field_name in ("batch_size", "workers", "max_pending",
-                           "max_batch_size"):
+        for field_name in ("batch_size", "max_pending", "max_batch_size"):
             value = getattr(self, field_name)
             if value < 1:
                 problems.append(f"{field_name} must be >= 1, got {value}")
@@ -155,10 +140,6 @@ class PipelineConfig:
         if self.drift_min_shots < 0:
             problems.append(
                 f"drift_min_shots must be >= 0, got {self.drift_min_shots}"
-            )
-        if self.engine not in ENGINE_MODES:
-            problems.append(
-                f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
             )
         if problems:
             raise ConfigurationError(
@@ -248,7 +229,6 @@ class ReadoutPipeline:
         timings = StageTimings()
         batcher = self._make_batcher()
         monitor = self._make_drift_monitor()
-        executor = None
         sink = None
 
         n_shots = 0
@@ -262,34 +242,17 @@ class ReadoutPipeline:
         )
         wall_start = time.perf_counter()
         try:
-            # The fused engine is one BLAS call per batch; channel-shard
-            # threads only help the legacy per-channel chain.
-            if self.config.workers > 1 and self.config.engine == "legacy":
-                executor = ThreadPoolExecutor(max_workers=self.config.workers)
-            engine = BatchDiscriminationEngine(
-                self.discriminator,
-                self.chip,
-                executor=executor,
-                mode=self.config.engine,
-            )
-            ring = None
-            if self.config.engine == "fused":
-                # make_buffer_ring arms the use-after-recycle sanitizer
-                # when REPRO_SANITIZE is set; plain ring otherwise.
-                ring = make_buffer_ring(
-                    batcher.max_emit_size, engine.n_features
-                )
+            engine = BatchDiscriminationEngine(self.discriminator, self.chip)
+            # make_buffer_ring arms the use-after-recycle sanitizer when
+            # REPRO_SANITIZE is set; plain ring otherwise.
+            ring = make_buffer_ring(batcher.max_emit_size, engine.n_features)
             # Built only after the engine checks out, so a construction
             # error cannot leak the default sink's consumer thread.
             sink = self._make_sink()
             for batch in batcher.rebatch(source.chunks(), ring=ring):
                 result = engine.process(
                     batch.feedline,
-                    out_features=(
-                        None
-                        if ring is None
-                        else ring.paired_features(batch.feedline)
-                    ),
+                    out_features=ring.paired_features(batch.feedline),
                 )
                 compute_s = 0.0
                 for stage, seconds in result.stage_seconds.items():
@@ -327,9 +290,6 @@ class ReadoutPipeline:
                 except Exception:  # repro: allow(broad-except) stage error outranks deferred sink error
                     pass
             raise
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
         sink_summary = sink.close()
         wall = time.perf_counter() - wall_start
 
@@ -340,9 +300,7 @@ class ReadoutPipeline:
         )
         details = {
             "batch_size": self.config.batch_size,
-            "workers": self.config.workers,
             "adaptive_batching": self.config.adaptive_batching,
-            "engine": self.config.engine,
         }
         if isinstance(batcher, AdaptiveBatcher):
             # Sizes actually streamed (includes the initial batch and the
@@ -413,8 +371,9 @@ def validate_streamable_design(design: str) -> str:
 
     The engine reuses the MLR kernels/scaler/heads directly, so only
     designs resolving to :class:`MLRDiscriminator` (or a subclass)
-    stream. Shared by every serving front
-    (:func:`run_streaming_pipeline`, :class:`repro.serve.ReadoutService`).
+    stream. Checked once per serving session
+    (:class:`repro.serve.ReadoutService`) or shard runner
+    (:class:`repro.pipeline.cluster.MultiFeedlineRunner`).
     """
     if not issubclass(discriminators.get(design).cls, MLRDiscriminator):
         raise ConfigurationError(
@@ -500,138 +459,3 @@ def fit_or_load_discriminator(
         profile, chip=chip, device=device, design=design, version=version
     )
     return registry.get_or_fit(key, discriminator_factory, corpus_factory)
-
-
-def run_streaming_pipeline(
-    profile: Profile,
-    n_shots: int,
-    workers: int = 1,
-    batch_size: int = 64,
-    chunk_size: int = 256,
-    registry_dir: str | Path | None = None,
-    chip: ChipConfig | None = None,
-    device: str = DEFAULT_DEVICE,
-    seed: int | None = None,
-    sink: ResultSink | None = None,
-    max_pending: int = 8,
-    design: str = DEFAULT_DESIGN,
-    config: PipelineConfig | None = None,
-    adaptive_batching: bool = False,
-    max_batch_size: int = 1024,
-    target_batch_ms: float | None = None,
-    drift_model: DriftModel | None = None,
-    drift_shot_offset: int = 0,
-    version: int = 0,
-    calibration_shot_offset: int = 0,
-    source: TraceSource | None = None,
-    engine: str = "fused",
-) -> PipelineReport:
-    """Calibrate (or load calibration), then stream ``n_shots`` end to end.
-
-    Parameters
-    ----------
-    profile:
-        Sizing profile for calibration (corpus size, training budget).
-    n_shots:
-        Shots of simulated live traffic to stream.
-    workers:
-        Channel-shard workers for the demod/matched-filter stages.
-    batch_size, chunk_size, max_pending:
-        See :class:`PipelineConfig`.
-    registry_dir:
-        Calibration-registry root; ``None`` disables artifact caching.
-    chip, device:
-        Device to stream from and its registry slug.
-    seed:
-        Traffic seed; defaults to ``profile.seed + 1`` (distinct from the
-        calibration corpus stream).
-    sink:
-        Override the default backpressured ERASER+M sink.
-    design:
-        Registered discriminator design to serve. The streaming engine
-        reuses the MLR kernels/scaler/heads directly, so the design must
-        resolve to an :class:`MLRDiscriminator` (or subclass).
-    config:
-        A ready-made :class:`PipelineConfig`; when given it wins over the
-        individual runtime knobs (``workers``, ``batch_size``,
-        ``max_pending``, ``adaptive_batching``, ...).
-    adaptive_batching, max_batch_size, target_batch_ms:
-        Adaptive micro-batching knobs, see :class:`PipelineConfig`.
-    drift_model, drift_shot_offset:
-        When a non-null :class:`~repro.physics.drift.DriftModel` is
-        given, traffic streams from the time-varying device it predicts,
-        with the session clock starting at ``drift_shot_offset`` shots
-        (see :class:`~repro.pipeline.source.DriftingTraceSource`).
-        Calibration still targets the declared (undrifted) ``chip``.
-    version:
-        Calibration-artifact version to serve (hot-recalibrated
-        sessions bump this; 0 is the cold-calibration artifact).
-    calibration_shot_offset:
-        Session clock (in shots) at which the served artifact version
-        was calibrated. The engine demodulates with the device snapshot
-        the kernels were estimated at — after a hot recalibration that
-        is the drifted device, not the declared one.
-    source:
-        Replay an existing :class:`TraceSource` (e.g. a
-        :class:`~repro.pipeline.shm.SharedMemoryTraceSource` attached to
-        a parent's segment) instead of simulating fresh traffic.
-        ``n_shots``/``chunk_size``/``seed`` describe simulated traffic
-        only and are ignored; mutually exclusive with ``drift_model``
-        (a pre-built stream cannot also be drift-simulated).
-    engine:
-        Engine mode when ``config`` is not given; see
-        :class:`PipelineConfig`.
-    """
-    if n_shots < 1:
-        raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-    if source is not None and drift_model is not None and not drift_model.is_null:
-        raise ConfigurationError(
-            "source and drift_model are mutually exclusive: a replayed "
-            "stream's traces are already fixed"
-        )
-    validate_streamable_design(design)
-    chip = chip if chip is not None else default_five_qubit_chip()
-    registry = (
-        CalibrationRegistry(registry_dir) if registry_dir is not None else None
-    )
-    discriminator, cached = fit_or_load_discriminator(
-        profile, registry, chip=chip, device=device, design=design,
-        version=version,
-    )
-    if config is None:
-        config = PipelineConfig(
-            batch_size=batch_size,
-            workers=workers,
-            max_pending=max_pending,
-            adaptive_batching=adaptive_batching,
-            max_batch_size=max_batch_size,
-            target_batch_ms=target_batch_ms,
-            engine=engine,
-        )
-    traffic_seed = profile.seed + 1 if seed is None else seed
-    serve_chip = chip
-    if source is not None:
-        pass  # replayed stream: the caller owns chunking and lifetime
-    else:
-        # Simulated traffic resolves through the instrument-backend
-        # seam (lazy import: repro.backends sits above the pipeline).
-        # SimulatorBackend wraps the exact same trace sources, so the
-        # streams are bit-identical to the former inline construction.
-        from repro.backends.simulator import SimulatorBackend
-
-        backend = SimulatorBackend(
-            chip,
-            chunk_size=chunk_size,
-            drift=drift_model,
-            shot_offset=drift_shot_offset,
-        )
-        source = backend.trace_source(n_shots, seed=traffic_seed)
-        if drift_model is not None and not drift_model.is_null:
-            # The engine's demod tones must match the device snapshot
-            # the served kernels were calibrated at (the drifted device
-            # for a recalibrated artifact, the declared one for v0).
-            serve_chip = drift_model.chip_at(chip, calibration_shot_offset)
-    pipeline = ReadoutPipeline(discriminator, serve_chip, config, sink=sink)
-    report = pipeline.run(source)
-    report.calibration_cached = cached
-    return report

@@ -1,7 +1,6 @@
 """Declarative serving: one spec, one warm session, many runs.
 
-The serving counterpart of :mod:`repro.api` — where ``run_pipeline``
-rebuilds executors and calibration on every call, this package makes the
+The serving counterpart of :mod:`repro.api`: this package makes the
 paper's *persistent* datapath explicit:
 
 - :mod:`repro.serve.spec` — :class:`ServeSpec`, the frozen, composable,
@@ -9,8 +8,7 @@ paper's *persistent* datapath explicit:
   :class:`ClusterSpec` / :class:`BatchingSpec` / :class:`CalibrationSpec`
   / :class:`DriftSpec` / :class:`RecalibrationSpec`) with exhaustive
   all-errors-at-once validation. Every other configuration surface
-  (``run_pipeline`` kwargs, ``PipelineConfig``, ``repro pipeline``
-  flags) is derived from it.
+  (``PipelineConfig``, ``repro pipeline`` flags) is derived from it.
 - :mod:`repro.serve.service` — :class:`ReadoutService`, the long-lived
   session: ``warm()`` once (pre-fit/load all discriminators, pre-spawn
   shard pools), then ``run()`` repeatedly with zero refits — unless a
@@ -18,7 +16,8 @@ paper's *persistent* datapath explicit:
   recalibration is enabled, in which case the service refits through
   the shard pool and hot-swaps the next artifact version without
   dropping the session — accumulating cumulative :class:`ServiceStats`.
-  :func:`serve_once` is the one-shot bridge the legacy fronts stand on.
+  :func:`serve_once` is the one turnkey entry point: warm, run once,
+  tear down.
 
 CLI: ``repro serve --spec spec.json [--shots N] [--repeat K] [--json]``.
 """

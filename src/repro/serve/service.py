@@ -815,17 +815,16 @@ class ReadoutService:
 
 
 def serve_once(
-    spec: ServeSpec,
-    *,
-    profile: Profile | None = None,
-    shots: int | None = None,
-    seed: int | None = None,
+    spec: ServeSpec, *, profile: Profile | None = None
 ) -> "PipelineReport | ClusterReport":
     """One-shot serving: warm a session, run once, tear it down.
 
-    This is the bridge the legacy fronts (``repro.api.run_pipeline``,
-    ``repro pipeline``) stand on — same datapath as a long-lived
-    :class:`ReadoutService`, scoped to a single run.
+    The turnkey entry point (``repro pipeline``, ``record`` and
+    ``replay`` stand on it): the same datapath as a long-lived
+    :class:`ReadoutService`, scoped to a single run. The spec carries
+    everything the run needs (``spec.with_traffic`` changes the shots or
+    seed); ``profile`` is the same ad-hoc sizing override
+    :class:`ReadoutService` takes.
     """
     with ReadoutService(spec, profile=profile) as service:
-        return service.run(shots=shots, seed=seed)
+        return service.run()

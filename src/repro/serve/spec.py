@@ -1,17 +1,16 @@
 """Declarative serving configuration: one spec, every front end.
 
-The streaming runtime grew three parallel configuration surfaces — the 17
-loose kwargs of :func:`repro.api.run_pipeline`, the runtime knobs of
-:class:`repro.pipeline.PipelineConfig`, and the ``repro pipeline`` CLI
-flags. :class:`ServeSpec` replaces that duplication with one frozen,
-composable source of truth:
+:class:`ServeSpec` is the one frozen, composable source of truth for a
+serving session: the ``repro pipeline`` flags, ``repro serve`` spec
+files and the per-feedline :class:`repro.pipeline.PipelineConfig` all
+derive from it. Its sections:
 
 - :class:`TrafficSpec` — what is streamed (shots per run, source
   chunking, traffic seed) and which instrument backend it comes from
   (``simulator``/``dummy``/``replay``/``socket``, with record/replay
   corpus paths).
 - :class:`ClusterSpec` — where it runs (feedlines, shard executor and
-  workers, channel workers, qubits per feedline).
+  workers, qubits per feedline).
 - :class:`BatchingSpec` — how it is batched (micro-batch size,
   backpressure, adaptive sizing).
 - :class:`CalibrationSpec` — how discriminators are calibrated (profile,
@@ -259,9 +258,6 @@ class ClusterSpec(_Section):
     workers:
         Shard workers (``None``: one per feedline, capped at the CPU
         count).
-    channel_workers:
-        Qubit-channel workers *inside* each feedline's demod and
-        matched-filter stages.
     qubits_per_feedline:
         Qubits multiplexed on each served readout group. ``None`` serves
         the base device's full complement — the chip itself defines the
@@ -271,7 +267,6 @@ class ClusterSpec(_Section):
     feedlines: int = 1
     executor: str = "thread"
     workers: int | None = None
-    channel_workers: int = 1
     qubits_per_feedline: int | None = None
 
     def _problems(self) -> list[str]:
@@ -287,7 +282,6 @@ class ClusterSpec(_Section):
                     f"executor must be one of: {known}; got {self.executor!r}"
                 )
         _check_int(problems, "workers", self.workers, minimum=1, optional=True)
-        _check_int(problems, "channel_workers", self.channel_workers, minimum=1)
         _check_int(
             problems,
             "qubits_per_feedline",
@@ -519,10 +513,11 @@ class ServeSpec:
     """The single declarative source of truth for one serving session.
 
     Aggregates :class:`TrafficSpec`, :class:`ClusterSpec`,
-    :class:`BatchingSpec`, and :class:`CalibrationSpec`; every front end
-    (``repro.api.run_pipeline`` kwargs, ``repro pipeline`` flags,
-    ``repro serve --spec``) is derived from this object. Frozen, fully
-    validated on construction, JSON round-trip stable.
+    :class:`BatchingSpec`, :class:`CalibrationSpec`, :class:`DriftSpec`
+    and :class:`RecalibrationSpec`; every front end (``repro pipeline``
+    flags, ``repro serve --spec``, :func:`repro.serve.serve_once`) is
+    derived from this object. Frozen, fully validated on construction,
+    JSON round-trip stable.
     """
 
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
@@ -669,7 +664,6 @@ class ServeSpec:
 
         return PipelineConfig(
             batch_size=self.batching.batch_size,
-            workers=self.cluster.channel_workers,
             max_pending=self.batching.max_pending,
             adaptive_batching=self.batching.adaptive,
             max_batch_size=self.batching.max_batch_size,

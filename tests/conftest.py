@@ -40,6 +40,37 @@ def make_two_qubit_chip(trace_len: int = 200, noise_std: float = 3.0) -> ChipCon
     )
 
 
+def serve_one_feedline(
+    profile,
+    chip: ChipConfig,
+    n_shots: int,
+    *,
+    device: str,
+    registry_dir=None,
+    config=None,
+    chunk_size: int = 256,
+    **run_kwargs,
+):
+    """Stream simulated traffic through one chip's feedline chain.
+
+    A one-feedline ``MultiFeedlineRunner`` on the serial executor, the
+    chain every serving front runs; returns that feedline's report.
+    ``run_kwargs`` go to ``MultiFeedlineRunner.run`` (seed, drift).
+    """
+    from repro.pipeline import FeedlineSpec, MultiFeedlineRunner
+
+    with MultiFeedlineRunner(
+        [FeedlineSpec("feedline-0", chip, device=device)],
+        profile,
+        executor="serial",
+        config=config,
+        chunk_size=chunk_size,
+        registry_dir=registry_dir,
+    ) as runner:
+        report = runner.run(n_shots, **run_kwargs)
+    return report.feedline_reports["feedline-0"]
+
+
 @pytest.fixture(scope="session")
 def two_qubit_chip() -> ChipConfig:
     return make_two_qubit_chip()

@@ -365,7 +365,7 @@ class TestDiscriminatorRegistry:
 
 
 class TestRunPipelineApi:
-    """repro.api.run_pipeline — the streaming runtime as a library call."""
+    """The one turnkey run: ``repro.serve.serve_once(ServeSpec)``."""
 
     @staticmethod
     def _tiny_profile():
@@ -378,32 +378,41 @@ class TestRunPipelineApi:
         )
 
     def test_single_feedline_returns_pipeline_report(self):
-        from repro.api import run_pipeline
         from repro.pipeline import PipelineReport
-
-        report = run_pipeline(
-            self._tiny_profile(), shots=40, batch_size=20, chunk_size=20,
-            qubits_per_feedline=2,
+        from repro.serve import (
+            BatchingSpec, ClusterSpec, ServeSpec, TrafficSpec, serve_once,
         )
+
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=40, chunk_size=20),
+            cluster=ClusterSpec(qubits_per_feedline=2),
+            batching=BatchingSpec(batch_size=20),
+        )
+        report = serve_once(spec, profile=self._tiny_profile())
         assert isinstance(report, PipelineReport)
         assert report.n_shots == 40
 
     def test_multi_feedline_returns_cluster_report(self):
-        from repro.api import run_pipeline
         from repro.pipeline import ClusterReport
-
-        report = run_pipeline(
-            self._tiny_profile(), shots=30, feedlines=2, executor="serial",
-            batch_size=15, chunk_size=15, qubits_per_feedline=2,
-            adaptive_batching=True,
+        from repro.serve import (
+            BatchingSpec, ClusterSpec, ServeSpec, TrafficSpec, serve_once,
         )
+
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=30, chunk_size=15),
+            cluster=ClusterSpec(
+                feedlines=2, executor="serial", qubits_per_feedline=2
+            ),
+            batching=BatchingSpec(batch_size=15, adaptive=True),
+        )
+        report = serve_once(spec, profile=self._tiny_profile())
         assert isinstance(report, ClusterReport)
         assert report.n_feedlines == 2
         assert report.n_shots == 60
 
     def test_rejects_bad_feedline_count(self):
-        from repro.api import run_pipeline
         from repro.exceptions import ConfigurationError
+        from repro.serve import ClusterSpec
 
         with pytest.raises(ConfigurationError):
-            run_pipeline(self._tiny_profile(), feedlines=0)
+            ClusterSpec(feedlines=0)

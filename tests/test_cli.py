@@ -137,8 +137,6 @@ class TestPipelineSubcommand:
                 "pipeline",
                 "--shots",
                 "150",
-                "--workers",
-                "2",
                 "--batch-size",
                 "50",
                 "--profile",
@@ -155,8 +153,9 @@ class TestPipelineSubcommand:
         assert "shots/s" in out
         payload = json.loads(json_path.read_text())
         assert payload["n_shots"] == 150
-        for stage in ("demod", "matched_filter", "discriminate", "sink"):
+        for stage in ("matched_filter", "discriminate", "sink"):
             assert stage in payload["stages"]
+        assert "demod" not in payload["stages"]
 
     def test_pipeline_warm_run_uses_registry(self, capsys, shared_registry):
         args = ["pipeline", "--shots", "60", "--registry", shared_registry]
@@ -212,7 +211,7 @@ class TestPipelineSubcommand:
         assert payload["executor"] == "serial"
         assert set(payload["budget_verdicts"]) == set(payload["feedlines"])
         for feedline in payload["feedlines"].values():
-            for stage in ("demod", "matched_filter", "discriminate", "sink"):
+            for stage in ("matched_filter", "discriminate", "sink"):
                 assert stage in feedline["stages"]
             assert feedline["details"]["adaptive_batching"] is True
 

@@ -30,7 +30,6 @@ from repro.pipeline import (
     ShotChunk,
     ThreadShardExecutor,
     get_shard_executor,
-    run_multi_feedline_pipeline,
 )
 
 
@@ -52,6 +51,12 @@ def tiny_profile(**overrides) -> Profile:
     return Profile(**params)
 
 
+def run_cluster(profile, n_shots, feedlines, **runner_kwargs):
+    """Build a runner, stream ``n_shots`` per feedline, close it."""
+    with MultiFeedlineRunner(feedlines, profile, **runner_kwargs) as runner:
+        return runner.run(n_shots)
+
+
 @pytest.fixture(scope="module")
 def feedline_chips():
     """Two light two-qubit feedlines (short traces keep fits fast)."""
@@ -62,7 +67,7 @@ def feedline_chips():
 def warm_registry(tmp_path_factory, feedline_chips):
     """A registry pre-fitted for both feedlines (serial cold run)."""
     registry_dir = tmp_path_factory.mktemp("cluster-registry")
-    run_multi_feedline_pipeline(
+    run_cluster(
         tiny_profile(),
         20,
         feedline_chips,
@@ -152,6 +157,11 @@ class TestClusterValidation:
                 feedline_chips, tiny_profile(), executor="gpu"
             )
 
+    def test_rejects_non_streamable_design(self, feedline_chips):
+        # Checked once at construction, not per shard at dispatch time.
+        with pytest.raises(ConfigurationError, match="cannot stream"):
+            MultiFeedlineRunner(feedline_chips, tiny_profile(), design="fnn")
+
     def test_rejects_bad_shot_count(self, feedline_chips):
         runner = MultiFeedlineRunner(feedline_chips, tiny_profile())
         with pytest.raises(ConfigurationError):
@@ -168,7 +178,7 @@ class TestClusterDeterminism:
     """The same seeded traffic must discriminate identically everywhere."""
 
     def _run(self, chips, registry_dir, executor, workers=None):
-        return run_multi_feedline_pipeline(
+        return run_cluster(
             tiny_profile(),
             30,
             chips,
@@ -292,7 +302,7 @@ class TestHeterogeneousPlacement:
     def test_reports_keep_declared_order_despite_placement(self, tmp_path):
         light = make_feedline_chip(0, n_qubits=1, trace_len=80)
         heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
-        report = run_multi_feedline_pipeline(
+        report = run_cluster(
             tiny_profile(),
             10,
             [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)],
@@ -336,7 +346,7 @@ class TestPrefit:
 
 class TestClusterReportAggregation:
     def test_aggregate_report_shape(self, feedline_chips, warm_registry):
-        report = run_multi_feedline_pipeline(
+        report = run_cluster(
             tiny_profile(),
             25,
             feedline_chips,
@@ -349,9 +359,12 @@ class TestClusterReportAggregation:
         assert report.n_shots == 50
         assert report.shots_per_second > 0
         worst = report.worst_p99_ms()
-        assert set(worst) == {"demod", "matched_filter", "discriminate", "sink"}
+        assert set(worst) == {"matched_filter", "discriminate", "sink"}
         for name, feedline in report.feedline_reports.items():
-            assert worst["demod"] >= feedline.stage_summaries["demod"]["p99_ms"]
+            assert (
+                worst["matched_filter"]
+                >= feedline.stage_summaries["matched_filter"]["p99_ms"]
+            )
         verdicts = report.budget_verdicts()
         assert set(verdicts) == {"feedline-0", "feedline-1"}
         for verdict in verdicts.values():
@@ -363,7 +376,7 @@ class TestClusterReportAggregation:
     def test_report_is_json_serializable(self, feedline_chips, warm_registry):
         import json
 
-        report = run_multi_feedline_pipeline(
+        report = run_cluster(
             tiny_profile(),
             10,
             feedline_chips,
@@ -376,7 +389,6 @@ class TestClusterReportAggregation:
         assert set(payload["feedlines"]) == {"feedline-0", "feedline-1"}
         for feedline in payload["feedlines"].values():
             assert set(feedline["stages"]) >= {
-                "demod",
                 "matched_filter",
                 "discriminate",
             }
@@ -466,11 +478,11 @@ class TestRegistryShardingIsolation:
             config=PipelineConfig(batch_size=20),
             registry_dir=tmp_path,
         )
-        cold = run_multi_feedline_pipeline(
+        cold = run_cluster(
             tiny_profile(), 20, feedline_chips, **kwargs
         )
         assert len(fits) == len(feedline_chips), "one fit per feedline"
-        warm = run_multi_feedline_pipeline(
+        warm = run_cluster(
             tiny_profile(), 20, feedline_chips, **kwargs
         )
         assert len(fits) == len(feedline_chips), "warm cluster must not refit"
@@ -499,7 +511,7 @@ class TestRegistryShardingIsolation:
             FeedlineSpec("fl-a", chip, device="shared-group"),
             FeedlineSpec("fl-b", chip, device="shared-group"),
         ]
-        report = run_multi_feedline_pipeline(
+        report = run_cluster(
             tiny_profile(),
             20,
             specs,

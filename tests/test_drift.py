@@ -20,7 +20,6 @@ from repro.pipeline import (
     DriftMonitor,
     PipelineConfig,
     SimulatorTraceSource,
-    run_streaming_pipeline,
 )
 from repro.serve import (
     BatchingSpec,
@@ -32,6 +31,7 @@ from repro.serve import (
     ServeSpec,
     TrafficSpec,
 )
+from tests.conftest import serve_one_feedline
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -346,13 +346,13 @@ class TestRegistryVersioning:
 
 class TestPipelineDriftDetection:
     def test_stationary_run_reports_low_drift(self, tmp_path, two_qubit_chip):
-        report = run_streaming_pipeline(
+        report = serve_one_feedline(
             fast_profile(),
-            n_shots=120,
-            batch_size=40,
+            two_qubit_chip,
+            120,
+            config=PipelineConfig(batch_size=40),
             chunk_size=60,
             registry_dir=tmp_path,
-            chip=two_qubit_chip,
             device="drift-test",
         )
         assert report.drift_score is not None
@@ -362,12 +362,12 @@ class TestPipelineDriftDetection:
         assert payload["drift_alarm"] is False
 
     def test_detection_can_be_disabled(self, tmp_path, two_qubit_chip):
-        report = run_streaming_pipeline(
+        report = serve_one_feedline(
             fast_profile(),
-            n_shots=60,
+            two_qubit_chip,
+            60,
             chunk_size=60,
             registry_dir=tmp_path,
-            chip=two_qubit_chip,
             device="drift-test",
             config=PipelineConfig(batch_size=60, drift_detection=False),
         )
@@ -378,17 +378,17 @@ class TestPipelineDriftDetection:
     def test_drifted_traffic_raises_the_score(self, tmp_path):
         chip = make_feedline_chip(0, n_qubits=2)
         kwargs = dict(
-            n_shots=400,
-            batch_size=100,
+            config=PipelineConfig(batch_size=100),
             chunk_size=200,
             registry_dir=tmp_path,
-            chip=chip,
             device="drift-scored",
         )
         profile = tiny_profile()
-        calm = run_streaming_pipeline(profile, **kwargs)
-        stormy = run_streaming_pipeline(
+        calm = serve_one_feedline(profile, chip, 400, **kwargs)
+        stormy = serve_one_feedline(
             profile,
+            chip,
+            400,
             drift_model=DriftModel(if_detune_ghz_per_kshot=8e-5),
             drift_shot_offset=2500,
             **kwargs,

@@ -31,9 +31,10 @@ from repro.pipeline import (
     ResultSink,
     ShotChunk,
     SimulatorTraceSource,
-    run_streaming_pipeline,
 )
 from repro.qec.eraser import EraserConfig, LevelStreamSpeculator
+from repro.serve import CalibrationSpec, ServeSpec, serve_once
+from tests.conftest import make_two_qubit_chip, serve_one_feedline
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -467,13 +468,18 @@ class TestDesignSelection:
         # A different design can never collide with the default's artifact.
         assert _profile_slug(profile, "fnn") == "fnn.tiny-s501"
 
+    @staticmethod
+    def _serve_design(design):
+        spec = ServeSpec(calibration=CalibrationSpec(design=design))
+        return serve_once(spec, profile=tiny_profile())
+
     def test_streaming_rejects_non_mlr_design(self):
         with pytest.raises(ConfigurationError, match="cannot stream"):
-            run_streaming_pipeline(tiny_profile(), n_shots=10, design="fnn")
+            self._serve_design("fnn")
 
     def test_streaming_rejects_unknown_design(self):
         with pytest.raises(ConfigurationError, match="unknown discriminator"):
-            run_streaming_pipeline(tiny_profile(), n_shots=10, design="nope")
+            self._serve_design("nope")
 
 
 class TestDiscriminationEngine:
@@ -484,23 +490,18 @@ class TestDiscriminationEngine:
         assert np.array_equal(
             result.levels, pipeline_mlr.predict_qubit_levels(tiny_corpus)
         )
-        assert set(result.stage_seconds) == {
-            "demod",
-            "matched_filter",
-            "discriminate",
-        }
+        assert set(result.stage_seconds) == {"matched_filter", "discriminate"}
 
     def test_sharded_execution_matches_inline(self, tiny_corpus, pipeline_mlr):
-        from concurrent.futures import ThreadPoolExecutor
-
-        inline = BatchDiscriminationEngine(pipeline_mlr, tiny_corpus.chip)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            sharded = BatchDiscriminationEngine(
-                pipeline_mlr, tiny_corpus.chip, executor=pool
-            )
-            a = inline.process(tiny_corpus.feedline[:40])
-            b = sharded.process(tiny_corpus.feedline[:40])
-        assert np.array_equal(a.joint, b.joint)
+        """A batch split into shards decides like the whole batch: the
+        engine's reused scratch carries nothing from one call to the
+        next, whatever the batch sizes."""
+        engine = BatchDiscriminationEngine(pipeline_mlr, tiny_corpus.chip)
+        feed = tiny_corpus.feedline[:40]
+        inline = engine.process(feed).joint
+        shards = [engine.process(feed[a:b]).joint for a, b in
+                  ((0, 7), (7, 32), (32, 40))]
+        assert np.array_equal(np.concatenate(shards), inline)
 
     def test_requires_fitted_discriminator(self, two_qubit_chip):
         with pytest.raises(NotFittedError):
@@ -617,7 +618,7 @@ class TestPipelineEndToEnd:
         pipeline = ReadoutPipeline(
             pipeline_mlr,
             tiny_corpus.chip,
-            PipelineConfig(batch_size=17, workers=2),
+            PipelineConfig(batch_size=17),
             sink=sink,
         )
         report = pipeline.run(CorpusTraceSource(tiny_corpus, chunk_size=23))
@@ -625,8 +626,9 @@ class TestPipelineEndToEnd:
         assert report.n_shots == tiny_corpus.n_traces
         assert report.shots_per_second > 0
         assert report.accuracy is not None
-        for stage in ("demod", "matched_filter", "discriminate", "sink"):
-            assert stage in report.stage_summaries
+        assert list(report.stage_summaries) == [
+            "matched_filter", "discriminate", "sink"
+        ]
         assert report.budget is not None and report.budget.slowdown > 0
         assert "streaming readout pipeline" in report.format_table()
 
@@ -674,15 +676,13 @@ class TestPipelineEndToEnd:
         monkeypatch.setattr(MLRDiscriminator, "fit", counting_fit)
         profile = tiny_profile()
         kwargs = dict(
-            n_shots=60,
-            batch_size=24,
+            config=PipelineConfig(batch_size=24),
             chunk_size=30,
             registry_dir=tmp_path,
-            chip=two_qubit_chip,
             device="two-qubit-test",
         )
-        cold = run_streaming_pipeline(profile, **kwargs)
-        warm = run_streaming_pipeline(profile, **kwargs)
+        cold = serve_one_feedline(profile, two_qubit_chip, 60, **kwargs)
+        warm = serve_one_feedline(profile, two_qubit_chip, 60, **kwargs)
         assert len(fits) == 1, "warm run must not refit"
         assert cold.calibration_cached is False
         assert warm.calibration_cached is True
@@ -692,29 +692,27 @@ class TestPipelineEndToEnd:
         self, tmp_path, two_qubit_chip
     ):
         kwargs = dict(
-            n_shots=30,
-            batch_size=30,
+            config=PipelineConfig(batch_size=30),
             registry_dir=tmp_path,
-            chip=two_qubit_chip,
             device="two-qubit-test",
         )
-        run_streaming_pipeline(tiny_profile(), **kwargs)
-        run_streaming_pipeline(tiny_profile(name="tiny2"), **kwargs)
+        serve_one_feedline(tiny_profile(), two_qubit_chip, 30, **kwargs)
+        serve_one_feedline(
+            tiny_profile(name="tiny2"), two_qubit_chip, 30, **kwargs
+        )
         registry = CalibrationRegistry(tmp_path)
         profiles = {key.profile for key in registry.keys()}
         assert profiles == {"tiny-s501", "tiny2-s501"}
 
     def test_seed_override_gets_its_own_artifact(self, tmp_path, two_qubit_chip):
         kwargs = dict(
-            n_shots=30,
-            batch_size=30,
+            config=PipelineConfig(batch_size=30),
             registry_dir=tmp_path,
-            chip=two_qubit_chip,
             device="two-qubit-test",
         )
-        cold = run_streaming_pipeline(tiny_profile(), **kwargs)
-        reseeded = run_streaming_pipeline(
-            tiny_profile().with_seed(777), **kwargs
+        cold = serve_one_feedline(tiny_profile(), two_qubit_chip, 30, **kwargs)
+        reseeded = serve_one_feedline(
+            tiny_profile().with_seed(777), two_qubit_chip, 30, **kwargs
         )
         # A different calibration seed must not hit the base-seed cache.
         assert cold.calibration_cached is False
@@ -723,14 +721,14 @@ class TestPipelineEndToEnd:
         assert profiles == {"tiny-s501", "tiny-s777"}
 
     def test_different_chip_gets_its_own_artifact(self, tmp_path, two_qubit_chip):
-        from tests.conftest import make_two_qubit_chip
-
         kwargs = dict(
-            n_shots=30, batch_size=30, registry_dir=tmp_path, device="dev"
+            config=PipelineConfig(batch_size=30),
+            registry_dir=tmp_path,
+            device="dev",
         )
-        run_streaming_pipeline(tiny_profile(), chip=two_qubit_chip, **kwargs)
-        other = run_streaming_pipeline(
-            tiny_profile(), chip=make_two_qubit_chip(noise_std=5.0), **kwargs
+        serve_one_feedline(tiny_profile(), two_qubit_chip, 30, **kwargs)
+        other = serve_one_feedline(
+            tiny_profile(), make_two_qubit_chip(noise_std=5.0), 30, **kwargs
         )
         # Same device name, different chip parameters: the chip hash in
         # the key must force a fresh calibration, not serve stale kernels.
@@ -740,13 +738,15 @@ class TestPipelineEndToEnd:
 
     def test_rejects_bad_shot_count(self, two_qubit_chip):
         with pytest.raises(ConfigurationError):
-            run_streaming_pipeline(tiny_profile(), n_shots=0, chip=two_qubit_chip)
+            serve_one_feedline(
+                tiny_profile(), two_qubit_chip, 0, device="two-qubit-test"
+            )
 
     def test_pipeline_config_validation(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig(batch_size=0)
         with pytest.raises(ConfigurationError):
-            PipelineConfig(workers=0)
+            PipelineConfig(max_pending=0)
 
     def test_sink_closed_when_a_stage_fails(self, tiny_corpus, pipeline_mlr):
         closed = []
@@ -783,7 +783,7 @@ class TestPipelineConfigValidation:
     """PipelineConfig reports every invalid knob in one error."""
 
     @pytest.mark.parametrize(
-        "field_name", ["batch_size", "workers", "max_pending", "max_batch_size"]
+        "field_name", ["batch_size", "max_pending", "max_batch_size"]
     )
     @pytest.mark.parametrize("value", [0, -1, -64])
     def test_rejects_non_positive_values(self, field_name, value):
@@ -792,14 +792,12 @@ class TestPipelineConfigValidation:
 
     def test_reports_all_invalid_fields_at_once(self):
         with pytest.raises(ConfigurationError) as err:
-            PipelineConfig(batch_size=0, workers=-2, max_pending=-1,
-                           max_batch_size=0)
+            PipelineConfig(batch_size=0, max_pending=-1, max_batch_size=0)
         message = str(err.value)
-        for field_name in ("batch_size", "workers", "max_pending",
-                           "max_batch_size"):
+        for field_name in ("batch_size", "max_pending", "max_batch_size"):
             assert field_name in message, message
         # One combined error, not the first violation alone.
-        assert message.count("must be >= 1") == 4
+        assert message.count("must be >= 1") == 3
 
     def test_adaptive_bound_must_cover_initial_size(self):
         with pytest.raises(ConfigurationError, match="max_batch_size"):
@@ -817,7 +815,6 @@ class TestPipelineConfigValidation:
     def test_valid_config_roundtrips_every_knob(self):
         config = PipelineConfig(
             batch_size=32,
-            workers=2,
             max_pending=4,
             adaptive_batching=True,
             max_batch_size=256,

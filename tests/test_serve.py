@@ -78,7 +78,6 @@ class TestServeSpecRoundTrip:
                 feedlines=3,
                 executor="process",
                 workers=2,
-                channel_workers=4,
                 qubits_per_feedline=2,
             ),
             batching=BatchingSpec(
@@ -134,7 +133,10 @@ class TestServeSpecValidation:
     def test_from_dict_reports_every_problem_at_once(self):
         bad = {
             "traffic": {"shots": 0, "chunk_size": -2, "bogus": 1},
-            "cluster": {"feedlines": 0, "executor": "gpu"},
+            # channel_workers is a retired knob: old spec files that
+            # still set it fail loudly instead of being ignored.
+            "cluster": {"feedlines": 0, "executor": "gpu",
+                        "channel_workers": 2},
             "batching": {"batch_size": 0, "adaptive": "yes"},
             "calibration": {"design": ""},
             "networking": {},
@@ -148,6 +150,7 @@ class TestServeSpecValidation:
             "traffic.bogus",
             "cluster.feedlines",
             "cluster.executor",
+            "cluster.channel_workers: unknown field",
             "batching.batch_size",
             "batching.adaptive",
             "calibration.design",
@@ -302,7 +305,6 @@ class TestServeSpecDerivation:
 
     def test_pipeline_config_mapping(self):
         spec = ServeSpec(
-            cluster=ClusterSpec(channel_workers=3),
             batching=BatchingSpec(
                 batch_size=32,
                 max_pending=4,
@@ -313,7 +315,6 @@ class TestServeSpecDerivation:
         )
         config = spec.pipeline_config()
         assert config.batch_size == 32
-        assert config.workers == 3
         assert config.max_pending == 4
         assert config.adaptive_batching is True
         assert config.max_batch_size == 128

@@ -4,7 +4,6 @@ shared-memory replay, and the hot-path bugfix sweep that rode along."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,65 +127,56 @@ class TestFusedKernelMath:
 
 
 class TestFusedEngineInvariance:
-    """The tentpole's correctness gate: fused == legacy assignments."""
+    """The correctness gate: fused assignments == the offline oracle.
+
+    Offline ``predict`` scores every qubit channel through the per-channel
+    demod -> decimate -> matched-filter chain that the fused bank replaced
+    (the chain the retired ``legacy`` engine ran), so it checks the fused
+    algebra through an independent code path.
+    """
+
+    @staticmethod
+    def _assert_matches_oracle(fitted, corpus):
+        result = BatchDiscriminationEngine(fitted, corpus.chip).process(
+            corpus.feedline
+        )
+        np.testing.assert_array_equal(
+            result.levels, fitted.predict_qubit_levels(corpus)
+        )
+        np.testing.assert_array_equal(result.joint, fitted.predict(corpus))
 
     def test_fused_matches_legacy_assignments(self, fitted, tiny_corpus):
-        feed = tiny_corpus.feedline[:300]
-        chip = tiny_corpus.chip
-        fused = BatchDiscriminationEngine(fitted, chip, mode="fused")
-        legacy = BatchDiscriminationEngine(fitted, chip, mode="legacy")
-        rf = fused.process(feed)
-        rl = legacy.process(feed)
-        np.testing.assert_array_equal(rf.levels, rl.levels)
-        np.testing.assert_array_equal(rf.joint, rl.joint)
+        self._assert_matches_oracle(fitted, tiny_corpus.subset(np.arange(300)))
 
     def test_fused_matches_legacy_on_truncated_window(
         self, fitted, tiny_corpus
     ):
         """Truncated-window serving: a shorter raw window uses a prefix
-        bank and must still agree with the legacy chain on that window."""
-        feed = tiny_corpus.feedline[:200, :150]
-        chip = tiny_corpus.chip
-        rf = BatchDiscriminationEngine(fitted, chip, mode="fused").process(
-            feed
+        bank and must still agree with the per-channel chain on that
+        window (offline ``predict`` truncates its kernels the same way)."""
+        self._assert_matches_oracle(
+            fitted, tiny_corpus.subset(np.arange(200)).truncated(150)
         )
-        rl = BatchDiscriminationEngine(fitted, chip, mode="legacy").process(
-            feed
-        )
-        np.testing.assert_array_equal(rf.levels, rl.levels)
-        np.testing.assert_array_equal(rf.joint, rl.joint)
 
     def test_fused_stage_schema_and_zero_demod(self, fitted, tiny_corpus):
-        result = BatchDiscriminationEngine(
-            fitted, tiny_corpus.chip, mode="fused"
-        ).process(tiny_corpus.feedline[:32])
-        assert set(result.stage_seconds) == {
-            "demod",
-            "matched_filter",
-            "discriminate",
-        }
-        assert result.stage_seconds["demod"] == 0.0
+        """Demodulation is folded into the kernels: no demod stage."""
+        result = BatchDiscriminationEngine(fitted, tiny_corpus.chip).process(
+            tiny_corpus.feedline[:32]
+        )
+        assert set(result.stage_seconds) == {"matched_filter", "discriminate"}
         assert result.stage_seconds["matched_filter"] > 0.0
 
     def test_window_longer_than_fitted_rejected(self, fitted, tiny_corpus):
         chip = tiny_corpus.chip
-        engine = BatchDiscriminationEngine(fitted, chip, mode="fused")
+        engine = BatchDiscriminationEngine(fitted, chip)
         long_feed = np.zeros(
             (4, tiny_corpus.feedline.shape[1] + 8), dtype=complex
         )
         with pytest.raises(DataError):
             engine.process(long_feed)
 
-    def test_unknown_mode_rejected(self, fitted, tiny_corpus):
-        with pytest.raises(ConfigurationError):
-            BatchDiscriminationEngine(
-                fitted, tiny_corpus.chip, mode="turbo"
-            )
-
     def test_fused_bank_cached_per_window(self, fitted, tiny_corpus):
-        engine = BatchDiscriminationEngine(
-            fitted, tiny_corpus.chip, mode="fused"
-        )
+        engine = BatchDiscriminationEngine(fitted, tiny_corpus.chip)
         engine.process(tiny_corpus.feedline[:8])
         engine.process(tiny_corpus.feedline[:8, :150])
         engine.process(tiny_corpus.feedline[:8])
@@ -194,34 +184,6 @@ class TestFusedEngineInvariance:
             150,
             tiny_corpus.feedline.shape[1],
         ]
-
-
-class TestLegacyExecutorDispatch:
-    """Regression: channel dispatch must survive every executor kind."""
-
-    def test_legacy_engine_with_process_pool(self, fitted, tiny_corpus):
-        """The old lambda star-dispatch was unpicklable and crashed any
-        process-pool executor handed to the engine."""
-        inline = BatchDiscriminationEngine(
-            fitted, tiny_corpus.chip, mode="legacy"
-        ).process(tiny_corpus.feedline[:64])
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            engine = BatchDiscriminationEngine(
-                fitted, tiny_corpus.chip, executor=pool, mode="legacy"
-            )
-            sharded = engine.process(tiny_corpus.feedline[:64])
-        np.testing.assert_array_equal(sharded.levels, inline.levels)
-        np.testing.assert_array_equal(sharded.joint, inline.joint)
-
-    def test_legacy_engine_with_thread_pool(self, fitted, tiny_corpus):
-        inline = BatchDiscriminationEngine(
-            fitted, tiny_corpus.chip, mode="legacy"
-        ).process(tiny_corpus.feedline[:64])
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            sharded = BatchDiscriminationEngine(
-                fitted, tiny_corpus.chip, executor=pool, mode="legacy"
-            ).process(tiny_corpus.feedline[:64])
-        np.testing.assert_array_equal(sharded.levels, inline.levels)
 
 
 class TestRebatchLinearity:
@@ -380,7 +342,7 @@ class TestBufferRing:
         """Pipeline outputs must survive the ring wrapping: levels and
         joint are fresh arrays, not views of reused scratch."""
         chip = tiny_corpus.chip
-        engine = BatchDiscriminationEngine(fitted, chip, mode="fused")
+        engine = BatchDiscriminationEngine(fitted, chip)
         ring = BufferRing(max_batch=16, n_features=engine.n_features)
         source = CorpusTraceSource(tiny_corpus, chunk_size=16)
         results = []
@@ -404,41 +366,38 @@ class TestBufferRing:
 
 
 class TestPipelineEngineParity:
-    """End-to-end: the fused pipeline default equals the legacy chain."""
+    """End-to-end: the served pipeline report equals the offline oracle."""
 
-    @pytest.fixture(scope="class")
-    def replay_corpus(self, tiny_corpus):
-        return tiny_corpus
-
-    def _run(self, fitted, corpus, engine_mode, **config_kw):
-        config = PipelineConfig(
-            batch_size=48, engine=engine_mode, **config_kw
-        )
+    def _run(self, fitted, corpus, **config_kw):
+        config = PipelineConfig(batch_size=48, **config_kw)
         pipeline = ReadoutPipeline(fitted, corpus.chip, config)
         return pipeline.run(CorpusTraceSource(corpus, chunk_size=64))
 
-    def test_fused_and_legacy_reports_agree(self, fitted, replay_corpus):
-        fused = self._run(fitted, replay_corpus, "fused")
-        legacy = self._run(fitted, replay_corpus, "legacy")
-        assert fused.assignment_counts == legacy.assignment_counts
-        assert fused.accuracy == legacy.accuracy
-        assert fused.details["engine"] == "fused"
-        assert legacy.details["engine"] == "legacy"
+    @staticmethod
+    def _oracle_counts(fitted, corpus):
+        return np.bincount(
+            fitted.predict(corpus), minlength=corpus.n_levels**corpus.n_qubits
+        ).tolist()
 
-    def test_fused_with_adaptive_batching(self, fitted, replay_corpus):
-        fused = self._run(
-            fitted,
-            replay_corpus,
-            "fused",
-            adaptive_batching=True,
-            max_batch_size=128,
+    def test_fused_and_legacy_reports_agree(self, fitted, tiny_corpus):
+        """The served report agrees with the per-channel chain, run
+        offline: same assignment counts, same accuracy."""
+        report = self._run(fitted, tiny_corpus)
+        oracle = fitted.predict(tiny_corpus)
+        assert report.assignment_counts == self._oracle_counts(
+            fitted, tiny_corpus
         )
-        legacy = self._run(fitted, replay_corpus, "legacy")
-        assert fused.assignment_counts == legacy.assignment_counts
+        assert report.accuracy == pytest.approx(
+            float(np.mean(oracle == tiny_corpus.labels))
+        )
 
-    def test_bad_engine_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(engine="warp")
+    def test_fused_with_adaptive_batching(self, fitted, tiny_corpus):
+        report = self._run(
+            fitted, tiny_corpus, adaptive_batching=True, max_batch_size=128
+        )
+        assert report.assignment_counts == self._oracle_counts(
+            fitted, tiny_corpus
+        )
 
 
 class TestSharedMemoryReplay:
