@@ -124,10 +124,6 @@ class GuardedBufferRing(BufferRing):
         self._generations = [0] * len(self._slots)
         self._sites: list[str | None] = [None] * len(self._slots)
 
-    def slot_generation(self, index: int) -> int:
-        """How many times slot ``index`` has been handed out."""
-        return self._generations[index]
-
     def acquire(self, n_shots: int, trace_len: int) -> np.ndarray | None:
         index = self._next
         view = super().acquire(n_shots, trace_len)

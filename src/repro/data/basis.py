@@ -59,11 +59,10 @@ def digits_to_state(digits: np.ndarray, n_levels: int) -> np.ndarray:
     arr = np.asarray(digits, dtype=np.int64)
     if arr.shape[-1] < 1:
         raise ConfigurationError("digits must have at least one qudit")
-    if np.any(arr < 0) or np.any(arr >= n_levels):
+    if arr.size and (arr.min() < 0 or arr.max() >= n_levels):
         raise ConfigurationError(f"digits must lie in [0, {n_levels})")
-    n_qudits = arr.shape[-1]
-    powers = n_levels ** np.arange(n_qudits - 1, -1, -1, dtype=np.int64)
-    return np.sum(arr * powers, axis=-1)
+    powers = n_levels ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return arr @ powers
 
 
 def state_label(state: int, n_qudits: int, n_levels: int) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_random_state, child_rng
+from repro._util import as_2d_float, check_random_state, child_rng
 from repro.data.basis import digits_to_state
 from repro.data.dataset import ReadoutCorpus
 from repro.discriminators.base import Discriminator
@@ -23,6 +23,28 @@ from repro.ml.dataset import StandardScaler
 from repro.ml.nn import Adam, MLPClassifier, train_classifier
 
 __all__ = ["MLRDiscriminator"]
+
+
+def _top2_levels_and_margins(
+    logits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-max levels and top-2 softmax margins over the last axis.
+
+    A running max and second max over the few level columns (cheaper
+    than numpy reductions over so short an axis); strict ``>`` keeps
+    ``np.argmax``'s first level on ties. ``p_top - p_second`` is
+    ``(1 - exp(second - top)) / sum_j exp(l_j - top)``.
+    """
+    columns = [logits[..., j] for j in range(logits.shape[-1])]
+    top = columns[0]
+    second = np.full(top.shape, -np.inf)
+    levels = np.zeros(top.shape, dtype=np.int64)
+    for level, column in enumerate(columns[1:], start=1):
+        levels[column > top] = level
+        second = np.maximum(second, np.minimum(column, top))
+        top = np.maximum(top, column)
+    norm = sum(np.exp(column - top) for column in columns)
+    return levels, (1.0 - np.exp(second - top)) / norm
 
 
 @register(
@@ -99,6 +121,7 @@ class MLRDiscriminator(Discriminator):
             min_error_traces=min_error_traces,
         )
         self.models: list[MLPClassifier] | None = None
+        self._head_stack: list | None = None
         self.scaler: StandardScaler | None = None
         # Calibration-time references for online drift detection: the
         # joint-assignment distribution and mean top-2 probability margin
@@ -152,9 +175,36 @@ class MLRDiscriminator(Discriminator):
                 seed=child_rng(self._rng, q, 1),
             )
             self.models.append(model)
+        self._stack_heads()
         self._fitted = True
         self._record_reference(x, corpus.n_levels)
         return self
+
+    def _stack_heads(self) -> None:
+        """Merge the heads into ``(weights, bias, activation)`` layers.
+
+        Layer 1 becomes one GEMM: head ``q`` fills column block ``q`` on
+        the rows of the features it reads (block-diagonal without
+        ``neighbor_features``). Deeper layers become ``(n_heads, h_in,
+        h_out)`` stacks for one batched ``matmul``. Built once, from
+        copies, for heads that share one architecture (as fit builds).
+        """
+        heads = [model.network.layers for model in self.models]
+        width = heads[0][0].n_out
+        features = np.arange(len(heads) * self.extractor.filters_per_qubit)
+        first = np.zeros((features.size, len(heads) * width))
+        for q, layers in enumerate(heads):
+            rows = self._head_features(features[None], q)[0]
+            first[rows, q * width : (q + 1) * width] = layers[0].weights
+        bias = np.concatenate([layers[0].bias for layers in heads])
+        self._head_stack = [(first, bias, heads[0][0].activation.forward)] + [
+            (
+                np.stack([layers[depth].weights for layers in heads]),
+                np.stack([layers[depth].bias for layers in heads])[:, None],
+                heads[0][depth].activation.forward,
+            )
+            for depth in range(1, len(heads[0]))
+        ]
 
     def head_levels_and_margin(
         self, x: np.ndarray
@@ -163,18 +213,21 @@ class MLRDiscriminator(Discriminator):
 
         ``x`` is the scaled feature matrix. The one implementation both
         fit-time reference recording and the streaming engine use —
-        drift scoring compares the two, so they must never diverge.
-        Argmax over probabilities reproduces :meth:`MLPClassifier
-        .predict` bit for bit (softmax is monotone).
+        drift scoring compares the two, so they must never diverge. All
+        heads run at once through the stack built at fit or artifact
+        load; a level is the first maximal logit, as in
+        :meth:`MLPClassifier.predict`.
         """
-        levels = np.empty((x.shape[0], len(self.models)), dtype=np.int64)
-        margin_total = 0.0
-        for q, model in enumerate(self.models):
-            proba = model.predict_proba(self._head_features(x, q))
-            levels[:, q] = np.argmax(proba, axis=1)
-            top2 = np.sort(proba, axis=1)[:, -2:]
-            margin_total += float(np.sum(top2[:, 1] - top2[:, 0]))
-        return levels, margin_total / (x.shape[0] * len(self.models))
+        self._require_fitted()
+        x = as_2d_float(x)
+        (weights, bias, activation), *deeper = self._head_stack
+        # Layer 1's (n, n_heads * h) output, viewed as (n_heads, n, h).
+        h = activation(x @ weights + bias)
+        h = h.reshape(x.shape[0], len(self.models), -1).transpose(1, 0, 2)
+        for weights, bias, activation in deeper:
+            h = activation(np.matmul(h, weights) + bias)
+        levels, margins = _top2_levels_and_margins(h)
+        return levels.T, float(margins.sum()) / margins.size
 
     def _record_reference(self, x: np.ndarray, n_levels: int) -> None:
         """Snapshot the drift-detection references on the training set."""
@@ -273,6 +326,7 @@ class MLRDiscriminator(Discriminator):
             cls._unpack_mlp(sizes, arrays, f"model{q}")
             for q, sizes in enumerate(meta["layer_sizes"])
         ]
+        disc._stack_heads()
         # Artifacts written before drift detection landed carry no
         # references; such models still serve, just without a monitor.
         if "reference_assignment" in arrays:

@@ -20,7 +20,7 @@ explicit parameter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,11 +145,12 @@ def fuse_demod_decimation(
 class FusedKernelBank:
     """All channels' demod+decimate+matched-filter weights, stacked.
 
-    One weight row per (qubit, filter), qubit-major — applying the bank
-    to a raw feedline batch is a single matmul producing the exact
-    feature layout :class:`~repro.discriminators.features
-    .MatchedFilterFeatureExtractor` defines, with no per-qubit
-    ``feedline * tone`` copies and no decimated intermediates.
+    One weight row per (qubit, filter), qubit-major, in the feature
+    layout :class:`~repro.discriminators.features
+    .MatchedFilterFeatureExtractor` defines. Only ``Re(feedline @ W.T)``
+    is a feature and ``Re(z w) = Re z Re w - Im z Im w``, so scoring is
+    one real GEMM of the batch's no-copy ``(re, im)`` float view: no
+    per-qubit copies, no decimated intermediates, no imaginary half.
 
     Attributes
     ----------
@@ -160,11 +161,14 @@ class FusedKernelBank:
         Filters per channel (the per-qubit row block height).
     decimation:
         Boxcar factor folded into the weights.
+    real_weights:
+        ``(2 * n_samples, n_filters)`` float64 rows ``[Re W; -Im W]``.
     """
 
     weights: np.ndarray
     filters_per_qubit: int
     decimation: int
+    real_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights)
@@ -177,38 +181,27 @@ class FusedKernelBank:
                 f"{weights.shape[0]} rows not divisible by "
                 f"{self.filters_per_qubit} filters per qubit"
             )
-        # Row-major weights make ``feedline @ weights.T`` hit the fast
-        # BLAS path without an internal transpose copy per batch.
-        object.__setattr__(
-            self, "weights", np.ascontiguousarray(weights)
-        )
+        real = np.empty((2 * weights.shape[1], weights.shape[0]))
+        real[0::2] = weights.real.T
+        real[1::2] = -weights.imag.T
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "real_weights", real)
 
     @property
     def n_filters(self) -> int:
         return self.weights.shape[0]
 
     @property
-    def n_qubits(self) -> int:
-        return self.weights.shape[0] // self.filters_per_qubit
-
-    @property
     def n_samples(self) -> int:
         """Raw feedline samples consumed (``n_bins * decimation``)."""
         return self.weights.shape[1]
 
-    def scores(
-        self,
-        feedline: np.ndarray,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ):
+    def scores(self, feedline: np.ndarray, out: np.ndarray | None = None):
         """Score a raw feedline batch: ``Re(feedline[:, :m] @ W.T)``.
 
-        ``out`` — an optional preallocated float row block the real
-        scores are written into (the zero-copy serving path); a fresh
-        array is returned when omitted. ``scratch`` — an optional
-        complex ``(n_shots, n_filters)`` workspace for the matmul, so a
-        warm serving loop performs no per-batch allocation at all.
+        ``out`` — an optional preallocated ``(n_shots, n_filters)``
+        float block the scores are written into (the zero-copy serving
+        path); a fresh array is returned when omitted.
         """
         feedline = np.atleast_2d(np.asarray(feedline))
         if feedline.shape[1] < self.n_samples:
@@ -216,20 +209,20 @@ class FusedKernelBank:
                 f"trace length {feedline.shape[1]} shorter than fused "
                 f"window {self.n_samples}"
             )
-        view = feedline[:, : self.n_samples]
-        expected = (feedline.shape[0], self.n_filters)
-        if (
-            scratch is not None
-            and scratch.shape == expected
-            and scratch.dtype == np.result_type(view.dtype, self.weights.dtype)
-        ):
-            complex_scores = np.matmul(view, self.weights.T, out=scratch)
-        else:
-            complex_scores = view @ self.weights.T
+        window = feedline[:, : self.n_samples]
+        strided = window.strides[-1] != window.itemsize
+        if strided or not np.iscomplexobj(window):
+            window = window.astype(np.complex128, order="C")  # repro: allow(no-hidden-copy) real or strided input has no (re, im) pair view; ring slots never take this branch
+        pairs = window.view(window.real.dtype)
         if out is None:
-            return np.ascontiguousarray(complex_scores.real)
-        np.copyto(out, complex_scores.real)
-        return out
+            return pairs @ self.real_weights
+        expected = (feedline.shape[0], self.n_filters)
+        if out.shape != expected or not np.issubdtype(out.dtype, np.floating):
+            raise ShapeError(
+                f"out must be a float array of shape {expected}, got "
+                f"{out.dtype} with shape {out.shape}"
+            )
+        return np.matmul(pairs, self.real_weights, out=out)
 
 
 @dataclass(frozen=True)

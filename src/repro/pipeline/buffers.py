@@ -127,7 +127,7 @@ class BufferRing:
         walked to its allocation (sanitizer handles add a view layer) —
         so only batches actually assembled into this ring get a paired
         feature block; foreign arrays return ``None`` and the engine
-        falls back to its own scratch.
+        scores them into a fresh array.
         """
         base = feedline.base
         if base is None:

@@ -315,10 +315,6 @@ class CalibrationKey:
                 "versioned artifact naming scheme; use the version field"
             )
 
-    @classmethod
-    def for_qubit(cls, device: str, qubit: int, profile: str) -> "CalibrationKey":
-        return cls(device=device, qubit=f"q{int(qubit)}", profile=profile)
-
     def with_version(self, version: int) -> "CalibrationKey":
         """Same logical artifact at a different recalibration version."""
         from dataclasses import replace

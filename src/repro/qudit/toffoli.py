@@ -32,14 +32,6 @@ __all__ = [
 ]
 
 
-def _x02(d: int = 3) -> np.ndarray:
-    """Pi pulse on the 0-2 transition."""
-    gate = np.eye(d, dtype=complex)
-    gate[0, 0] = gate[2, 2] = 0.0
-    gate[0, 2] = gate[2, 0] = 1.0
-    return gate
-
-
 def controlled_shift(
     control_level: int, target_gate: np.ndarray, d: int = 3
 ) -> np.ndarray:

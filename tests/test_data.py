@@ -50,6 +50,38 @@ class TestBasis:
         with pytest.raises(ConfigurationError):
             digits_to_state(np.array([3]), 3)
 
+    @staticmethod
+    def _old_digits_to_state(digits, n_levels):
+        """The axis-sum formula digits_to_state used before its range
+        check and matmul rewrite."""
+        arr = np.asarray(digits, dtype=np.int64)
+        if np.any(arr < 0) or np.any(arr >= n_levels):
+            raise ConfigurationError("out of range")
+        powers = n_levels ** np.arange(
+            arr.shape[-1] - 1, -1, -1, dtype=np.int64
+        )
+        return np.sum(arr * powers, axis=-1)
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4])
+    @pytest.mark.parametrize("n_qudits", [1, 5])
+    def test_digits_to_state_matches_old_formula(self, n_levels, n_qudits):
+        rng = np.random.default_rng(n_levels * 10 + n_qudits)
+        batch = rng.integers(0, n_levels, size=(64, n_qudits))
+        for digits in (batch, batch[0], batch[:0], batch.T.copy().T):
+            got = digits_to_state(digits, n_levels)
+            expected = self._old_digits_to_state(digits, n_levels)
+            assert np.asarray(got).dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        for bad in (-1, n_levels):
+            digits = batch.copy()
+            digits[7, -1] = bad
+            with pytest.raises(ConfigurationError):
+                self._old_digits_to_state(digits, n_levels)
+            with pytest.raises(ConfigurationError):
+                digits_to_state(digits, n_levels)
+            with pytest.raises(ConfigurationError):
+                digits_to_state(digits[7], n_levels)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n_qudits=st.integers(min_value=1, max_value=6),

@@ -493,9 +493,9 @@ class TestDiscriminationEngine:
         assert set(result.stage_seconds) == {"matched_filter", "discriminate"}
 
     def test_sharded_execution_matches_inline(self, tiny_corpus, pipeline_mlr):
-        """A batch split into shards decides like the whole batch: the
-        engine's reused scratch carries nothing from one call to the
-        next, whatever the batch sizes."""
+        """A batch split into shards decides like the whole batch: no
+        engine state carries from one call to the next, whatever the
+        batch sizes."""
         engine = BatchDiscriminationEngine(pipeline_mlr, tiny_corpus.chip)
         feed = tiny_corpus.feedline[:40]
         inline = engine.process(feed).joint

@@ -3,6 +3,7 @@ shared-memory replay, and the hot-path bugfix sweep that rode along."""
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -120,10 +121,85 @@ class TestFusedKernelMath:
         feed = rng.normal(size=(9, 40)) + 1j * rng.normal(size=(9, 40))
         expected = bank.scores(feed)
         out = np.empty((9, 6))
-        scratch = np.empty((9, 6), dtype=np.complex128)
-        got = bank.scores(feed, out=out, scratch=scratch)
+        got = bank.scores(feed, out=out)
         assert got is out
         np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def _bank_and_feed(rng, n_shots=9, trace_len=40):
+        weights = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
+        bank = FusedKernelBank(
+            weights=weights, filters_per_qubit=3, decimation=4
+        )
+        feed = rng.normal(size=(n_shots, trace_len)) + 1j * rng.normal(
+            size=(n_shots, trace_len)
+        )
+        return bank, feed
+
+    @staticmethod
+    def _assert_rel_close(got, expected):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    def test_real_weights_interleave_re_and_minus_im(self, rng):
+        bank, _ = self._bank_and_feed(rng)
+        assert bank.real_weights.shape == (80, 6)
+        assert bank.real_weights.dtype == np.float64
+        np.testing.assert_array_equal(
+            bank.real_weights[0::2], bank.weights.real.T
+        )
+        np.testing.assert_array_equal(
+            bank.real_weights[1::2], -bank.weights.imag.T
+        )
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_real_gemm_matches_complex_product(self, rng, dtype):
+        """Re(feed @ W.T) computed as one real GEMM over the (re, im)
+        pair view, for both trace precisions the stream carries."""
+        bank, feed = self._bank_and_feed(rng, n_shots=33)
+        feed = feed.astype(dtype)
+        expected = np.real(feed.astype(np.complex128) @ bank.weights.T)
+        self._assert_rel_close(bank.scores(feed), expected)
+        out = np.empty((33, 6))
+        assert bank.scores(feed, out=out) is out
+        self._assert_rel_close(out, expected)
+
+    def test_real_gemm_on_slot_wider_than_window(self, rng):
+        """Truncated serving: a ring slot wider than the fused window
+        is scored on its first ``n_samples`` columns only."""
+        bank, feed = self._bank_and_feed(rng, n_shots=12, trace_len=57)
+        slot = np.empty((16, 64), dtype=np.complex128)
+        view = slot[:12, :57]
+        view[...] = feed
+        expected = np.real(feed[:, :40] @ bank.weights.T)
+        self._assert_rel_close(bank.scores(view), expected)
+        self._assert_rel_close(bank.scores(feed), expected)
+
+    def test_real_gemm_accepts_real_and_strided_traces(self, rng):
+        bank, feed = self._bank_and_feed(rng, n_shots=5, trace_len=80)
+        strided = feed[:, ::2]
+        self._assert_rel_close(
+            bank.scores(strided), np.real(strided @ bank.weights.T)
+        )
+        self._assert_rel_close(
+            bank.scores(feed.real[:, :40]),
+            np.real(feed.real[:, :40] @ bank.weights.T),
+        )
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((9, 5)),
+            np.empty((8, 6)),
+            np.empty((9, 6), dtype=np.int64),
+            np.empty((9, 6), dtype=np.complex128),
+        ],
+        ids=["short-row", "short-batch", "int", "complex"],
+    )
+    def test_bad_out_buffer_raises_shape_error(self, rng, out):
+        bank, feed = self._bank_and_feed(rng)
+        with pytest.raises(ShapeError):
+            bank.scores(feed, out=out)
 
 
 class TestFusedEngineInvariance:
@@ -175,6 +251,15 @@ class TestFusedEngineInvariance:
         with pytest.raises(DataError):
             engine.process(long_feed)
 
+    def test_empty_batch_raises_shape_error(self, fitted, tiny_corpus):
+        """No shots is a shape error, not a division by zero in the
+        stacked heads' mean margin."""
+        engine = BatchDiscriminationEngine(fitted, tiny_corpus.chip)
+        with pytest.raises(ShapeError):
+            engine.process(tiny_corpus.feedline[:0])
+        with pytest.raises(ShapeError):
+            fitted.head_levels_and_margin(np.empty((0, engine.n_features)))
+
     def test_fused_bank_cached_per_window(self, fitted, tiny_corpus):
         engine = BatchDiscriminationEngine(fitted, tiny_corpus.chip)
         engine.process(tiny_corpus.feedline[:8])
@@ -184,6 +269,95 @@ class TestFusedEngineInvariance:
             150,
             tiny_corpus.feedline.shape[1],
         ]
+
+
+class TestStackedHeads:
+    """The serving head stack against the per-head networks it merges.
+
+    Reference: each head's own ``MLPClassifier.predict_proba`` on its
+    feature block, then ``np.argmax`` and the sort-based top-2 margin.
+    """
+
+    @pytest.fixture(scope="class", params=[True, False],
+                    ids=["neighbors", "own-qubit"])
+    def disc(self, request, tiny_corpus):
+        train, _ = stratified_split(tiny_corpus.labels, 0.5, seed=31)
+        return MLRDiscriminator(
+            neighbor_features=request.param,
+            epochs=10,
+            learning_rate=3e-3,
+            seed=33,
+        ).fit(tiny_corpus, train)
+
+    @staticmethod
+    def _per_head(disc, x):
+        levels, margins = [], []
+        for q, model in enumerate(disc.models):
+            proba = model.predict_proba(disc._head_features(x, q))
+            levels.append(np.argmax(proba, axis=1))
+            top2 = np.sort(proba, axis=1)[:, -2:]
+            margins.append(top2[:, 1] - top2[:, 0])
+        return np.stack(levels, axis=1), float(np.mean(margins))
+
+    @staticmethod
+    def _scaled(disc, corpus, n_shots):
+        return disc.scaler.transform(
+            disc.extractor.transform(corpus, np.arange(n_shots))
+        )
+
+    @pytest.mark.parametrize("n_shots", [1, 16, 256])
+    def test_matches_per_head_argmax_and_margin(
+        self, disc, tiny_corpus, n_shots
+    ):
+        x = self._scaled(disc, tiny_corpus, n_shots)
+        levels, margin = disc.head_levels_and_margin(x)
+        expected_levels, expected_margin = self._per_head(disc, x)
+        assert levels.shape == (n_shots, tiny_corpus.n_qubits)
+        assert levels.dtype == np.int64
+        np.testing.assert_array_equal(levels, expected_levels)
+        assert abs(margin - expected_margin) <= 1e-12
+
+    def test_exact_logit_ties_keep_the_first_level(self, disc, tiny_corpus):
+        """Level 1's output unit copied from level 0's: every logit pair
+        ties exactly, and both paths pick level 0 wherever it wins."""
+        tied = copy.deepcopy(disc)
+        for model in tied.models:
+            last = model.network.layers[-1]
+            last.weights[:, 1] = last.weights[:, 0]
+            last.bias[1] = last.bias[0]
+        tied._stack_heads()
+        x = self._scaled(tied, tiny_corpus, 256)
+        levels, margin = tied.head_levels_and_margin(x)
+        expected_levels, expected_margin = self._per_head(tied, x)
+        np.testing.assert_array_equal(levels, expected_levels)
+        assert np.any(levels == 0) and not np.any(levels == 1)
+        assert abs(margin - expected_margin) <= 1e-12
+
+    def test_running_max_rule_on_handmade_logits(self):
+        from repro.discriminators.mlr import _top2_levels_and_margins
+
+        logits = np.array(
+            [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0],
+             [0.0, -1.0, 5.0], [2.0, 0.5, 1.0]]
+        )
+        levels, margins = _top2_levels_and_margins(logits)
+        np.testing.assert_array_equal(levels, np.argmax(logits, axis=1))
+        proba = np.exp(logits - logits.max(axis=1, keepdims=True))
+        proba /= proba.sum(axis=1, keepdims=True)
+        top2 = np.sort(proba, axis=1)[:, -2:]
+        np.testing.assert_allclose(
+            margins, top2[:, 1] - top2[:, 0], rtol=0, atol=1e-15
+        )
+
+    def test_artifact_round_trip_rebuilds_the_stack(self, disc, tiny_corpus):
+        loaded = type(disc)._from_artifacts(
+            disc._artifact_meta(), disc._artifact_arrays()
+        )
+        x = self._scaled(disc, tiny_corpus, 64)
+        got_levels, got_margin = loaded.head_levels_and_margin(x)
+        levels, margin = disc.head_levels_and_margin(x)
+        np.testing.assert_array_equal(got_levels, levels)
+        assert got_margin == margin
 
 
 class TestRebatchLinearity:
@@ -340,14 +514,16 @@ class TestBufferRing:
 
     def test_results_never_alias_live_buffers(self, fitted, tiny_corpus):
         """Pipeline outputs must survive the ring wrapping: levels and
-        joint are fresh arrays, not views of reused scratch."""
+        joint are fresh arrays, not views of the reused ring slots."""
         chip = tiny_corpus.chip
         engine = BatchDiscriminationEngine(fitted, chip)
         ring = BufferRing(max_batch=16, n_features=engine.n_features)
         source = CorpusTraceSource(tiny_corpus, chunk_size=16)
         results = []
+        slots = []
         for batch in MicroBatcher(16).rebatch(source.chunks(), ring=ring):
             out = ring.paired_features(batch.feedline)
+            slots.append(out)
             results.append(engine.process(batch.feedline, out_features=out))
         # Re-run and check the retained outputs were not clobbered.
         joints = [r.joint.copy() for r in results]
@@ -360,9 +536,9 @@ class TestBufferRing:
             )
         for kept, again in zip(results, joints):
             np.testing.assert_array_equal(kept.joint, again)
-            assert kept.joint.base is None or not np.shares_memory(
-                kept.joint, engine._feature_scratch
-            )
+            for slot in slots:
+                assert not np.shares_memory(kept.joint, slot)
+                assert not np.shares_memory(kept.levels, slot)
 
 
 class TestPipelineEngineParity:
