@@ -42,8 +42,9 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro._util import json_finite
 from repro.analysis.lockgraph import trace_lock
@@ -364,6 +365,12 @@ class ProcessShardExecutor(_PoolShardExecutor):
     spins for about 0.1 s each time. The inheritance relies on the
     ``fork`` start method, the Linux default. Without OpenBLAS this is a
     no-op.
+
+    Resource tracker: the creating process also starts its
+    ``multiprocessing`` resource tracker before the pool forks, so every
+    shard inherits it. A shard with a tracker of its own would have it
+    unlink every segment the shard attached as soon as the shard exits,
+    a serving session's live replay segment included.
     """
 
     name = "process"
@@ -371,6 +378,7 @@ class ProcessShardExecutor(_PoolShardExecutor):
 
     def _before_spawn(self) -> None:
         limit_openblas_threads(max(1, available_cpus() // self.workers))
+        resource_tracker.ensure_running()
 
 
 _EXECUTORS: dict[str, type[ShardExecutor]] = {
@@ -1088,36 +1096,27 @@ class MultiFeedlineRunner:
             placement={task.name: slot for slot, task in enumerate(ordered)},
         )
 
-    def run_replay(
+    def publish_replay(
         self,
         corpora: (
             dict[str, ReadoutCorpus]
             | Sequence[ReadoutCorpus]
             | ReadoutCorpus
         ),
-    ) -> ClusterReport:
-        """Replay pre-built corpora over shared memory; aggregate report.
+    ) -> dict[str, SharedTraceBlock]:
+        """Validate replay corpora and publish them to shared memory.
 
-        Each feedline's traces are published once as a shared-memory
-        :class:`~repro.pipeline.shm.SharedTraceBlock`; shard workers —
-        in-process or forked — attach by descriptor and stream zero-copy
-        views, so dispatch ships kilobytes of coordinates instead of
-        pickling the trace arrays. This is also the honest serving
-        benchmark: the traffic already exists, so the measured window
-        contains discrimination only, not simulator time.
+        The publish half of :meth:`run_replay`. Each *distinct* corpus
+        object is copied once into a
+        :class:`~repro.pipeline.shm.SharedTraceBlock`; every feedline it
+        is broadcast to reads the same segment (readers never write).
 
-        Parameters
-        ----------
-        corpora:
-            One :class:`~repro.data.dataset.ReadoutCorpus` per feedline,
-            as a name-keyed dict or a sequence in declared feedline
-            order — or a *single* corpus (a ``ReadoutCorpus`` or a
-            loaded :class:`~repro.backends.corpus.RecordedCorpus`),
-            broadcast to every feedline. Every corpus must match its
-            feedline's chip geometry and carry labels (the shared block
-            ships traces and ground truth together).
-
-        Segments are unlinked before returning, success or not.
+        ``corpora`` takes the forms :meth:`run_replay` documents. Returns
+        feedline name -> block. The caller owns the blocks: it passes
+        them to :meth:`dispatch_replay` as often as it likes and calls
+        ``unlink()`` on every value once no dispatch is left (unlink is
+        idempotent, so a shared block may be unlinked once per feedline).
+        Nothing is left published when this raises.
         """
         if hasattr(corpora, "feedline") and hasattr(corpora, "n_traces"):
             # A single corpus object: every feedline replays the same
@@ -1138,36 +1137,62 @@ class MultiFeedlineRunner:
         ]
         if missing:
             raise ConfigurationError(
-                f"run_replay is missing corpora for feedlines: {missing}"
+                f"replay is missing corpora for feedlines: {missing}"
             )
+        # Feedline names per distinct corpus object, in declared order.
+        sharing: dict[int, list[str]] = {}
+        for spec in self.feedlines:
+            corpus = corpora[spec.name]
+            if corpus.chip.n_qubits != spec.chip.n_qubits:
+                raise ConfigurationError(
+                    f"corpus for feedline {spec.name!r} has "
+                    f"{corpus.chip.n_qubits} qubits, spec chip has "
+                    f"{spec.chip.n_qubits}"
+                )
+            if getattr(corpus, "prepared_levels", None) is None:
+                raise ConfigurationError(
+                    f"corpus for feedline {spec.name!r} carries no "
+                    "prepared-level labels; shared-memory replay "
+                    "needs a labeled corpus"
+                )
+            sharing.setdefault(id(corpus), []).append(spec.name)
         blocks: dict[str, SharedTraceBlock] = {}
         try:
-            for spec in self.feedlines:
-                corpus = corpora[spec.name]
-                if corpus.chip.n_qubits != spec.chip.n_qubits:
-                    raise ConfigurationError(
-                        f"corpus for feedline {spec.name!r} has "
-                        f"{corpus.chip.n_qubits} qubits, spec chip has "
-                        f"{spec.chip.n_qubits}"
-                    )
-                if getattr(corpus, "prepared_levels", None) is None:
-                    raise ConfigurationError(
-                        f"corpus for feedline {spec.name!r} carries no "
-                        "prepared-level labels; shared-memory replay "
-                        "needs a labeled corpus"
-                    )
-                # The label names the owning feedline in sanitizer
-                # lifetime-audit witnesses (REPRO_SANITIZE runs).
-                blocks[spec.name] = SharedTraceBlock.from_corpus(
-                    corpus, label=spec.name
+            for names in sharing.values():
+                # The label names the feedlines reading the segment in
+                # sanitizer lifetime-audit witnesses (REPRO_SANITIZE).
+                block = SharedTraceBlock.from_corpus(
+                    corpora[names[0]], label="+".join(names)
                 )
-            tasks = [
+                blocks.update(dict.fromkeys(names, block))
+        except BaseException:
+            for block in blocks.values():
+                block.unlink()
+            raise
+        return blocks
+
+    def dispatch_replay(
+        self, blocks: Mapping[str, SharedTraceBlock]
+    ) -> ClusterReport:
+        """Replay published segments through the shard pool.
+
+        The dispatch half of :meth:`run_replay`: each feedline's task
+        carries only its block's descriptor, and shard workers attach by
+        name and stream read-only views. ``blocks`` maps every feedline
+        name to a live block (as :meth:`publish_replay` returns); they
+        stay published, so a serving session dispatches the same blocks
+        on every run.
+        """
+        tasks = []
+        for index, spec in enumerate(self.feedlines):
+            descriptor = blocks[spec.name].descriptor
+            tasks.append(
                 _FeedlineTask(
                     name=spec.name,
                     chip=spec.chip,
                     device=spec.registry_device,
                     profile=self.profile,
-                    n_shots=corpora[spec.name].n_traces,
+                    n_shots=descriptor.n_shots,
                     seed=self.profile.seed + 1 + index,
                     chunk_size=self.chunk_size,
                     config=self.config,
@@ -1177,11 +1202,51 @@ class MultiFeedlineRunner:
                     calibration_shot_offset=self._calibrated_at.get(
                         spec.name, 0
                     ),
-                    replay=blocks[spec.name].descriptor,
+                    replay=descriptor,
                 )
-                for index, spec in enumerate(self.feedlines)
-            ]
-            return self._dispatch(tasks)
+            )
+        return self._dispatch(tasks)
+
+    def run_replay(
+        self,
+        corpora: (
+            dict[str, ReadoutCorpus]
+            | Sequence[ReadoutCorpus]
+            | ReadoutCorpus
+        ),
+    ) -> ClusterReport:
+        """Replay pre-built corpora over shared memory; aggregate report.
+
+        One-shot publish -> dispatch -> unlink. Each distinct corpus is
+        published once as a shared-memory
+        :class:`~repro.pipeline.shm.SharedTraceBlock`, so a corpus
+        broadcast to every feedline occupies one segment, not one per
+        feedline. Shard workers — in-process or forked — attach by
+        descriptor and stream zero-copy views, so dispatch ships
+        kilobytes of coordinates instead of pickling the trace arrays.
+        This is also the honest serving benchmark: the traffic already
+        exists, so the measured window contains discrimination only, not
+        simulator time. A serving session
+        (:class:`repro.serve.ReadoutService`) instead calls the two
+        halves itself: :meth:`publish_replay` once at warm-up,
+        :meth:`dispatch_replay` on every run, and unlinks at close.
+
+        Parameters
+        ----------
+        corpora:
+            One :class:`~repro.data.dataset.ReadoutCorpus` per feedline,
+            as a name-keyed dict or a sequence in declared feedline
+            order — or a *single* corpus (a ``ReadoutCorpus`` or a
+            loaded :class:`~repro.backends.corpus.RecordedCorpus`),
+            broadcast to every feedline. Every corpus must match its
+            feedline's chip geometry and carry labels (the shared block
+            ships traces and ground truth together).
+
+        Segments are unlinked before returning, success or not.
+        """
+        blocks = self.publish_replay(corpora)
+        try:
+            return self.dispatch_replay(blocks)
         finally:
             for block in blocks.values():
                 block.unlink()

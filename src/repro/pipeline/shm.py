@@ -4,20 +4,23 @@ Dispatching a pre-built trace corpus to a worker process used to mean
 pickling the full ``(n_shots, trace_len)`` complex array into the task
 payload — megabytes serialized, copied through a pipe, and deserialized
 per feedline. This module moves the hand-off to POSIX shared memory:
-the parent publishes each feedline's arrays once as a
-:class:`SharedTraceBlock`, ships only the tiny picklable
-:class:`SharedTraceDescriptor` (segment name + dtypes + shapes), and
-workers attach by name and stream zero-copy chunk views straight out of
-the mapping via :class:`SharedMemoryTraceSource`.
+the parent publishes each distinct corpus's arrays once as a
+:class:`SharedTraceBlock` (feedlines replaying the same corpus share
+it), ships only the tiny picklable :class:`SharedTraceDescriptor`
+(segment name + dtypes + shapes), and workers attach by name and stream
+zero-copy chunk views straight out of the mapping via
+:class:`SharedMemoryTraceSource`.
 
 Lifecycle contract: the creating process owns the segment and must call
-:meth:`SharedTraceBlock.unlink` when every consumer is done (the runner
-does this in a ``finally``); attached readers only ever :meth:`close
+:meth:`SharedTraceBlock.unlink` when every consumer is done (a one-shot
+``run_replay`` does this in a ``finally``, a serving session at
+``close()``); attached readers only ever :meth:`close
 <SharedMemoryTraceSource.close>` their mapping.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Iterator
@@ -42,13 +45,17 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
     On Python < 3.13 ``SharedMemory`` has no ``track=False``: every
     attach re-registers the segment with the resource tracker. That is
-    safe here — shard workers are forked, so they share the creator's
-    tracker process, and re-registering an already-tracked name is an
-    idempotent set-add that the creator's single ``unlink`` clears.
-    Explicitly *unregistering* after attach (the common workaround)
-    would be wrong for the same reason: in the serial executor the
-    attacher IS the creator, and stripping the registration makes the
-    later ``unlink`` double-unregister and spew tracker KeyErrors.
+    safe only while the attacher shares the creator's tracker process:
+    re-registering an already-tracked name is then an idempotent set-add
+    that the creator's single ``unlink`` clears. Forked shard workers do
+    not share it by default — a worker forked before its parent started
+    a tracker starts its own on first attach, and that tracker unlinks
+    the segment when the worker exits. ``ProcessShardExecutor`` therefore
+    starts the creator's tracker before its pool forks. Explicitly
+    *unregistering* after attach (the common workaround) would be wrong
+    too: in the serial executor the attacher IS the creator, and
+    stripping the registration makes the later ``unlink``
+    double-unregister and spew tracker KeyErrors.
     """
     try:
         shm = shared_memory.SharedMemory(name=name)
@@ -59,6 +66,23 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         raise
     shmaudit.note_attach(name)
     return shm
+
+
+def _write_at(
+    shm: shared_memory.SharedMemory, offset: int, array: np.ndarray
+) -> None:
+    """Copy a contiguous array's bytes into ``shm`` at byte ``offset``.
+
+    Written through the segment's POSIX file descriptor: the kernel
+    fills the pages in bulk, which costs about half of faulting each
+    page in through this process's mapping, and a full ``/dev/shm``
+    becomes an ``OSError`` rather than a ``SIGBUS``.
+    """
+    data = array.reshape(-1).view(np.uint8)
+    while data.size:
+        written = os.pwrite(shm._fd, data, offset)
+        data = data[written:]
+        offset += written
 
 
 @dataclass(frozen=True)
@@ -153,17 +177,12 @@ class SharedTraceBlock:
         )
         self.label = label
         shmaudit.note_create(self._shm.name, self._shm.size, label=label)
-        dst_feed = np.ndarray(
-            feedline.shape, dtype=feedline.dtype, buffer=self._shm.buf
-        )
-        dst_feed[:] = feedline
-        dst_levels = np.ndarray(
-            prepared_levels.shape,
-            dtype=prepared_levels.dtype,
-            buffer=self._shm.buf,
-            offset=feedline.nbytes,
-        )
-        dst_levels[:] = prepared_levels
+        try:
+            _write_at(self._shm, 0, feedline)
+            _write_at(self._shm, feedline.nbytes, prepared_levels)
+        except BaseException:
+            self.unlink()
+            raise
 
     @classmethod
     def from_corpus(

@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.cluster import ClusterReport, MultiFeedlineRunner
     from repro.pipeline.metrics import PipelineReport
     from repro.pipeline.runner import ReadoutPipeline
+    from repro.pipeline.shm import SharedTraceBlock
     from repro.physics.device import ChipConfig
 
 __all__ = ["ReadoutService", "RunStats", "ServiceStats", "serve_once"]
@@ -69,6 +70,19 @@ def _report_calibration_cached(report) -> bool | None:
         if r.calibration_cached is not None
     ]
     return all(flags) if flags else None
+
+
+def _shots_per_feedline(report) -> int:
+    """Shots each feedline served in one run (the drift-clock step).
+
+    A ``ClusterReport``'s ``n_shots`` sums its feedlines; every feedline
+    of a session streams the same traffic length, so one feedline's
+    count is the step.
+    """
+    feedlines = getattr(report, "feedline_reports", None)
+    if not feedlines:
+        return report.n_shots
+    return max(r.n_shots for r in feedlines.values())
 
 
 @dataclass(frozen=True)
@@ -286,10 +300,11 @@ class ReadoutService:
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
     serving topology, pre-fits or loads every discriminator, and
-    pre-spawns shard pools; :meth:`run` streams traffic against that
-    state; :meth:`close` releases pools and any session-private
-    registry. The service is reusable after ``close`` — the next ``run``
-    re-warms.
+    pre-spawns shard pools, and publishes a multi-feedline replay
+    corpus to shared memory; :meth:`run` streams traffic against that
+    state; :meth:`close` releases pools, the replay segment and any
+    session-private registry. The service is reusable after ``close`` —
+    the next ``run`` re-warms.
     """
 
     def __init__(
@@ -336,7 +351,9 @@ class ReadoutService:
         self._config = None
         self._runner: "MultiFeedlineRunner | None" = None
         self._backend = None
-        self._replay_corpus = None
+        # Multi-feedline replay: the corpus published to shared memory
+        # at warm-up, feedline name -> block (unlinked at close).
+        self._replay_blocks: "dict[str, SharedTraceBlock]" = {}
         self._tmp_registry: tempfile.TemporaryDirectory | None = None
         # Drift state (reset each warm cycle): the session shot clock
         # drift accumulates against, the served artifact version on the
@@ -568,16 +585,19 @@ class ReadoutService:
             runner.prewarm()
             cold_fits += runner.prefit()
             if spec.traffic.backend == "replay":
-                # Load and integrity-check the corpus once at warm-up;
-                # run() broadcasts it to every feedline over shared
-                # memory. Sibling feedline chips differ by design
-                # spread, so the check is geometric, not SHA-strict.
+                # Load and integrity-check the corpus once at warm-up,
+                # then publish it to one shared-memory segment that every
+                # feedline's shard reads on every run() until close().
+                # The loaded arrays are dropped: the segment is the
+                # session's only copy. Sibling feedline chips differ by
+                # design spread, so the check is geometric, not
+                # SHA-strict.
                 from repro.backends import load_corpus
 
                 corpus = load_corpus(spec.traffic.corpus_path)
                 for chip in chips:
                     corpus.require_geometry(chip)
-                self._replay_corpus = corpus
+                self._replay_blocks = runner.publish_replay(corpus)
         return cold_fits
 
     def run(
@@ -623,8 +643,8 @@ class ReadoutService:
                 )
                 report = self._pipeline.run(source)
                 report.calibration_cached = cycle_cached
-            elif self._replay_corpus is not None:
-                report = self._runner.run_replay(self._replay_corpus)
+            elif self._replay_blocks:
+                report = self._runner.dispatch_replay(self._replay_blocks)
                 if not cycle_cached:
                     for feedline_report in report.feedline_reports.values():
                         feedline_report.calibration_cached = False
@@ -644,11 +664,10 @@ class ReadoutService:
                         feedline_report.calibration_cached = False
             wall = time.perf_counter() - wall_start
             self._cycle_runs += 1
-            # Advance the session drift clock by the shots *delivered*
-            # (stream-bound backends may not honor the request).
-            self._session_shots += (
-                report.n_shots if self._pipeline is not None else n_shots
-            )
+            # Advance the session drift clock by the per-feedline shots
+            # *delivered* (replay and stream-bound backends serve their
+            # own length, not the request).
+            self._session_shots += _shots_per_feedline(report)
             if self._runs_since_recal is not None:
                 self._runs_since_recal += 1
             recalibrated = self._maybe_recalibrate(report, drift_model)
@@ -784,27 +803,36 @@ class ReadoutService:
         self._version = next_version
 
     def close(self) -> None:
-        """Release shard pools and any session-private registry.
+        """Release shard pools, replay segments and any private registry.
 
         Idempotent; cumulative :attr:`stats` survive, and the next
         :meth:`run` re-warms.
         """
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
-        if self._backend is not None:
-            # Closing a recording backend finalizes its corpus manifest.
-            self._backend.close()
-            self._backend = None
-        self._replay_corpus = None
-        self._pipeline = None
-        self._chip = None
-        self._device = None
-        self._config = None
-        if self._tmp_registry is not None:
-            self._tmp_registry.cleanup()
-            self._tmp_registry = None
-        self._warmed = False
+        blocks, self._replay_blocks = self._replay_blocks, {}
+        try:
+            if self._runner is not None:
+                self._runner.close()
+                self._runner = None
+            if self._backend is not None:
+                # Closing a recording backend finalizes its corpus
+                # manifest.
+                self._backend.close()
+                self._backend = None
+            self._pipeline = None
+            self._chip = None
+            self._device = None
+            self._config = None
+            if self._tmp_registry is not None:
+                self._tmp_registry.cleanup()
+                self._tmp_registry = None
+            self._warmed = False
+        finally:
+            # Unlink last: the shards are done with the segment, an
+            # unlink that fails leaves a closed session, not a half-closed
+            # one, and a teardown step that raises cannot strand the
+            # segment this method alone still references.
+            for block in blocks.values():
+                block.unlink()
 
     def __enter__(self) -> "ReadoutService":
         self.warm()

@@ -4,15 +4,26 @@ integration (replay sessions, recording tees, executor parity)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import shutil
+import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import (
     BACKEND_NAMES,
     CORPUS_FORMAT,
@@ -30,14 +41,19 @@ from repro.backends import (
 from repro.backends.corpus import MANIFEST_NAME, CorpusWriter
 from repro.config import Profile
 from repro.data import generate_corpus
+from repro.data.basis import digits_to_state
+from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError, DataError
 from repro.physics.device import make_feedline_chip, multi_feedline_chips
 from repro.pipeline import (
     EXECUTOR_NAMES,
+    CalibrationRegistry,
     CorpusTraceSource,
     MultiFeedlineRunner,
     PipelineConfig,
+    fit_or_load_discriminator,
 )
+from repro.pipeline.shm import SharedTraceBlock
 from repro.pipeline.source import SimulatorTraceSource
 from repro.serve import (
     BatchingSpec,
@@ -658,3 +674,294 @@ class TestServiceIntegration:
         report = serve_once(spec, profile=tiny_profile())
         assert report.n_shots == 40
         assert report.accuracy is not None
+
+
+SHM_DIR = Path("/dev/shm")
+
+
+def shm_names() -> set[str]:
+    """Names of the live POSIX segments ``multiprocessing`` created."""
+    return {path.name for path in SHM_DIR.glob("psm_*")}
+
+
+def counts_by_feedline(report) -> dict[str, list[int]]:
+    return {
+        name: feedline.assignment_counts
+        for name, feedline in report.feedline_reports.items()
+    }
+
+
+def oracle_counts(model, corpus, chip) -> list[int]:
+    """Offline ``predict`` counts of a recorded corpus served on ``chip``.
+
+    A sibling feedline demodulates the broadcast traces with its own
+    tones, so its oracle wraps the same arrays with its own chip.
+    """
+    levels = corpus.prepared_levels
+    wrapped = ReadoutCorpus(
+        feedline=corpus.feedline,
+        labels=digits_to_state(levels.astype(np.int64), chip.n_levels),
+        prepared_levels=levels,
+        initial_levels=levels,
+        final_levels=levels,
+        chip=chip,
+    )
+    return np.bincount(
+        model.predict(wrapped), minlength=chip.n_levels**chip.n_qubits
+    ).tolist()
+
+
+@pytest.fixture()
+def publications(monkeypatch):
+    """Labels of every ``SharedTraceBlock`` published during the test."""
+    labels = []
+    publish = SharedTraceBlock.__init__
+
+    def counting_publish(self, feedline, prepared_levels, label=None):
+        labels.append(label)
+        publish(self, feedline, prepared_levels, label=label)
+
+    monkeypatch.setattr(SharedTraceBlock, "__init__", counting_publish)
+    return labels
+
+
+@pytest.fixture()
+def fresh_resource_tracker(monkeypatch):
+    """This process's resource tracker, as if it had never started.
+
+    Earlier shared-memory tests leave the tracker running, and a pool
+    forked after that inherits it whatever the executor does. The test
+    gets a tracker of its own, stopped afterwards; the suite's is put
+    back untouched.
+    """
+    tracker = resource_tracker._resource_tracker
+    monkeypatch.setattr(tracker, "_fd", None)
+    monkeypatch.setattr(tracker, "_pid", None)
+    yield
+    tracker._stop()
+
+
+@pytest.mark.skipif(not SHM_DIR.is_dir(), reason="no /dev/shm to count")
+class TestWarmReplaySession:
+    """A multi-feedline replay session publishes once per warm cycle."""
+
+    BROADCAST = "feedline-0+feedline-1"
+
+    @pytest.fixture(scope="class")
+    def feedline_chips(self):
+        return multi_feedline_chips(2, n_qubits=2)
+
+    @pytest.fixture(scope="class")
+    def corpus_path(self, feedline_chips, tmp_path_factory):
+        # Recorded on feedline 0's chip, which is also the chip a
+        # one-feedline two-qubit session serves.
+        path = tmp_path_factory.mktemp("warm-replay") / "corpus"
+        inner = SimulatorBackend(feedline_chips[0], chunk_size=20)
+        with RecordingBackend(inner, path) as backend:
+            list(backend.acquire(60, seed=53))
+        return path
+
+    @pytest.fixture(scope="class")
+    def registry_dir(self, feedline_chips, tmp_path_factory):
+        registry_dir = tmp_path_factory.mktemp("warm-replay-registry")
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="serial",
+            registry_dir=registry_dir,
+        ) as runner:
+            runner.prefit()
+        return registry_dir
+
+    @staticmethod
+    def spec(corpus_path, registry_dir, executor="process", feedlines=2):
+        return ServeSpec(
+            # The request is ignored: replay serves the whole corpus.
+            traffic=TrafficSpec(
+                shots=7,
+                chunk_size=20,
+                backend="replay",
+                corpus_path=str(corpus_path),
+            ),
+            cluster=ClusterSpec(
+                feedlines=feedlines,
+                executor=executor,
+                workers=feedlines,
+                qubits_per_feedline=2,
+            ),
+            batching=BatchingSpec(batch_size=32),
+            calibration=CalibrationSpec(registry_dir=str(registry_dir)),
+        )
+
+    def test_warm_publishes_one_segment_runs_none_close_none(
+        self, corpus_path, registry_dir, publications
+    ):
+        before = shm_names()
+        service = ReadoutService(
+            self.spec(corpus_path, registry_dir), profile=tiny_profile()
+        )
+        try:
+            service.warm()
+            live = shm_names() - before
+            assert len(live) == 1
+            assert publications == [self.BROADCAST]
+            for _ in range(3):
+                service.run()
+                assert shm_names() - before == live
+            assert publications == [self.BROADCAST], "a run published"
+        finally:
+            service.close()
+        assert shm_names() - before == set()
+
+    def test_runs_match_one_shot_replay_and_offline_oracle(
+        self, feedline_chips, corpus_path, registry_dir
+    ):
+        profile = tiny_profile()
+        corpus = load_corpus(corpus_path)
+        registry = CalibrationRegistry(registry_dir)
+        oracle = {}
+        for index, chip in enumerate(feedline_chips):
+            model, _ = fit_or_load_discriminator(
+                profile, registry, chip=chip, device=f"feedline-{index}"
+            )
+            oracle[f"feedline-{index}"] = oracle_counts(model, corpus, chip)
+        for executor in EXECUTOR_NAMES:
+            with ReadoutService(
+                self.spec(corpus_path, registry_dir, executor),
+                profile=profile,
+            ) as service:
+                runs = [counts_by_feedline(service.run()) for _ in range(3)]
+            with MultiFeedlineRunner(
+                feedline_chips,
+                profile,
+                executor=executor,
+                workers=2,
+                config=PipelineConfig(batch_size=32),
+                chunk_size=20,
+                registry_dir=registry_dir,
+            ) as runner:
+                one_shot = counts_by_feedline(runner.run_replay(corpus))
+            assert runs == [one_shot] * 3, executor
+            assert one_shot == oracle, executor
+
+    def test_shard_killed_between_runs_keeps_segment_and_recovers(
+        self, corpus_path, registry_dir, fresh_resource_tracker
+    ):
+        before = shm_names()
+        service = ReadoutService(
+            self.spec(corpus_path, registry_dir), profile=tiny_profile()
+        )
+        try:
+            expected = counts_by_feedline(service.run())
+            (segment,) = shm_names() - before
+            shards = service._runner._get_executor()._pool._processes
+            victim = next(iter(shards.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=10)
+            # A tracker private to the dead shard would unlink the
+            # segment it attached within this window.
+            time.sleep(1.0)
+            assert (SHM_DIR / segment).exists()
+            with pytest.raises(BrokenProcessPool):
+                service.run()
+            # The failed run closed the session, segment included...
+            assert shm_names() - before == set()
+            # ...and the next run re-warms and serves the same counts.
+            assert counts_by_feedline(service.run()) == expected
+        finally:
+            service.close()
+        assert shm_names() - before == set()
+
+    def test_close_unlinks_segment_when_teardown_raises(
+        self, corpus_path, registry_dir, monkeypatch
+    ):
+        before = shm_names()
+        service = ReadoutService(
+            self.spec(corpus_path, registry_dir, "serial"),
+            profile=tiny_profile(),
+        )
+        service.warm()
+        assert len(shm_names() - before) == 1
+        runner = service._runner
+        close_runner = runner.close
+
+        def interrupted_close():
+            close_runner()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "close", interrupted_close)
+        with pytest.raises(KeyboardInterrupt):
+            service.close()
+        # close() held the only reference to the segment.
+        assert shm_names() - before == set()
+
+    def test_one_shot_replay_publishes_once_per_distinct_corpus(
+        self, feedline_chips, corpus_path, registry_dir, publications
+    ):
+        corpus = load_corpus(corpus_path)
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="serial",
+            registry_dir=registry_dir,
+        ) as runner:
+            runner.run_replay(corpus)
+            assert publications == [self.BROADCAST]
+            runner.run_replay([corpus, load_corpus(corpus_path)])
+        assert publications == [self.BROADCAST, "feedline-0", "feedline-1"]
+
+    @pytest.mark.parametrize("feedlines", [1, 2])
+    def test_drift_clock_counts_per_feedline_shots_delivered(
+        self, corpus_path, registry_dir, feedlines
+    ):
+        spec = self.spec(corpus_path, registry_dir, "serial", feedlines)
+        n_shots = load_corpus(corpus_path).n_shots
+        with ReadoutService(spec, profile=tiny_profile()) as service:
+            service.run()
+            service.run()
+            assert service.session_shots == 2 * n_shots
+
+    def test_process_shards_share_the_parent_resource_tracker(
+        self, corpus_path, registry_dir, tmp_path
+    ):
+        spec_path = self.spec(corpus_path, registry_dir).to_file(
+            tmp_path / "spec.json"
+        )
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.config import Profile
+            from repro.serve import ReadoutService, ServeSpec
+
+            spec = ServeSpec.from_file(sys.argv[1])
+            profile = Profile(**json.loads(sys.argv[2]))
+            with ReadoutService(spec, profile=profile) as service:
+                service.run()
+                service.run()
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                script,
+                str(spec_path),
+                json.dumps(dataclasses.asdict(tiny_profile())),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        tracker_lines = [
+            line
+            for line in done.stderr.splitlines()
+            if "resource_tracker" in line
+        ]
+        assert tracker_lines == []

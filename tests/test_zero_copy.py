@@ -4,7 +4,9 @@ shared-memory replay, and the hot-path bugfix sweep that rode along."""
 from __future__ import annotations
 
 import copy
+import errno
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.dsp.matched_filter import FusedKernelBank, fuse_demod_decimation
 from repro.exceptions import ConfigurationError, DataError, ShapeError
 from repro.ml import stratified_split
 from repro.physics.device import multi_feedline_chips
+from repro.pipeline import shm as shm_module
 from repro.pipeline import (
     EXECUTOR_NAMES,
     BatchDiscriminationEngine,
@@ -623,6 +626,20 @@ class TestSharedMemoryReplay:
                 SharedMemoryTraceSource(block.descriptor, five_qubit_chip)
         finally:
             block.unlink()
+
+    def test_failed_publish_unlinks_its_segment(self, tiny_corpus, monkeypatch):
+        shm_dir = Path("/dev/shm")
+        if not shm_dir.is_dir():
+            pytest.skip("no /dev/shm to count")
+        before = set(shm_dir.glob("psm_*"))
+
+        def no_space(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm_module.os, "pwrite", no_space)
+        with pytest.raises(OSError):
+            SharedTraceBlock.from_corpus(tiny_corpus)
+        assert set(shm_dir.glob("psm_*")) == before
 
 
 class TestClusterReplay:
