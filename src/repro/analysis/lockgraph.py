@@ -2,8 +2,7 @@
 
 The calibration→serve hand-off holds several locks with nesting — the
 registry's per-key fit locks, its memory-cache guard, the flock
-``.npz.lock`` sidecar, the shared shard pool's lease lock, the fleet
-scheduler's queue lock, and the fleet-wide recalibration gate. A
+``.npz.lock`` sidecar, and each serving session's recalibration gate. A
 consistent global acquisition order is what makes that deadlock-free,
 and this module machine-checks it at runtime:
 

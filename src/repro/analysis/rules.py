@@ -84,8 +84,8 @@ _FIT_ALLOWED_SUFFIXES = ("repro/pipeline/registry.py", "repro/pipeline/runner.py
 class FitOnceChecker(_FunctionStackChecker):
     """Training calls are confined to the calibration layers.
 
-    Serving code (``serve/``, ``fleet/``, ``pipeline/cluster.py``, the
-    CLI, ...) must obtain fitted models through
+    Serving code (``serve/``, ``pipeline/cluster.py``, the CLI, ...)
+    must obtain fitted models through
     ``CalibrationRegistry.get_or_fit`` / ``fit_or_load_discriminator``
     so the fit-once contract stays enforceable in one place. A ``.fit``
     method call or a ``get_trained`` call anywhere else is a finding.

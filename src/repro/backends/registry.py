@@ -1,10 +1,10 @@
 """Backend registry: resolve a ``TrafficSpec.backend`` name to a backend.
 
-The serving layer (:class:`~repro.serve.service.ReadoutService`,
-:class:`~repro.fleet.ReadoutFleet` tenants) calls :func:`create_backend`
-with the spec's traffic fields instead of constructing trace sources
-inline — one place decides what a backend name means, and recording
-(``record_path``) composes over any recordable backend.
+The serving layer (:class:`~repro.serve.service.ReadoutService`) calls
+:func:`create_backend` with the spec's traffic fields instead of
+constructing trace sources inline — one place decides what a backend
+name means, and recording (``record_path``) composes over any
+recordable backend.
 """
 
 from __future__ import annotations

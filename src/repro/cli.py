@@ -6,7 +6,6 @@ Subcommands::
     repro list [--tags]
     repro pipeline [--shots N] [--feedlines N] [...] [--prune]
     repro serve --spec spec.json [--shots N] [--repeat K] [--json PATH]
-    repro fleet --spec fleet.json [--tenants A B] [--runs K] [--json PATH]
     repro record --out DIR [--shots N] [--backend B] [--json PATH]
     repro replay --corpus DIR [--feedlines N] [--json PATH]
     repro lint [--rules R1,R2] [--json [PATH]] [paths...]
@@ -31,7 +30,6 @@ Examples::
     repro pipeline --feedlines 3 --executor process --adaptive-batching
     repro pipeline --prune --max-age-s 604800
     repro serve --spec examples/serve_spec.json --repeat 5 --json serve.json
-    repro fleet --spec examples/fleet_spec.json --runs 3 --json fleet.json
     repro record --out corpus/ --shots 2000 --json record.json
     repro replay --corpus corpus/ --json replay.json
     repro lint src/ --json lint.json
@@ -56,16 +54,9 @@ __all__ = [
     "build_list_parser",
     "build_pipeline_parser",
     "build_serve_parser",
-    "build_fleet_parser",
     "build_record_parser",
     "build_replay_parser",
 ]
-
-#: First positionals dispatched to their own parser.
-_SUBCOMMANDS = (
-    "run", "list", "pipeline", "serve", "fleet", "record", "replay", "lint",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Legacy positional parser (``repro <experiment>``), kept for
@@ -385,115 +376,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def build_fleet_parser() -> argparse.ArgumentParser:
-    """Parser for the ``repro fleet`` subcommand (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description=(
-            "Serve many tenant sessions over one shared shard-pool "
-            "substrate, configured by a declarative FleetSpec JSON file: "
-            "tenants are admitted against pool capacity at warm-up, then "
-            "queued runs are dispatched under weighted fair sharing with "
-            "per-tenant SLO scoring"
-        ),
-    )
-    parser.add_argument(
-        "--spec",
-        required=True,
-        metavar="PATH",
-        help="FleetSpec JSON file (see repro.fleet.FleetSpec.to_file)",
-    )
-    parser.add_argument(
-        "--tenants",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help=(
-            "serve only these tenants' queues (default: every admitted "
-            "tenant; admission itself always considers the whole spec)"
-        ),
-    )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=1,
-        help="runs submitted per served tenant (default: 1)",
-    )
-    parser.add_argument(
-        "--shots",
-        type=int,
-        default=None,
-        help="override every tenant spec's per-run shot count",
-    )
-    parser.add_argument(
-        "--max-runs",
-        type=int,
-        default=None,
-        help=(
-            "dispatch at most this many runs in total (remaining "
-            "requests stay queued — the oversubscription throttle)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the fleet record (spec, cumulative fleet stats with "
-            "per-tenant runs and admission rejections) as JSON to PATH"
-        ),
-    )
-    return parser
-
-
-def _run_fleet(argv: list[str]) -> int:
-    """The ``repro fleet`` subcommand: admit, queue, drain, report."""
-    from repro.fleet import FleetSpec, ReadoutFleet
-
-    args = build_fleet_parser().parse_args(argv)
-    if args.runs < 1:
-        raise ConfigurationError(f"--runs must be >= 1, got {args.runs}")
-    spec = FleetSpec.from_file(args.spec)
-    if args.tenants is not None:
-        unknown = sorted(set(args.tenants) - set(spec.tenants))
-        if unknown:
-            known = ", ".join(spec.tenants)
-            raise ConfigurationError(
-                f"unknown tenant(s) {', '.join(unknown)}; the spec names: "
-                f"{known}"
-            )
-    with ReadoutFleet.open(spec) as fleet:
-        print(
-            f"[fleet] warmed in {fleet.stats.warm_seconds:.2f} s "
-            f"({len(fleet.tenants)} tenant(s) admitted, "
-            f"{len(fleet.stats.rejected)} rejected, "
-            f"{fleet.stats.cold_fits} cold fit(s))"
-        )
-        served = [
-            name
-            for name in fleet.tenants
-            if args.tenants is None or name in args.tenants
-        ]
-        for _ in range(args.runs):
-            for name in served:
-                fleet.submit(name, shots=args.shots)
-        fleet.drain(max_runs=args.max_runs)
-        left = fleet.pending()
-        stats = fleet.stats
-    print(stats.format_table())
-    if left:
-        print(f"[fleet] {left} request(s) left queued by --max-runs")
-    if args.json is not None:
-        payload = {
-            "spec": spec.to_dict(),
-            "fleet": stats.to_dict(),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"fleet record written to {args.json}")
-    return 0
 
 
 def _apply_drift_flags(spec, args):
@@ -882,7 +764,6 @@ def _list_experiments(argv: list[str]) -> int:
             print(f"  {name}")
     print("  pipeline  (streaming runtime; see 'repro pipeline --help')")
     print("  serve     (warm serving sessions; see 'repro serve --help')")
-    print("  fleet     (multi-tenant serving; see 'repro fleet --help')")
     print("  record    (capture traffic to a corpus; see 'repro record --help')")
     print("  replay    (serve a recorded corpus; see 'repro replay --help')")
     print("  lint      (contract static analysis; see 'repro lint --help')")
@@ -901,8 +782,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_pipeline(argv[1:])
     if argv and argv[0] == "serve":
         return _run_serve(argv[1:])
-    if argv and argv[0] == "fleet":
-        return _run_fleet(argv[1:])
     if argv and argv[0] == "record":
         return _run_record(argv[1:])
     if argv and argv[0] == "replay":
@@ -929,10 +808,6 @@ def main(argv: list[str] | None = None) -> int:
         if peek.seed is not None:
             forwarded += ["--seed", str(peek.seed)]
         return _run_serve(forwarded)
-    if peek.experiment == "fleet":
-        # The fleet spec carries profiles and seeds per tenant; nothing
-        # shared forwards.
-        return _run_fleet(list(extra))
     if peek.experiment == "record":
         forwarded = list(extra) + ["--profile", peek.profile]
         if peek.seed is not None:

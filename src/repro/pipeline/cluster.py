@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro._util import json_finite
-from repro.analysis.lockgraph import trace_lock
 from repro.config import Profile
 from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError
@@ -77,8 +76,6 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "SharedShardPool",
-    "ShardPoolLease",
     "available_cpus",
     "get_shard_executor",
     "validate_executor",
@@ -387,160 +384,6 @@ _EXECUTORS: dict[str, type[ShardExecutor]] = {
 }
 
 
-class ShardPoolLease(ShardExecutor):
-    """One tenant's bounded claim on a :class:`SharedShardPool`.
-
-    A lease is itself a :class:`ShardExecutor`, so it can be handed to a
-    :class:`MultiFeedlineRunner` as its ``pool``: ``map`` dispatches
-    through the shared substrate but never occupies more than the leased
-    worker count at once (tasks beyond the grant run in successive
-    windows). ``close`` releases the claim — the underlying pool stays
-    up for the other tenants.
-    """
-
-    def __init__(self, pool: "SharedShardPool", tenant: str, workers: int):
-        self._pool = pool
-        self.tenant = tenant
-        self.workers = int(workers)
-        self.name = pool.executor
-        self._released = False
-
-    def map(self, fn, tasks):
-        if self._released:
-            raise ConfigurationError(
-                f"lease for tenant {self.tenant!r} was already released"
-            )
-        return self._pool._map_bounded(fn, list(tasks), self.workers)
-
-    def close(self) -> None:
-        """Release the leased workers back to the pool. Idempotent."""
-        if not self._released:
-            self._released = True
-            self._pool._release(self)
-
-
-class SharedShardPool:
-    """One shard-executor substrate leased out to many tenants.
-
-    The fleet serving layer replaces N private per-service pools with a
-    single backend executor plus lease accounting: each tenant's
-    :meth:`lease` is admission-checked against the pool's capacity and
-    returns a :class:`ShardPoolLease` that windows the tenant's dispatch
-    to its granted worker count. A lease whose demand exceeds the pool's
-    worker count can never be scheduled and is rejected outright;
-    aggregate demand may oversubscribe the pool up to
-    ``workers * oversubscription`` — those tenants time-share the
-    substrate under the fleet scheduler rather than spawning threads or
-    processes of their own.
-    """
-
-    def __init__(
-        self,
-        executor: str = "thread",
-        workers: int | None = None,
-        *,
-        oversubscription: float = 2.0,
-    ) -> None:
-        validate_executor(executor)
-        if workers is None:
-            workers = available_cpus()
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if oversubscription < 1.0:
-            raise ConfigurationError(
-                f"oversubscription must be >= 1.0, got {oversubscription}"
-            )
-        self.executor = executor
-        self.workers = int(workers)
-        self.oversubscription = float(oversubscription)
-        self._shard_executor = get_shard_executor(executor, self.workers)
-        self._leases: dict[int, ShardPoolLease] = {}
-        self._lock = trace_lock("cluster.shared-pool")
-        self._closed = False
-
-    @property
-    def capacity(self) -> int:
-        """Aggregate leasable workers (demand cap across all tenants)."""
-        return int(self.workers * self.oversubscription)
-
-    @property
-    def leased_workers(self) -> int:
-        """Workers currently claimed across outstanding leases."""
-        with self._lock:
-            return sum(lease.workers for lease in self._leases.values())
-
-    @property
-    def n_leases(self) -> int:
-        with self._lock:
-            return len(self._leases)
-
-    def lease(self, tenant: str, workers: int = 1) -> ShardPoolLease:
-        """Claim ``workers`` shard workers for ``tenant`` (admission gate).
-
-        Raises :class:`ConfigurationError` when the demand could never be
-        scheduled (more workers than the pool has) or when granting it
-        would push aggregate leased demand past the pool's
-        oversubscription capacity.
-        """
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("shard pool is closed")
-            if workers > self.workers:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} demands {workers} workers but the "
-                    f"pool has {self.workers}: the lease could never be "
-                    "scheduled"
-                )
-            outstanding = sum(l.workers for l in self._leases.values())
-            if outstanding + workers > self.capacity:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} demands {workers} workers but "
-                    f"{outstanding} of the pool's {self.capacity} leasable "
-                    f"workers ({self.workers} x {self.oversubscription:g} "
-                    "oversubscription) are already claimed"
-                )
-            lease = ShardPoolLease(self, tenant, workers)
-            self._leases[id(lease)] = lease
-            return lease
-
-    def _release(self, lease: ShardPoolLease) -> None:
-        with self._lock:
-            self._leases.pop(id(lease), None)
-
-    def _map_bounded(self, fn, tasks, limit: int):
-        """Run tasks through the shared executor, ``limit`` at a time.
-
-        The underlying ``concurrent.futures`` pools interleave submits
-        from concurrent callers fairly enough; windowing merely stops a
-        single tenant from parking its whole task list in the queue
-        ahead of everyone else's.
-        """
-        if self._closed:
-            raise ConfigurationError("shard pool is closed")
-        results = []
-        for start in range(0, len(tasks), max(1, limit)):
-            results.extend(
-                self._shard_executor.map(fn, tasks[start : start + limit])
-            )
-        return results
-
-    def close(self) -> None:
-        """Shut the backend executor down. Idempotent; leases die with it."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._leases.clear()
-        self._shard_executor.close()
-
-    def __enter__(self) -> "SharedShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 #: Valid ``executor=`` names, in documentation order.
 EXECUTOR_NAMES = tuple(_EXECUTORS)
 
@@ -746,7 +589,8 @@ class MultiFeedlineRunner:
         Shard workers; defaults to one per feedline, capped at the CPU
         count (oversubscribing cores costs throughput on every backend
         — forked shards timesharing one core additionally thrash the
-        cache across address spaces).
+        cache across address spaces). ``serial`` always runs (and
+        reports) one worker, whatever is asked.
     config:
         Per-feedline runtime config (batching, backpressure, adaptive
         batching, drift detection).
@@ -759,13 +603,6 @@ class MultiFeedlineRunner:
     design:
         Registered discriminator design served on every feedline; must
         resolve to the MLR family (checked here, once).
-    pool:
-        Injected shard executor (typically a :class:`ShardPoolLease` on
-        a fleet's :class:`SharedShardPool`). When given, the runner
-        dispatches through it instead of spawning a private pool, and
-        :meth:`close` does *not* shut it down — the lease owner does.
-        ``executor``/``workers`` then describe the injected pool for
-        reporting.
     """
 
     def __init__(
@@ -779,7 +616,6 @@ class MultiFeedlineRunner:
         chunk_size: int = 256,
         registry_dir: str | Path | None = None,
         design: str = DEFAULT_DESIGN,
-        pool: ShardExecutor | None = None,
     ) -> None:
         specs = [
             spec
@@ -800,17 +636,11 @@ class MultiFeedlineRunner:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.feedlines = tuple(specs)
         self.profile = profile
-        self._pool_override = pool
-        if pool is not None:
-            executor = getattr(pool, "name", executor)
         self.executor = executor
-        if workers is None:
-            if pool is not None:
-                workers = getattr(pool, "workers", None) or min(
-                    len(specs), available_cpus()
-                )
-            else:
-                workers = min(len(specs), available_cpus())
+        if executor == "serial":
+            workers = 1  # one caller thread runs every feedline
+        elif workers is None:
+            workers = min(len(specs), available_cpus())
         self.workers = int(workers)
         self.config = config or PipelineConfig()
         self.chunk_size = int(chunk_size)
@@ -841,8 +671,6 @@ class MultiFeedlineRunner:
         reuse warm workers instead of re-spawning them. Release with
         :meth:`close` (or use the runner as a context manager).
         """
-        if self._pool_override is not None:
-            return self._pool_override
         if self._shard_executor is None:
             self._shard_executor = get_shard_executor(
                 self.executor, self.workers
@@ -983,11 +811,7 @@ class MultiFeedlineRunner:
         return sum(0 if cached else 1 for _, cached in results)
 
     def close(self) -> None:
-        """Shut down the shard pool. Idempotent; :meth:`run` revives it.
-
-        An injected ``pool`` is never closed here — its owner (the fleet
-        holding the lease) controls the shared substrate's lifetime.
-        """
+        """Shut down the shard pool. Idempotent; :meth:`run` revives it."""
         if self._shard_executor is not None:
             self._shard_executor.close()
             self._shard_executor = None

@@ -277,25 +277,6 @@ class ReadoutService:
         over ``spec.calibration.profile`` — for ad-hoc sizings that are
         not registered profile names (the spec's seed override still
         applies).
-    namespace:
-        Optional tenant namespace (a registry slug). Prefixes every
-        registry device name this session fits or serves
-        (``<namespace>.<device>``), so tenants sharing one registry root
-        keep disjoint calibration keys — one tenant's versioned
-        recalibration can never alter what another serves.
-    pool:
-        Optional injected shard executor (a fleet's
-        :class:`~repro.pipeline.cluster.ShardPoolLease`). Multi-feedline
-        sessions then dispatch through the shared substrate instead of
-        spawning a private pool; :meth:`close` leaves it up for its
-        owner. Single-feedline sessions run inline and ignore it.
-    recal_gate:
-        Optional context manager (e.g. a shared ``threading.Lock``)
-        entered around hot-recalibration refits, so a fleet can
-        serialize recalibrations across tenants — one tenant's drift
-        storm queues behind the gate instead of monopolizing the pool.
-        Defaults to a session-private lock (uncontended, but visible to
-        the ``REPRO_LOCK_DEBUG`` lock-order detector).
 
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
@@ -312,32 +293,16 @@ class ReadoutService:
         spec: ServeSpec,
         *,
         profile: Profile | None = None,
-        namespace: str | None = None,
-        pool=None,
-        recal_gate=None,
     ):
         if not isinstance(spec, ServeSpec):
             raise ConfigurationError(
                 f"spec must be a ServeSpec, got {type(spec).__name__}"
             )
-        if namespace is not None:
-            from repro.pipeline.registry import _SLUG
-
-            if not isinstance(namespace, str) or not _SLUG.match(namespace):
-                raise ConfigurationError(
-                    "namespace must be a registry slug (letters, digits, "
-                    f"'.', '_', '-'; not starting with punctuation), got "
-                    f"{namespace!r}"
-                )
         self.spec = spec
         self.stats = ServiceStats()
-        self._namespace = namespace
-        self._pool = pool
-        self._recal_gate = (
-            recal_gate
-            if recal_gate is not None
-            else trace_lock("serve.recal-gate")
-        )
+        # Session-private and uncontended, but visible to the
+        # REPRO_LOCK_DEBUG lock-order detector.
+        self._recal_gate = trace_lock("serve.recal-gate")
         self._profile_override = profile
         self._profile: Profile | None = None
         self._warmed = False
@@ -509,8 +474,6 @@ class ReadoutService:
                     prefix="repro-serve-"
                 )
             chip, device = self._single_feedline_target()
-            if self._namespace is not None:
-                device = f"{self._namespace}.{device}"
             registry_dir = self.registry_dir
             registry = (
                 CalibrationRegistry(registry_dir)
@@ -551,25 +514,8 @@ class ReadoutService:
             chips = multi_feedline_chips(
                 spec.cluster.feedlines, n_qubits=self._qubits_per_feedline()
             )
-            if self._namespace is not None:
-                from repro.pipeline.cluster import FeedlineSpec
-
-                # Tenant-namespaced registry devices: the feedline names
-                # (and with them seeds, placement, reports) stay the
-                # canonical feedline-<i>, only the artifact keys move
-                # into the tenant's namespace.
-                feedlines = [
-                    FeedlineSpec(
-                        name=f"feedline-{i}",
-                        chip=chip,
-                        device=f"{self._namespace}.feedline-{i}",
-                    )
-                    for i, chip in enumerate(chips)
-                ]
-            else:
-                feedlines = chips
             runner = MultiFeedlineRunner(
-                feedlines,
+                chips,
                 profile,
                 executor=spec.cluster.executor,
                 workers=spec.cluster.workers,
@@ -577,7 +523,6 @@ class ReadoutService:
                 chunk_size=spec.traffic.chunk_size,
                 registry_dir=self.registry_dir,
                 design=design,
-                pool=self._pool,
             )
             self._runner = runner  # before prefit: errors must close it
             # Pool first, then calibration *through* the pool: cold fits
@@ -730,12 +675,10 @@ class ReadoutService:
         from repro.physics.drift import DriftModel
 
         model = drift_model if drift_model is not None else DriftModel()
-        gate = self._recal_gate
         recal_start = time.perf_counter()
-        # The gate (a fleet-shared lock) serializes refits across
-        # tenants: one tenant's drift storm queues here instead of
-        # saturating the shared shard pool with calibration tasks.
-        with gate:
+        # A refit and the served-version swap that ends it run under
+        # the session's recalibration gate, one at a time.
+        with self._recal_gate:
             if self._runner is not None:
                 self._runner.recalibrate(
                     model, self._session_shots, profile=self._recal_profile()

@@ -92,7 +92,7 @@ class TestFitOnceRule:
     def test_flags_get_trained_outside_calibration_layers(self):
         source = "def warm():\n    return get_trained('quick', 'ours')\n"
         findings = check_source(
-            source, "src/repro/fleet/bad.py", rules=["fit-once"]
+            source, "src/repro/pipeline/cluster.py", rules=["fit-once"]
         )
         assert rules_of(findings) == ["fit-once"]
 

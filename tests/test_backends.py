@@ -514,7 +514,7 @@ class TestExecutorReplayParity:
     @pytest.fixture(scope="class")
     def broadcast_corpus(self, feedline_chips, tmp_path_factory):
         # Recorded on the feedline-0 chip; geometry-compatible with
-        # every feedline, so run_replay broadcasts it across the fleet.
+        # every feedline, so run_replay broadcasts it to all of them.
         path = tmp_path_factory.mktemp("parity") / "corpus"
         inner = SimulatorBackend(feedline_chips[0], chunk_size=20)
         with RecordingBackend(inner, path) as backend:

@@ -394,6 +394,26 @@ class TestClusterReportAggregation:
             }
         assert payload["budget_verdicts"]["feedline-0"]["budget_ns"] > 0
 
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_serial_reports_the_one_worker_it_runs(
+        self, feedline_chips, warm_registry, workers
+    ):
+        # Serial runs every feedline on the calling thread, whatever
+        # worker count was asked for; the report must say so.
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="serial",
+            workers=workers,
+            config=PipelineConfig(batch_size=10),
+            registry_dir=warm_registry,
+        ) as runner:
+            assert runner.workers == 1
+            report = runner.run(10)
+        assert report.workers == 1
+        assert report.to_dict()["workers"] == 1
+        assert "serial executor, 1 workers" in report.format_table()
+
 
 class TestRegistryShardingIsolation:
     def test_concurrent_get_or_fit_same_key_fits_once(

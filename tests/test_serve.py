@@ -1,11 +1,13 @@
 """repro.serve: spec round-trips, exhaustive validation, warm sessions,
-the `repro serve` CLI, and cross-process fit deduplication."""
+the `repro serve` CLI, cross-process fit deduplication, and sessions
+sharing one registry."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -14,18 +16,21 @@ import pytest
 import repro.cli as cli
 from repro.config import QUICK, Profile
 from repro.discriminators.mlr import MLRDiscriminator
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 from repro.pipeline import (
     CalibrationKey,
     CalibrationRegistry,
     ClusterReport,
+    MultiFeedlineRunner,
     PipelineReport,
 )
 from repro.serve import (
     BatchingSpec,
     CalibrationSpec,
     ClusterSpec,
+    DriftSpec,
     ReadoutService,
+    RecalibrationSpec,
     ServeSpec,
     ServiceStats,
     TrafficSpec,
@@ -916,3 +921,252 @@ class TestCrossProcessFitLock:
             "process shards sharing a cold key must fit exactly once, "
             f"got fits from pids: {fit_lines}"
         )
+
+
+class TestClusterReportPlacement:
+    def test_report_records_feedline_placement(self, tmp_path):
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=20, chunk_size=10),
+            cluster=ClusterSpec(
+                feedlines=2, executor="serial", qubits_per_feedline=2
+            ),
+            batching=BatchingSpec(batch_size=10),
+            calibration=CalibrationSpec(
+                registry_dir=str(tmp_path / "registry")
+            ),
+        )
+        with ReadoutService(spec, profile=tiny_profile()) as service:
+            report = service.run()
+        assert set(report.placement) == {"feedline-0", "feedline-1"}
+        assert sorted(report.placement.values()) == [0, 1]
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["placement"] == report.placement
+
+
+class TestServiceStatsDriftColumns:
+    def test_format_table_has_drift_alarm_recal_columns(self):
+        from repro.pipeline import PipelineReport
+        from repro.serve import ServiceStats
+
+        stats = ServiceStats()
+        quiet = PipelineReport(
+            n_shots=10,
+            n_batches=1,
+            wall_seconds=0.1,
+            shots_per_second=100.0,
+            stage_summaries={},
+            accuracy=0.9,
+            calibration_cached=True,
+        )
+        stats.record(quiet, 0.1)
+        noisy = PipelineReport(
+            n_shots=10,
+            n_batches=1,
+            wall_seconds=0.1,
+            shots_per_second=100.0,
+            stage_summaries={},
+            accuracy=0.8,
+            calibration_cached=True,
+            drift_score=0.123,
+            drift_alarm=True,
+        )
+        stats.record(noisy, 0.1, recalibrated=True)
+        text = stats.format_table()
+        header = text.splitlines()[1]
+        for column in ("drift", "alarm", "recal"):
+            assert column in header, column
+        rows = text.splitlines()[3:5]
+        assert rows[0].split()[-3:] == ["-", "-", "-"]
+        assert rows[1].split()[-3:] == ["0.123", "ALARM", "yes"]
+
+
+class TestRunFailureCleanup:
+    def test_failed_run_releases_pool_and_temp_registry(self, monkeypatch):
+        # Satellite of the failed-warm contract: an exception escaping
+        # mid-run must release the session like a failed warm() does.
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=20, chunk_size=10),
+            cluster=ClusterSpec(
+                feedlines=2, executor="thread", qubits_per_feedline=2
+            ),
+            batching=BatchingSpec(batch_size=10),
+        )
+        service = ReadoutService(spec, profile=tiny_profile())
+        service.warm()
+        private_root = service.registry_dir
+        assert private_root is not None and Path(private_root).is_dir()
+
+        def exploding_run(runner_self, *args, **kwargs):
+            raise DataError("feedline shard died mid-run")
+
+        monkeypatch.setattr(MultiFeedlineRunner, "run", exploding_run)
+        with pytest.raises(DataError):
+            service.run()
+        assert service._runner is None
+        assert service.registry_dir is None
+        assert not Path(private_root).exists()
+
+    def test_bad_run_args_do_not_tear_down_the_session(self, tmp_path):
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=20, chunk_size=10),
+            cluster=ClusterSpec(qubits_per_feedline=2),
+            batching=BatchingSpec(batch_size=10),
+            calibration=CalibrationSpec(
+                registry_dir=str(tmp_path / "registry")
+            ),
+        )
+        with ReadoutService(spec, profile=tiny_profile()) as service:
+            service.warm()
+            with pytest.raises(ConfigurationError, match="shots"):
+                service.run(shots=0)
+            # Argument validation is not a serving failure: the session
+            # stays warm and keeps serving.
+            assert service.run().n_shots == 20
+
+
+class TestSharedRegistrySessions:
+    """Two independent sessions over one on-disk registry root."""
+
+    def shared_spec(self, root: Path, **traffic) -> ServeSpec:
+        params = dict(shots=40, chunk_size=20, seed=4242)
+        params.update(traffic)
+        return ServeSpec(
+            traffic=TrafficSpec(**params),
+            cluster=ClusterSpec(qubits_per_feedline=2),
+            batching=BatchingSpec(batch_size=20),
+            calibration=CalibrationSpec(registry_dir=str(root)),
+        )
+
+    def test_concurrent_thread_sessions_fit_once(
+        self, tmp_path, monkeypatch
+    ):
+        fits: list[int] = []
+        original_fit = MLRDiscriminator.fit
+
+        def counting_fit(disc, corpus, indices):
+            fits.append(1)
+            time.sleep(0.2)  # widen the cold-fit race window
+            return original_fit(disc, corpus, indices)
+
+        monkeypatch.setattr(MLRDiscriminator, "fit", counting_fit)
+        spec = self.shared_spec(tmp_path / "registry")
+        services = [
+            ReadoutService(spec, profile=tiny_profile()) for _ in range(2)
+        ]
+        barrier = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def warm(service):
+            try:
+                barrier.wait(timeout=30)
+                service.warm()
+            except BaseException as exc:  # pragma: no cover - surfaced
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=warm, args=(service,))
+            for service in services
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors
+        try:
+            assert len(fits) == 1, (
+                "two sessions racing one cold key must fit exactly once"
+            )
+            # Both warmed sessions serve identical seeded traffic.
+            reports = [service.run() for service in services]
+            counts = [r.assignment_counts for r in reports]
+            assert counts[0] == counts[1]
+        finally:
+            for service in services:
+                service.close()
+
+    @pytest.mark.skipif(not _has_fork(), reason="needs fork start method")
+    def test_concurrent_fork_sessions_fit_once(self, tmp_path):
+        root = tmp_path / "registry"
+        spec_file = self.shared_spec(root).to_file(tmp_path / "spec.json")
+
+        def worker(index: int) -> None:
+            ready = tmp_path / f"ready-{index}"
+            ready.touch()
+            deadline = time.monotonic() + 20.0
+            while not all(
+                (tmp_path / f"ready-{i}").exists() for i in range(2)
+            ):
+                if time.monotonic() > deadline:  # pragma: no cover
+                    raise RuntimeError("barrier timed out")
+                time.sleep(0.005)
+            spec = ServeSpec.from_file(spec_file)
+            with ReadoutService(spec, profile=tiny_profile()) as service:
+                report = service.run()
+            out = {
+                "cold_fits": service.stats.cold_fits,
+                "assignment_counts": report.assignment_counts,
+            }
+            (tmp_path / f"out-{index}.json").write_text(json.dumps(out))
+
+        ctx = multiprocessing.get_context("fork")
+        children = [
+            ctx.Process(target=worker, args=(index,)) for index in range(2)
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=300)
+        try:
+            assert all(child.exitcode == 0 for child in children)
+        finally:
+            for child in children:
+                if child.is_alive():  # pragma: no cover - hang guard
+                    child.kill()
+        outs = [
+            json.loads((tmp_path / f"out-{i}.json").read_text())
+            for i in range(2)
+        ]
+        assert sum(out["cold_fits"] for out in outs) == 1, (
+            "flock dedup: exactly one process pays the cold fit"
+        )
+        assert outs[0]["assignment_counts"] == outs[1]["assignment_counts"]
+
+    def test_recal_by_one_session_never_changes_the_other(self, tmp_path):
+        root = tmp_path / "registry"
+        quiet_spec = self.shared_spec(root)
+        with ReadoutService(
+            quiet_spec, profile=tiny_profile()
+        ) as quiet:
+            before = quiet.run().assignment_counts
+            assert quiet.artifact_versions() == {"feedline-0": 0}
+
+            # A second session on the same key drifts, alarms, and hot
+            # recalibrates: version 1 lands in the shared registry.
+            noisy_spec = ServeSpec(
+                traffic=TrafficSpec(shots=60, chunk_size=30),
+                cluster=ClusterSpec(qubits_per_feedline=2),
+                batching=BatchingSpec(batch_size=30),
+                calibration=CalibrationSpec(registry_dir=str(root)),
+                drift=DriftSpec(if_detune_ghz_per_kshot=8e-5),
+                recalibration=RecalibrationSpec(
+                    enabled=True,
+                    threshold=1e-6,
+                    min_shots=0,
+                    max_recalibrations=1,
+                ),
+            )
+            with ReadoutService(
+                noisy_spec, profile=tiny_profile()
+            ) as noisy:
+                noisy.run()
+                assert noisy.stats.recalibrations == 1
+                assert noisy.artifact_versions() == {"feedline-0": 1}
+
+            versions_on_disk = {
+                key.version for key in CalibrationRegistry(root).keys()
+            }
+            assert versions_on_disk == {0, 1}
+            # The warm first session is untouched mid-run: same served
+            # artifact version, bit-identical seeded traffic results.
+            assert quiet.artifact_versions() == {"feedline-0": 0}
+            assert quiet.run().assignment_counts == before
