@@ -16,13 +16,15 @@ per-feedline FPGA budget verdicts).
 Shard execution is pluggable through :class:`ShardExecutor`:
 
 - ``serial`` — feedlines run one after another on the calling thread
-  (deterministic reference, and the profile/debug path).
+  (deterministic reference, and the profile/debug path). A one-feedline
+  serving session is a one-feedline runner on this executor.
 - ``thread`` — a ``ThreadPoolExecutor`` shard per feedline; numpy's BLAS
   kernels release the GIL, so real work overlaps.
 - ``process`` — a ``ProcessPoolExecutor`` shard per feedline for the
   python-bound parts of the chain. Workers never receive pickled fitted
-  models: each task carries only the chip parameters and registry
-  coordinates, and the worker *rebuilds* its discriminator from
+  models: each task carries only the chip parameters, registry
+  coordinates and a picklable traffic factory, and the worker
+  *rebuilds* its discriminator from
   :class:`~repro.pipeline.registry.CalibrationRegistry` artifacts (or
   fits and stores them on a cold start).
 
@@ -42,6 +44,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -63,11 +66,8 @@ from repro.pipeline.runner import (
     fit_or_load_discriminator,
     validate_streamable_design,
 )
-from repro.pipeline.shm import (
-    SharedMemoryTraceSource,
-    SharedTraceBlock,
-    SharedTraceDescriptor,
-)
+from repro.pipeline.shm import SharedMemoryTraceSource, SharedTraceBlock
+from repro.pipeline.source import TraceSource
 
 __all__ = [
     "EXECUTOR_NAMES",
@@ -112,31 +112,28 @@ class FeedlineSpec:
 
 @dataclass(frozen=True)
 class _FeedlineTask:
-    """Picklable work order for one feedline shard.
+    """Work order for one feedline shard.
 
-    Carries parameters only — never fitted models — so the same payload
-    drives in-process and cross-process executors identically.
+    Carries calibration coordinates, never fitted models, plus
+    ``source``: a zero-argument callable that builds this run's
+    :class:`~repro.pipeline.source.TraceSource` where the shard runs.
+    The shard does not know what kind of traffic it streams. Simulated
+    traffic and shared-memory replay views pickle into process shards;
+    a one-feedline session's backend ``trace_source`` runs on the
+    calling thread. ``calibration_chip`` is the device snapshot the
+    served ``version`` was fitted on, and serving demodulates with it.
     """
 
     name: str
     chip: ChipConfig
     device: str
     profile: Profile
-    n_shots: int
-    seed: int
-    chunk_size: int
     config: PipelineConfig
     registry_dir: str | None
     design: str
-    version: int = 0
-    drift_model: DriftModel | None = None
-    drift_shot_offset: int = 0
-    calibration_shot_offset: int = 0
-    # Shared-memory replay hand-off: when set, the worker attaches to
-    # the parent's published trace segment by name and streams zero-copy
-    # views instead of simulating traffic. Kilobytes of descriptor in
-    # the task payload replace megabytes of pickled trace arrays.
-    replay: SharedTraceDescriptor | None = None
+    version: int
+    calibration_chip: ChipConfig
+    source: Callable[[], TraceSource]
 
 
 @dataclass(frozen=True)
@@ -209,9 +206,9 @@ def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
     The discriminator is resolved through the calibration registry by
     key — a process worker rebuilds it from stored artifacts rather than
     unpickling a fitted object, and a cold worker fits and stores it.
-    A replay task attaches to the parent's shared-memory trace segment
-    instead of simulating traffic (the mapping is dropped on the way
-    out; the parent owns the unlink).
+    The task's ``source`` builds the traffic here, and the source is
+    closed on the way out (a replay view drops its mapping; the parent
+    owns the unlink).
     """
     registry = (
         CalibrationRegistry(task.registry_dir)
@@ -226,36 +223,13 @@ def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
         design=task.design,
         version=task.version,
     )
-    serve_chip = task.chip
-    if task.replay is not None:
-        source = SharedMemoryTraceSource(
-            task.replay, task.chip, chunk_size=task.chunk_size
-        )
-    else:
-        # Simulated traffic resolves through the instrument-backend seam
-        # (lazy import: repro.backends sits above the pipeline).
-        from repro.backends.simulator import SimulatorBackend
-
-        source = SimulatorBackend(
-            task.chip,
-            chunk_size=task.chunk_size,
-            drift=task.drift_model,
-            shot_offset=task.drift_shot_offset,
-        ).trace_source(task.n_shots, seed=task.seed)
-        if task.drift_model is not None and not task.drift_model.is_null:
-            # Demodulate with the device snapshot the served kernels were
-            # calibrated at: the drifted device for a recalibrated
-            # artifact, the declared one for version 0.
-            serve_chip = task.drift_model.chip_at(
-                task.chip, task.calibration_shot_offset
-            )
+    source = task.source()
     try:
-        report = ReadoutPipeline(discriminator, serve_chip, task.config).run(
-            source
-        )
+        report = ReadoutPipeline(
+            discriminator, task.calibration_chip, task.config
+        ).run(source)
     finally:
-        if task.replay is not None:
-            source.close()
+        source.close()
     report.calibration_cached = cached
     report.details["feedline"] = task.name
     return task.name, report
@@ -656,12 +630,11 @@ class MultiFeedlineRunner:
         self._versions: dict[str, int] = {
             spec.name: 0 for spec in self.feedlines
         }
-        # Session clock (shots) each feedline's served version was
-        # calibrated at: 0 for cold calibration, the recalibration
-        # instant thereafter. Serving uses it to demodulate with the
-        # device snapshot the kernels were actually estimated on.
-        self._calibrated_at: dict[str, int] = {
-            spec.name: 0 for spec in self.feedlines
+        # Device snapshot each feedline's served version was fitted on:
+        # the declared chip, until a recalibration fits on the drifted
+        # device. Serving demodulates with it.
+        self._calibration_chips: dict[str, ChipConfig] = {
+            spec.name: spec.chip for spec in self.feedlines
         }
 
     def _get_executor(self) -> ShardExecutor:
@@ -740,6 +713,8 @@ class MultiFeedlineRunner:
         served versions stay on disk and keep serving until every fit
         lands; only then are the served versions swapped, so a run
         dispatched mid-recalibration never sees a half-updated cluster.
+        The swap also stores the device snapshots the fits ran on, and
+        serving demodulates with them.
 
         Parameters
         ----------
@@ -805,8 +780,8 @@ class MultiFeedlineRunner:
         )
         # Swap only after every feedline's new artifact is on disk.
         self._versions = next_versions
-        self._calibrated_at = {
-            spec.name: int(shots_elapsed) for spec in self.feedlines
+        self._calibration_chips = {
+            task.name: task.calibration_chip for task in tasks
         }
         return sum(0 if cached else 1 for _, cached in results)
 
@@ -821,36 +796,6 @@ class MultiFeedlineRunner:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _tasks(
-        self,
-        n_shots: int,
-        seed: int | None,
-        drift_model: DriftModel | None = None,
-        drift_shot_offset: int = 0,
-    ) -> list[_FeedlineTask]:
-        base_seed = self.profile.seed + 1 if seed is None else int(seed)
-        return [
-            _FeedlineTask(
-                name=spec.name,
-                chip=spec.chip,
-                device=spec.registry_device,
-                profile=self.profile,
-                n_shots=int(n_shots),
-                # Distinct deterministic traffic per feedline: executors
-                # and partitionings all see identical streams.
-                seed=base_seed + index,
-                chunk_size=self.chunk_size,
-                config=self.config,
-                registry_dir=self.registry_dir,
-                design=self.design,
-                version=self._versions.get(spec.name, 0),
-                drift_model=drift_model,
-                drift_shot_offset=drift_shot_offset,
-                calibration_shot_offset=self._calibrated_at.get(spec.name, 0),
-            )
-            for index, spec in enumerate(self.feedlines)
-        ]
 
     def run(
         self,
@@ -875,20 +820,85 @@ class MultiFeedlineRunner:
         """
         if n_shots < 1:
             raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-        return self._dispatch(
-            self._tasks(
+        return self.dispatch(
+            self._simulated_traffic(
                 n_shots, seed, drift_model=drift_model,
                 drift_shot_offset=drift_shot_offset,
             )
         )
 
-    def _dispatch(self, tasks: Sequence[_FeedlineTask]) -> ClusterReport:
-        """Run feedline tasks through the shard pool; aggregate report.
+    def _simulated_traffic(
+        self,
+        n_shots: int,
+        seed: int | None,
+        drift_model: DriftModel | None = None,
+        drift_shot_offset: int = 0,
+    ) -> list[Callable[[], TraceSource]]:
+        """Picklable simulated-traffic factories, in declared order."""
+        # Lazy import: repro.backends sits above the pipeline.
+        from repro.backends.simulator import SimulatorBackend
+
+        base_seed = self.profile.seed + 1 if seed is None else int(seed)
+        return [
+            partial(
+                SimulatorBackend(
+                    spec.chip,
+                    chunk_size=self.chunk_size,
+                    drift=drift_model,
+                    shot_offset=drift_shot_offset,
+                ).trace_source,
+                int(n_shots),
+                # Distinct deterministic traffic per feedline: executors
+                # and partitionings all see identical streams.
+                seed=base_seed + index,
+            )
+            for index, spec in enumerate(self.feedlines)
+        ]
+
+    def _tasks(
+        self, traffic: Sequence[Callable[[], TraceSource]]
+    ) -> list[_FeedlineTask]:
+        """One work order per feedline: its traffic and served version."""
+        if len(traffic) != len(self.feedlines):
+            raise ConfigurationError(
+                f"{len(traffic)} traffic sources for {len(self.feedlines)} "
+                "feedlines"
+            )
+        return [
+            _FeedlineTask(
+                name=spec.name,
+                chip=spec.chip,
+                device=spec.registry_device,
+                profile=self.profile,
+                config=self.config,
+                registry_dir=self.registry_dir,
+                design=self.design,
+                version=self._versions[spec.name],
+                calibration_chip=self._calibration_chips[spec.name],
+                source=source,
+            )
+            for spec, source in zip(self.feedlines, traffic)
+        ]
+
+    def dispatch(
+        self, traffic: Sequence[Callable[[], TraceSource]]
+    ) -> ClusterReport:
+        """Serve one run of traffic through the shard pool.
+
+        The one run path: :meth:`run`, :meth:`dispatch_replay` and a
+        one-feedline :class:`repro.serve.ReadoutService` all end here.
+        ``traffic`` holds one zero-argument callable per feedline, in
+        declared order, that builds the feedline's
+        :class:`~repro.pipeline.source.TraceSource` where its shard
+        runs; process shards need it picklable. Every feedline serves
+        its current artifact version, demodulated with the device
+        snapshot that version was fitted on.
 
         Heterogeneous feedlines dispatch heaviest-first (greedy
-        longest-first); per-feedline seeds are fixed in the tasks, so
-        the dispatch order cannot change any result.
+        longest-first); each feedline's traffic is fixed before
+        dispatch, so the dispatch order cannot change any result.
         """
+        tasks = self._tasks(traffic)
         shard_executor = self._get_executor()
         ordered = _placement_order(tasks)
         try:
@@ -1000,36 +1010,24 @@ class MultiFeedlineRunner:
     ) -> ClusterReport:
         """Replay published segments through the shard pool.
 
-        The dispatch half of :meth:`run_replay`: each feedline's task
-        carries only its block's descriptor, and shard workers attach by
-        name and stream read-only views. ``blocks`` maps every feedline
-        name to a live block (as :meth:`publish_replay` returns); they
-        stay published, so a serving session dispatches the same blocks
-        on every run.
+        The dispatch half of :meth:`run_replay`: each feedline's traffic
+        is a picklable view factory over its block's descriptor, and
+        shard workers attach by name and stream read-only views.
+        ``blocks`` maps every feedline name to a live block (as
+        :meth:`publish_replay` returns); they stay published, so a
+        serving session dispatches the same blocks on every run.
         """
-        tasks = []
-        for index, spec in enumerate(self.feedlines):
-            descriptor = blocks[spec.name].descriptor
-            tasks.append(
-                _FeedlineTask(
-                    name=spec.name,
-                    chip=spec.chip,
-                    device=spec.registry_device,
-                    profile=self.profile,
-                    n_shots=descriptor.n_shots,
-                    seed=self.profile.seed + 1 + index,
+        return self.dispatch(
+            [
+                partial(
+                    SharedMemoryTraceSource,
+                    blocks[spec.name].descriptor,
+                    spec.chip,
                     chunk_size=self.chunk_size,
-                    config=self.config,
-                    registry_dir=self.registry_dir,
-                    design=self.design,
-                    version=self._versions.get(spec.name, 0),
-                    calibration_shot_offset=self._calibrated_at.get(
-                        spec.name, 0
-                    ),
-                    replay=descriptor,
                 )
-            )
-        return self._dispatch(tasks)
+                for spec in self.feedlines
+            ]
+        )
 
     def run_replay(
         self,

@@ -371,9 +371,9 @@ def validate_streamable_design(design: str) -> str:
 
     The engine reuses the MLR kernels/scaler/heads directly, so only
     designs resolving to :class:`MLRDiscriminator` (or a subclass)
-    stream. Checked once per serving session
-    (:class:`repro.serve.ReadoutService`) or shard runner
-    (:class:`repro.pipeline.cluster.MultiFeedlineRunner`).
+    stream. Checked once per shard runner
+    (:class:`repro.pipeline.cluster.MultiFeedlineRunner`), which every
+    serving session builds at warm-up.
     """
     if not issubclass(discriminators.get(design).cls, MLRDiscriminator):
         raise ConfigurationError(

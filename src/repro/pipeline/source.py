@@ -90,6 +90,9 @@ class TraceSource(ABC):
     def chunks(self) -> Iterator[ShotChunk]:
         """Yield the stream, in chunk_id order."""
 
+    def close(self) -> None:
+        """Release what the stream holds (e.g. a mapping). Idempotent."""
+
 
 def _check_chunking(n_shots: int, chunk_size: int) -> None:
     if n_shots < 1:

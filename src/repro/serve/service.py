@@ -5,11 +5,13 @@ discriminating shots continuously. :class:`ReadoutService` is that shape
 as an API — it resolves a :class:`~repro.serve.spec.ServeSpec` once,
 pre-warms the shard executors, pre-fits or loads every per-feedline
 discriminator (:meth:`ReadoutService.warm`), and then serves repeated
-:meth:`ReadoutService.run` calls against the warm state. A warmed service
-never refits behind the caller's back: artifacts live in the calibration
-registry (a private temporary one when the spec names none) and fitted
-models stay resident in memory between runs. The one sanctioned
-exception is *hot recalibration*: when the spec's
+:meth:`ReadoutService.run` calls against the warm state. Every session
+serves through its :class:`~repro.pipeline.cluster.MultiFeedlineRunner`;
+a one-feedline session is a one-feedline cluster on the calling thread.
+A warmed service never refits behind the caller's back: artifacts live
+in the calibration registry (a private temporary one when the spec
+names none) and fitted models stay resident in memory between runs.
+The one sanctioned exception is *hot recalibration*: when the spec's
 :class:`~repro.serve.spec.RecalibrationSpec` is enabled and a run's
 online drift score trips the alarm, the service refits through the
 shard pool against the drifted device and atomically swaps the next
@@ -34,6 +36,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,11 +46,13 @@ from repro.exceptions import ConfigurationError
 from repro.serve.spec import ServeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.cluster import ClusterReport, MultiFeedlineRunner
+    from repro.pipeline.cluster import (
+        ClusterReport,
+        FeedlineSpec,
+        MultiFeedlineRunner,
+    )
     from repro.pipeline.metrics import PipelineReport
-    from repro.pipeline.runner import ReadoutPipeline
     from repro.pipeline.shm import SharedTraceBlock
-    from repro.physics.device import ChipConfig
 
 __all__ = ["ReadoutService", "RunStats", "ServiceStats", "serve_once"]
 
@@ -70,19 +75,6 @@ def _report_calibration_cached(report) -> bool | None:
         if r.calibration_cached is not None
     ]
     return all(flags) if flags else None
-
-
-def _shots_per_feedline(report) -> int:
-    """Shots each feedline served in one run (the drift-clock step).
-
-    A ``ClusterReport``'s ``n_shots`` sums its feedlines; every feedline
-    of a session streams the same traffic length, so one feedline's
-    count is the step.
-    """
-    feedlines = getattr(report, "feedline_reports", None)
-    if not feedlines:
-        return report.n_shots
-    return max(r.n_shots for r in feedlines.values())
 
 
 @dataclass(frozen=True)
@@ -174,8 +166,7 @@ class ServiceStats:
 
         ``calibration_cached`` overrides the flag derived from the
         report — :class:`ReadoutService` passes its session-cycle view
-        (did *this cycle* pay cold fits before this run) so the stats
-        mean the same thing for single- and multi-feedline sessions.
+        (did *this cycle* pay cold fits before this run).
         ``recalibrated`` marks a run whose drift alarm triggered a hot
         recalibration after it completed.
         """
@@ -280,12 +271,13 @@ class ReadoutService:
 
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
-    serving topology, pre-fits or loads every discriminator, and
-    pre-spawns shard pools, and publishes a multi-feedline replay
-    corpus to shared memory; :meth:`run` streams traffic against that
-    state; :meth:`close` releases pools, the replay segment and any
-    session-private registry. The service is reusable after ``close`` —
-    the next ``run`` re-warms.
+    session's :class:`~repro.pipeline.cluster.MultiFeedlineRunner`,
+    pre-spawns its shard pool, pre-fits or loads every discriminator,
+    and opens the one-feedline backend or publishes a multi-feedline
+    replay corpus to shared memory; :meth:`run` streams traffic through
+    the runner's one dispatch; :meth:`close` releases the pool, the
+    backend, the replay segment and any session-private registry. The
+    service is reusable after ``close`` — the next ``run`` re-warms.
     """
 
     def __init__(
@@ -310,10 +302,6 @@ class ReadoutService:
         # stats cannot tell whether *this* cycle's first run paid a fit.
         self._cycle_cold_fits = 0
         self._cycle_runs = 0
-        self._pipeline: "ReadoutPipeline | None" = None
-        self._chip: "ChipConfig | None" = None
-        self._device: str | None = None
-        self._config = None
         self._runner: "MultiFeedlineRunner | None" = None
         self._backend = None
         # Multi-feedline replay: the corpus published to shared memory
@@ -321,10 +309,8 @@ class ReadoutService:
         self._replay_blocks: "dict[str, SharedTraceBlock]" = {}
         self._tmp_registry: tempfile.TemporaryDirectory | None = None
         # Drift state (reset each warm cycle): the session shot clock
-        # drift accumulates against, the served artifact version on the
-        # single-feedline path, and recalibration pacing.
+        # drift accumulates against, and recalibration pacing.
         self._session_shots = 0
-        self._version = 0
         self._runs_since_recal: int | None = None
 
     @classmethod
@@ -364,47 +350,56 @@ class ReadoutService:
 
     @property
     def backend(self):
-        """The resolved instrument backend (single-feedline; once warm)."""
+        """The opened traffic backend of a one-feedline session, once warm.
+
+        ``None`` for multi-feedline sessions: each shard builds its own
+        traffic.
+        """
         return self._backend
 
     def artifact_versions(self) -> dict[str, int]:
-        """Calibration-artifact version currently served per feedline."""
+        """Calibration-artifact version served per feedline.
+
+        A session that is not warm reports version 0 for every feedline:
+        that is what the next warm-up serves.
+        """
         if self._runner is not None:
             return self._runner.artifact_versions()
-        return {"feedline-0": self._version}
+        return {feedline.name: 0 for feedline in self._feedline_specs()}
 
-    def _qubits_per_feedline(self) -> int:
-        """Resolved qubit count per served readout group.
+    def _feedline_specs(self) -> "list[FeedlineSpec]":
+        """The session's feedlines, with their chips and registry slugs.
 
-        An unset spec value means the base device's full complement —
-        the base :class:`ChipConfig` is the source of the default, not a
-        magic qubit-count literal.
-        """
-        qubits = self.spec.cluster.qubits_per_feedline
-        if qubits is not None:
-            return qubits
-        from repro.physics.device import default_five_qubit_chip
-
-        return default_five_qubit_chip().n_qubits
-
-    def _single_feedline_target(self) -> "tuple[ChipConfig, str]":
-        """The chip and registry device the one-feedline chain serves.
-
-        A spec asking for the base chip's full qubit complement serves
-        the canonical device under its canonical registry slug; anything
-        else derives a sliced feedline chip.
+        An unset ``qubits_per_feedline`` means the base device's full
+        complement — the base :class:`ChipConfig` is the source of the
+        default, not a magic qubit-count literal. One feedline at that
+        complement serves the canonical device under its canonical
+        registry slug, and one feedline of any other size a sliced
+        feedline chip under ``feedline0-q<n>``, so existing registries
+        stay warm. Feedline ``i`` of a cluster is ``feedline-<i>``.
         """
         from repro.physics.device import (
             default_five_qubit_chip,
             make_feedline_chip,
+            multi_feedline_chips,
         )
+        from repro.pipeline.cluster import FeedlineSpec
         from repro.pipeline.runner import DEFAULT_DEVICE
 
         base = default_five_qubit_chip()
-        qubits = self._qubits_per_feedline()
+        qubits = self.spec.cluster.qubits_per_feedline
+        qubits = base.n_qubits if qubits is None else qubits
+        feedlines = self.spec.cluster.feedlines
+        if feedlines > 1:
+            chips = multi_feedline_chips(feedlines, n_qubits=qubits)
+            return [
+                FeedlineSpec(f"feedline-{i}", chip)
+                for i, chip in enumerate(chips)
+            ]
         if qubits == base.n_qubits:
-            return base, DEFAULT_DEVICE
-        return make_feedline_chip(0, n_qubits=qubits), f"feedline0-q{qubits}"
+            return [FeedlineSpec("feedline-0", base, DEFAULT_DEVICE)]
+        chip = make_feedline_chip(0, n_qubits=qubits)
+        return [FeedlineSpec("feedline-0", chip, f"feedline0-q{qubits}")]
 
     def warm(self) -> "ReadoutService":
         """Resolve the spec and pre-warm all serving state. Idempotent.
@@ -418,10 +413,7 @@ class ReadoutService:
         """
         if self._warmed:
             return self
-        from repro.pipeline.runner import validate_streamable_design
-
         spec = self.spec
-        validate_streamable_design(spec.calibration.design)
         profile = self.profile
         config = spec.pipeline_config()
         wall_start = time.perf_counter()
@@ -439,7 +431,6 @@ class ReadoutService:
         # A fresh warm cycle is a fresh calibration: the drift clock and
         # artifact versioning restart with it.
         self._session_shots = 0
-        self._version = 0
         self._runs_since_recal = None
         self._warmed = True
         return self
@@ -452,42 +443,35 @@ class ReadoutService:
         resources exist, before anything else that can fail).
         """
         from repro.pipeline.cluster import MultiFeedlineRunner
-        from repro.pipeline.registry import CalibrationRegistry
-        from repro.pipeline.runner import (
-            ReadoutPipeline,
-            fit_or_load_discriminator,
-        )
-        from repro.physics.device import multi_feedline_chips
 
-        design = spec.calibration.design
-        cold_fits = 0
-        if spec.cluster.feedlines == 1:
-            if (
-                spec.calibration.registry_dir is None
-                and spec.recalibration.enabled
-            ):
-                # Hot recalibration swaps *versioned artifacts*; give a
-                # registry-less session a private one so the versions
-                # have somewhere to live (discarded on close, like the
-                # multi-feedline session registry).
-                self._tmp_registry = tempfile.TemporaryDirectory(
-                    prefix="repro-serve-"
-                )
-            chip, device = self._single_feedline_target()
-            registry_dir = self.registry_dir
-            registry = (
-                CalibrationRegistry(registry_dir)
-                if registry_dir is not None
-                else None
+        if spec.calibration.registry_dir is None:
+            # A session-private registry: prefit hands the artifacts to
+            # the serving shards through it, hot recalibration stores
+            # its versions there, and runs after warm-up must never
+            # refit even when the caller keeps no registry.
+            self._tmp_registry = tempfile.TemporaryDirectory(
+                prefix="repro-serve-"
             )
-            discriminator, cached = fit_or_load_discriminator(
-                profile, registry, chip=chip, device=device, design=design
-            )
-            cold_fits += 0 if cached else 1
-            self._chip = chip
-            self._device = device
-            self._config = config
-            self._pipeline = ReadoutPipeline(discriminator, chip, config)
+        feedlines = self._feedline_specs()
+        single = len(feedlines) == 1
+        runner = MultiFeedlineRunner(
+            feedlines,
+            profile,
+            # One feedline runs on the calling thread, whatever the spec
+            # names (the executor is validated but inert there).
+            executor="serial" if single else spec.cluster.executor,
+            workers=spec.cluster.workers,
+            config=config,
+            chunk_size=spec.traffic.chunk_size,
+            registry_dir=self.registry_dir,
+            design=spec.calibration.design,
+        )
+        self._runner = runner  # before prefit: errors must close it
+        # Pool first, then calibration *through* the pool: cold fits
+        # for distinct feedlines run as concurrently as serving.
+        runner.prewarm()
+        cold_fits = runner.prefit()
+        if single:
             # Resolve the traffic endpoint through the backend registry
             # — opening validates it (replay checks the corpus against
             # the serving chip, socket handshakes with its peer) before
@@ -496,53 +480,26 @@ class ReadoutService:
 
             self._backend = create_backend(
                 spec.traffic.backend,
-                chip,
+                feedlines[0].chip,
                 chunk_size=spec.traffic.chunk_size,
                 drift=spec.drift.model(),
                 corpus_path=spec.traffic.corpus_path,
                 record_path=spec.traffic.record_path,
                 socket_path=spec.traffic.socket_path,
             ).open()
-        else:
-            if spec.calibration.registry_dir is None:
-                # A session-private registry: process shards need the
-                # artifacts on disk, and runs after warm-up must never
-                # refit even when the caller keeps no registry.
-                self._tmp_registry = tempfile.TemporaryDirectory(
-                    prefix="repro-serve-"
-                )
-            chips = multi_feedline_chips(
-                spec.cluster.feedlines, n_qubits=self._qubits_per_feedline()
-            )
-            runner = MultiFeedlineRunner(
-                chips,
-                profile,
-                executor=spec.cluster.executor,
-                workers=spec.cluster.workers,
-                config=config,
-                chunk_size=spec.traffic.chunk_size,
-                registry_dir=self.registry_dir,
-                design=design,
-            )
-            self._runner = runner  # before prefit: errors must close it
-            # Pool first, then calibration *through* the pool: cold fits
-            # for distinct feedlines run as concurrently as serving.
-            runner.prewarm()
-            cold_fits += runner.prefit()
-            if spec.traffic.backend == "replay":
-                # Load and integrity-check the corpus once at warm-up,
-                # then publish it to one shared-memory segment that every
-                # feedline's shard reads on every run() until close().
-                # The loaded arrays are dropped: the segment is the
-                # session's only copy. Sibling feedline chips differ by
-                # design spread, so the check is geometric, not
-                # SHA-strict.
-                from repro.backends import load_corpus
+        elif spec.traffic.backend == "replay":
+            # Load and integrity-check the corpus once at warm-up, then
+            # publish it to one shared-memory segment that every
+            # feedline's shard reads on every run() until close(). The
+            # loaded arrays are dropped: the segment is the session's
+            # only copy. Sibling feedline chips differ by design spread,
+            # so the check is geometric, not SHA-strict.
+            from repro.backends import load_corpus
 
-                corpus = load_corpus(spec.traffic.corpus_path)
-                for chip in chips:
-                    corpus.require_geometry(chip)
-                self._replay_blocks = runner.publish_replay(corpus)
+            corpus = load_corpus(spec.traffic.corpus_path)
+            for feedline in feedlines:
+                corpus.require_geometry(feedline.chip)
+            self._replay_blocks = runner.publish_replay(corpus)
         return cold_fits
 
     def run(
@@ -550,13 +507,16 @@ class ReadoutService:
     ) -> "PipelineReport | ClusterReport":
         """Serve one run of traffic against the warm state.
 
+        Returns the feedline's :class:`PipelineReport` on a one-feedline
+        session, and a :class:`ClusterReport` on more feedlines.
+
         Parameters
         ----------
         shots:
             Shots streamed this run (per feedline); defaults to the
             spec's ``traffic.shots``.
         seed:
-            Traffic seed override; defaults to the spec's
+            Traffic seed override (non-negative); defaults to the spec's
             ``traffic.seed`` (itself defaulting to profile seed + 1).
             With neither given, repeated runs replay identical traffic —
             deterministic serving of the same workload.
@@ -567,54 +527,53 @@ class ReadoutService:
         if n_shots < 1:
             raise ConfigurationError(f"shots must be >= 1, got {n_shots}")
         traffic_seed = spec.traffic.seed if seed is None else int(seed)
+        if traffic_seed is None:
+            traffic_seed = self.profile.seed + 1
+        elif traffic_seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {traffic_seed}")
         drift_model = spec.drift.model()
-        # Calibration state as the *caller* experiences it, identical on
-        # both serving paths: this warm cycle's first run paid any cold
-        # fits during warm(); every later run is served warm.
+        # Calibration state as the *caller* experiences it: this warm
+        # cycle's first run paid any cold fits during warm(); every later
+        # run is served warm.
         cycle_cached = self._cycle_runs > 0 or self._cycle_cold_fits == 0
         try:
             wall_start = time.perf_counter()
-            if self._pipeline is not None:
-                resolved_seed = (
-                    self.profile.seed + 1
-                    if traffic_seed is None
-                    else traffic_seed
+            if self._backend is not None:
+                # One feedline streams the session backend's traffic. The
+                # backend owns the drift clock and stream lifetime; a
+                # replay/socket backend delivers its own shot count (the
+                # source resolves it) regardless of the request.
+                traffic = partial(
+                    self._backend.trace_source, n_shots, seed=traffic_seed
                 )
-                # The backend owns the drift clock and stream lifetime;
-                # a replay/socket backend delivers its own shot count
-                # (the source resolves it) regardless of the request.
-                source = self._backend.trace_source(
-                    n_shots, seed=resolved_seed
-                )
-                report = self._pipeline.run(source)
-                report.calibration_cached = cycle_cached
+                cluster = self._runner.dispatch([traffic])
             elif self._replay_blocks:
-                report = self._runner.dispatch_replay(self._replay_blocks)
-                if not cycle_cached:
-                    for feedline_report in report.feedline_reports.values():
-                        feedline_report.calibration_cached = False
+                cluster = self._runner.dispatch_replay(self._replay_blocks)
             else:
-                report = self._runner.run(
+                cluster = self._runner.run(
                     n_shots,
                     seed=traffic_seed,
                     drift_model=drift_model,
                     drift_shot_offset=self._session_shots,
                 )
-                if not cycle_cached:
-                    # The feedline chains loaded artifacts this same
-                    # cycle's warm() just fitted; to the caller that is
-                    # a cold call (one-shot multi-feedline runs kept
-                    # this semantic before the serve redesign).
-                    for feedline_report in report.feedline_reports.values():
-                        feedline_report.calibration_cached = False
             wall = time.perf_counter() - wall_start
+            feedline_reports = cluster.feedline_reports.values()
+            if not cycle_cached:
+                # The feedline chains loaded artifacts this same cycle's
+                # warm() just fitted; to the caller that is a cold call.
+                for feedline_report in feedline_reports:
+                    feedline_report.calibration_cached = False
             self._cycle_runs += 1
             # Advance the session drift clock by the per-feedline shots
             # *delivered* (replay and stream-bound backends serve their
             # own length, not the request).
-            self._session_shots += _shots_per_feedline(report)
+            self._session_shots += max(r.n_shots for r in feedline_reports)
             if self._runs_since_recal is not None:
                 self._runs_since_recal += 1
+            # A one-feedline session answers with its feedline's report.
+            report = cluster
+            if cluster.n_feedlines == 1:
+                (report,) = feedline_reports
             recalibrated = self._maybe_recalibrate(report, drift_model)
         except BaseException:
             # An exception escaping mid-run must not leak the shard pool
@@ -679,71 +638,13 @@ class ReadoutService:
         # A refit and the served-version swap that ends it run under
         # the session's recalibration gate, one at a time.
         with self._recal_gate:
-            if self._runner is not None:
-                self._runner.recalibrate(
-                    model, self._session_shots, profile=self._recal_profile()
-                )
-            else:
-                self._recalibrate_single_feedline(model)
+            self._runner.recalibrate(
+                model, self._session_shots, profile=self._recal_profile()
+            )
         self.stats.recal_seconds += time.perf_counter() - recal_start
         self.stats.recalibrations += 1
         self._runs_since_recal = 0
         return True
-
-    def _recalibrate_single_feedline(self, model) -> None:
-        """Fit the next artifact version and hot-swap the one pipeline."""
-        from repro.pipeline.registry import CalibrationRegistry
-        from repro.pipeline.runner import (
-            ReadoutPipeline,
-            fit_or_load_discriminator,
-        )
-
-        from repro.pipeline.runner import calibration_key
-
-        registry_dir = self.registry_dir
-        registry = (
-            CalibrationRegistry(registry_dir)
-            if registry_dir is not None
-            else None
-        )
-        recal_profile = self._recal_profile()
-        # Exceed both the served version and anything already stored: a
-        # persistent registry may hold versions a *previous* session
-        # recalibrated — serving one as a warm hit would re-introduce
-        # the very staleness this refit replaces.
-        stored = (
-            None
-            if registry is None
-            else registry.latest_version(
-                calibration_key(
-                    recal_profile,
-                    chip=self._chip,
-                    device=self._device,
-                    design=self.spec.calibration.design,
-                )
-            )
-        )
-        next_version = (
-            max(self._version, -1 if stored is None else stored) + 1
-        )
-        snapshot = model.chip_at(self._chip, self._session_shots)
-        discriminator, _ = fit_or_load_discriminator(
-            recal_profile,
-            registry,
-            chip=self._chip,
-            device=self._device,
-            design=self.spec.calibration.design,
-            version=next_version,
-            calibration_chip=snapshot,
-        )
-        # Atomic swap: the new pipeline serves the new artifact and
-        # demodulates with the device snapshot it was calibrated at;
-        # the old version was never mutated, so a reader mid-swap sees
-        # either version whole.
-        self._pipeline = ReadoutPipeline(
-            discriminator, snapshot, self._config
-        )
-        self._version = next_version
 
     def close(self) -> None:
         """Release shard pools, replay segments and any private registry.
@@ -761,10 +662,6 @@ class ReadoutService:
                 # manifest.
                 self._backend.close()
                 self._backend = None
-            self._pipeline = None
-            self._chip = None
-            self._device = None
-            self._config = None
             if self._tmp_registry is not None:
                 self._tmp_registry.cleanup()
                 self._tmp_registry = None

@@ -251,10 +251,12 @@ class ClusterSpec(_Section):
     Parameters
     ----------
     feedlines:
-        Readout groups to serve; ``1`` runs the single-feedline chain.
+        Readout groups to serve, one discrimination chain each; ``1`` is
+        a one-feedline cluster.
     executor:
         Shard backend for multi-feedline serving (``serial``/``thread``/
-        ``process``); validated — but inert — with one feedline.
+        ``process``); validated — but inert — with one feedline, which
+        always runs on the calling thread (``serial``).
     workers:
         Shard workers (``None``: one per feedline, capped at the CPU
         count).

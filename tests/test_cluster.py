@@ -167,6 +167,14 @@ class TestClusterValidation:
         with pytest.raises(ConfigurationError):
             runner.run(0)
 
+    def test_dispatch_needs_traffic_for_every_feedline(self, feedline_chips):
+        runner = MultiFeedlineRunner(
+            feedline_chips, tiny_profile(), executor="serial"
+        )
+        traffic = runner._simulated_traffic(10, None)
+        with pytest.raises(ConfigurationError, match="2 feedlines"):
+            runner.dispatch(traffic[:1])
+
     def test_spec_device_defaults_to_name(self, feedline_chips):
         spec = FeedlineSpec("fl-a", feedline_chips[0])
         assert spec.registry_device == "fl-a"
@@ -262,7 +270,7 @@ class TestHeterogeneousPlacement:
         runner = self._runner(
             [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)]
         )
-        tasks = runner._tasks(10, None)
+        tasks = runner._tasks(runner._simulated_traffic(10, None))
         assert [t.name for t in _placement_order(tasks)] == ["heavy", "light"]
 
     def test_weight_is_qubits_times_trace_length(self):
@@ -274,14 +282,14 @@ class TestHeterogeneousPlacement:
         runner = self._runner(
             [FeedlineSpec("long", long), FeedlineSpec("wide", wide)]
         )
-        tasks = runner._tasks(10, None)
+        tasks = runner._tasks(runner._simulated_traffic(10, None))
         assert [t.name for t in _placement_order(tasks)] == ["wide", "long"]
 
     def test_equal_weights_keep_declared_order(self, feedline_chips):
         from repro.pipeline.cluster import _placement_order
 
         runner = self._runner(list(feedline_chips))
-        tasks = runner._tasks(10, None)
+        tasks = runner._tasks(runner._simulated_traffic(10, None))
         assert [t.name for t in _placement_order(tasks)] == [
             t.name for t in tasks
         ]
@@ -294,8 +302,8 @@ class TestHeterogeneousPlacement:
         runner = self._runner(
             [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)]
         )
-        tasks = runner._tasks(10, seed=100)
-        by_name = {t.name: t.seed for t in _placement_order(tasks)}
+        tasks = runner._tasks(runner._simulated_traffic(10, seed=100))
+        by_name = {t.name: t.source().seed for t in _placement_order(tasks)}
         # Declared order assigns seeds; dispatch order must not.
         assert by_name == {"light": 100, "heavy": 101}
 

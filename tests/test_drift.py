@@ -647,6 +647,28 @@ class TestDriftServiceMechanics:
         assert report.drift_alarm is False
         assert service.artifact_versions() == {"feedline-0": 0}
 
+    def test_cold_and_closed_cluster_reports_every_feedline(self):
+        spec = _drift_spec(True, feedlines=2, shots=60)
+        service = ReadoutService(spec, profile=fast_profile())
+        expected = {"feedline-0": 0, "feedline-1": 0}
+        assert service.artifact_versions() == expected
+        service.warm()
+        service.close()
+        assert service.artifact_versions() == expected
+
+    def test_closed_session_reports_what_the_next_warm_serves(self):
+        spec = _drift_spec(
+            True, shots=60, threshold=1e-6, min_shots=0,
+            max_recalibrations=1,
+        )
+        service = ReadoutService(spec, profile=fast_profile())
+        with service:
+            service.run()  # alarms -> recalibrates to version 1
+            assert service.artifact_versions() == {"feedline-0": 1}
+        assert service.artifact_versions() == {"feedline-0": 0}
+        with service:  # a fresh warm cycle serves version 0 again
+            assert service.artifact_versions() == {"feedline-0": 0}
+
     def test_recal_never_serves_a_stale_version_across_sessions(
         self, tmp_path, monkeypatch
     ):

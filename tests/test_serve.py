@@ -497,6 +497,25 @@ class TestReadoutServiceWarmReuse:
         with pytest.raises(ConfigurationError, match="ServeSpec"):
             ReadoutService({"traffic": {}})
 
+    def test_one_feedline_serves_what_cluster_feedline_0_serves(self):
+        def spec(feedlines: int) -> ServeSpec:
+            return ServeSpec(
+                traffic=TrafficSpec(shots=60, chunk_size=30),
+                cluster=ClusterSpec(
+                    feedlines=feedlines,
+                    executor="serial",
+                    qubits_per_feedline=2,
+                ),
+                batching=BatchingSpec(batch_size=30),
+            )
+
+        with ReadoutService(spec(1), profile=tiny_profile()) as service:
+            alone = service.run()
+        with ReadoutService(spec(2), profile=tiny_profile()) as service:
+            member = service.run().feedline_reports["feedline-0"]
+        assert alone.assignment_counts == member.assignment_counts
+        assert alone.accuracy == member.accuracy
+
 
 def _fake_report(n_shots, wall, accuracy=None, cached=None):
     return PipelineReport(
@@ -1017,11 +1036,18 @@ class TestRunFailureCleanup:
         )
         with ReadoutService(spec, profile=tiny_profile()) as service:
             service.warm()
-            with pytest.raises(ConfigurationError, match="shots"):
-                service.run(shots=0)
-            # Argument validation is not a serving failure: the session
-            # stays warm and keeps serving.
-            assert service.run().n_shots == 20
+            runner = service._runner
+            warm_seconds = service.stats.warm_seconds
+            for bad_args in ({"shots": 0}, {"seed": -1}):
+                (name,) = bad_args
+                with pytest.raises(ConfigurationError, match=name):
+                    service.run(**bad_args)
+                # Argument validation is not a serving failure: the
+                # session stays warm and keeps serving, without a
+                # re-warm.
+                assert service.run().n_shots == 20
+                assert service._runner is runner
+                assert service.stats.warm_seconds == warm_seconds
 
 
 class TestSharedRegistrySessions:
