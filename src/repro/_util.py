@@ -59,9 +59,15 @@ def child_rng(rng: np.random.Generator, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(material))
 
 
-def as_2d_float(x: np.ndarray | Sequence, name: str = "X") -> np.ndarray:
-    """Validate and return ``x`` as a 2-D float64 array (n_samples, n_features)."""
-    arr = np.asarray(x, dtype=np.float64)
+def as_2d_float(
+    x: np.ndarray | Sequence, name: str = "X", *, dtype=np.float64
+) -> np.ndarray:
+    """Validate and return ``x`` as a 2-D float array (n_samples, n_features).
+
+    ``dtype`` is float64 unless a caller computes in float32; an array
+    already of ``dtype`` is returned uncopied.
+    """
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:

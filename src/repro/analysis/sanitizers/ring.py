@@ -20,7 +20,11 @@ hard, witnessed failures:
 - :meth:`GuardedBufferRing.seal` flips an assembled batch view to
   ``writeable=False`` before it leaves the batcher, so downstream
   stages — which own only the *paired features* buffer — cannot
-  scribble on the feedline block they were handed.
+  scribble on the feedline block they were handed (a lent batch, a
+  view of its source chunk, is read-only armed or not);
+- the lent-feature block is poison-filled at every
+  :meth:`~repro.pipeline.buffers.BufferRing.lend`, like a recycled
+  slot's.
 
 Construction goes through :func:`repro.pipeline.buffers.make_buffer_ring`,
 which returns this class only when ``REPRO_SANITIZE`` armed the process
@@ -149,6 +153,12 @@ class GuardedBufferRing(BufferRing):
         """Make an assembled batch read-only outside the owning stage."""
         view.flags.writeable = False
         return view
+
+    def lend(self, view: np.ndarray) -> None:
+        super().lend(view)
+        # Poisoned like a recycled slot: a lent-feature view kept past
+        # the next lend reads NaN, not the next batch's scores.
+        self._lent_features.fill(np.nan)
 
     def paired_features(self, feedline: np.ndarray) -> np.ndarray | None:
         if isinstance(feedline, RingSlotView):

@@ -33,11 +33,12 @@ def _top2_levels_and_margins(
     A running max and second max over the few level columns (cheaper
     than numpy reductions over so short an axis); strict ``>`` keeps
     ``np.argmax``'s first level on ties. ``p_top - p_second`` is
-    ``(1 - exp(second - top)) / sum_j exp(l_j - top)``.
+    ``(1 - exp(second - top)) / sum_j exp(l_j - top)``, in the logits'
+    dtype.
     """
     columns = [logits[..., j] for j in range(logits.shape[-1])]
     top = columns[0]
-    second = np.full(top.shape, -np.inf)
+    second = np.full(top.shape, -np.inf, dtype=logits.dtype)
     levels = np.zeros(top.shape, dtype=np.int64)
     for level, column in enumerate(columns[1:], start=1):
         levels[column > top] = level
@@ -186,8 +187,10 @@ class MLRDiscriminator(Discriminator):
         Layer 1 becomes one GEMM: head ``q`` fills column block ``q`` on
         the rows of the features it reads (block-diagonal without
         ``neighbor_features``). Deeper layers become ``(n_heads, h_in,
-        h_out)`` stacks for one batched ``matmul``. Built once, from
-        copies, for heads that share one architecture (as fit builds).
+        h_out)`` stacks for one batched ``matmul``. Built once, as
+        float32 copies of the float64 networks (which offline
+        ``predict`` keeps using), for heads that share one architecture
+        (as fit builds).
         """
         heads = [model.network.layers for model in self.models]
         width = heads[0][0].n_out
@@ -197,13 +200,17 @@ class MLRDiscriminator(Discriminator):
             rows = self._head_features(features[None], q)[0]
             first[rows, q * width : (q + 1) * width] = layers[0].weights
         bias = np.concatenate([layers[0].bias for layers in heads])
-        self._head_stack = [(first, bias, heads[0][0].activation.forward)] + [
+        stack = [(first, bias, heads[0][0].activation.forward)] + [
             (
                 np.stack([layers[depth].weights for layers in heads]),
                 np.stack([layers[depth].bias for layers in heads])[:, None],
                 heads[0][depth].activation.forward,
             )
             for depth in range(1, len(heads[0]))
+        ]
+        self._head_stack = [
+            (weights.astype(np.float32), bias.astype(np.float32), activation)
+            for weights, bias, activation in stack
         ]
 
     def head_levels_and_margin(
@@ -214,12 +221,14 @@ class MLRDiscriminator(Discriminator):
         ``x`` is the scaled feature matrix. The one implementation both
         fit-time reference recording and the streaming engine use —
         drift scoring compares the two, so they must never diverge. All
-        heads run at once through the stack built at fit or artifact
-        load; a level is the first maximal logit, as in
-        :meth:`MLPClassifier.predict`.
+        heads run at once through the float32 stack built at fit or
+        artifact load, in float32 (float32 ``x`` is used uncopied, other
+        input is cast once); a level is the first maximal logit, as in
+        :meth:`MLPClassifier.predict`. Only the margin mean accumulates
+        in float64.
         """
         self._require_fitted()
-        x = as_2d_float(x)
+        x = as_2d_float(x, dtype=np.float32)
         (weights, bias, activation), *deeper = self._head_stack
         # Layer 1's (n, n_heads * h) output, viewed as (n_heads, n, h).
         h = activation(x @ weights + bias)
@@ -227,7 +236,7 @@ class MLRDiscriminator(Discriminator):
         for weights, bias, activation in deeper:
             h = activation(np.matmul(h, weights) + bias)
         levels, margins = _top2_levels_and_margins(h)
-        return levels.T, float(margins.sum()) / margins.size
+        return levels.T, float(margins.sum(dtype=np.float64)) / margins.size
 
     def _record_reference(self, x: np.ndarray, n_levels: int) -> None:
         """Snapshot the drift-detection references on the training set."""

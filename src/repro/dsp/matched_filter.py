@@ -149,8 +149,10 @@ class FusedKernelBank:
     layout :class:`~repro.discriminators.features
     .MatchedFilterFeatureExtractor` defines. Only ``Re(feedline @ W.T)``
     is a feature and ``Re(z w) = Re z Re w - Im z Im w``, so scoring is
-    one real GEMM of the batch's no-copy ``(re, im)`` float view: no
-    per-qubit copies, no decimated intermediates, no imaginary half.
+    one float32 GEMM (SGEMM) of the batch's no-copy complex64 ``(re,
+    im)`` view: no per-qubit copies, no decimated intermediates, no
+    imaginary half. Serving runs at the digitizer's own precision;
+    ``weights`` keep the fitted complex128 values.
 
     Attributes
     ----------
@@ -162,7 +164,7 @@ class FusedKernelBank:
     decimation:
         Boxcar factor folded into the weights.
     real_weights:
-        ``(2 * n_samples, n_filters)`` float64 rows ``[Re W; -Im W]``.
+        ``(2 * n_samples, n_filters)`` float32 rows ``[Re W; -Im W]``.
     """
 
     weights: np.ndarray
@@ -181,7 +183,7 @@ class FusedKernelBank:
                 f"{weights.shape[0]} rows not divisible by "
                 f"{self.filters_per_qubit} filters per qubit"
             )
-        real = np.empty((2 * weights.shape[1], weights.shape[0]))
+        real = np.empty((2 * weights.shape[1], weights.shape[0]), np.float32)
         real[0::2] = weights.real.T
         real[1::2] = -weights.imag.T
         object.__setattr__(self, "weights", weights)
@@ -201,7 +203,9 @@ class FusedKernelBank:
 
         ``out`` — an optional preallocated ``(n_shots, n_filters)``
         float block the scores are written into (the zero-copy serving
-        path); a fresh array is returned when omitted.
+        path); a fresh float32 array is returned when omitted. Scores
+        are float32 either way: a complex64 window is read in place,
+        anything else is cast to complex64 once.
         """
         feedline = np.atleast_2d(np.asarray(feedline))
         if feedline.shape[1] < self.n_samples:
@@ -210,10 +214,10 @@ class FusedKernelBank:
                 f"window {self.n_samples}"
             )
         window = feedline[:, : self.n_samples]
-        strided = window.strides[-1] != window.itemsize
-        if strided or not np.iscomplexobj(window):
-            window = window.astype(np.complex128, order="C")  # repro: allow(no-hidden-copy) real or strided input has no (re, im) pair view; ring slots never take this branch
-        pairs = window.view(window.real.dtype)
+        unit_stride = window.strides[-1] == window.itemsize
+        if window.dtype != np.complex64 or not unit_stride:
+            window = window.astype(np.complex64, order="C")  # repro: allow(no-hidden-copy) only complex64 with unit element stride has a float32 (re, im) pair view; chunks and ring slots are complex64
+        pairs = window.view(np.float32)
         if out is None:
             return pairs @ self.real_weights
         expected = (feedline.shape[0], self.n_filters)

@@ -109,6 +109,15 @@ class StandardScaler:
         x /= self.scale_
         return x
 
+    def astype(self, dtype) -> "StandardScaler":
+        """A fitted copy whose statistics are cast to ``dtype``."""
+        if self.mean_ is None or self.scale_ is None:
+            raise NotFittedError("StandardScaler is not fitted")
+        scaler = StandardScaler()
+        scaler.mean_ = self.mean_.astype(dtype)
+        scaler.scale_ = self.scale_.astype(dtype)
+        return scaler
+
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit on ``x`` and return its standardized copy."""
         return self.fit(x).transform(x)

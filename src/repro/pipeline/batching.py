@@ -76,11 +76,17 @@ class MicroBatcher:
         subclass mutating it between batches (:class:`AdaptiveBatcher`)
         resizes the stream on the fly.
 
-        With a :class:`~repro.pipeline.buffers.BufferRing`, each batch's
-        shots are assembled directly into a reused ring slot instead of
-        a freshly allocated ``np.concatenate`` — the consumer must
-        finish with a batch before the ring wraps back around to its
-        slot (one-in-flight for the default two-slot ring).
+        A batch that lies inside one incoming chunk is that chunk's
+        rows, handed off uncopied as a read-only view (the chunk may be
+        a replay corpus later runs read again). Only a batch spanning
+        chunks is copied: with a :class:`~repro.pipeline.buffers
+        .BufferRing`, into a reused complex64 ring slot (sealed at
+        hand-off), otherwise into a fresh ``np.concatenate``. Each
+        uncopied batch is lent to the ring (:meth:`~repro.pipeline
+        .buffers.BufferRing.lend`), so every batch has a ring-owned
+        feature block — the consumer must finish with a batch before the
+        ring reuses its buffers (one-in-flight for the default two-slot
+        ring).
         """
         # Buffered (feedline, levels-or-None) segments, in arrival
         # order. Deque: a chunk stream much finer than the batch size
@@ -92,9 +98,10 @@ class MicroBatcher:
 
         def emit(take: int) -> ShotChunk:
             nonlocal buffered, batch_id
+            head = segments[0][0]
             dest = None
-            if ring is not None:
-                dest = ring.acquire(take, segments[0][0].shape[1])
+            if ring is not None and take > head.shape[0]:
+                dest = ring.acquire(take, head.shape[1])
             feeds: list[np.ndarray] = []
             levels: list[np.ndarray] = []
             labeled = True
@@ -105,7 +112,7 @@ class MicroBatcher:
                 n = feed.shape[0]
                 take_n = min(n, need)
                 if dest is None:
-                    feeds.append(feed if take_n == n else feed[:take_n])
+                    feeds.append(feed[:take_n])
                 else:
                     dest[pos : pos + take_n] = feed[:take_n]
                 pos += take_n
@@ -126,7 +133,11 @@ class MicroBatcher:
                 # sanitizer ring seals the view read-only here).
                 feedline = ring.seal(dest)
             elif len(feeds) == 1:
+                # Inside one chunk: its rows, uncopied and read-only.
                 feedline = feeds[0]
+                feedline.flags.writeable = False
+                if ring is not None:
+                    ring.lend(feedline)
             else:
                 feedline = np.concatenate(feeds)
             batch = ShotChunk(

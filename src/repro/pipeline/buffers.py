@@ -1,17 +1,23 @@
 """Reusable batch buffers for the zero-copy serving loop.
 
-A warm pipeline used to allocate three arrays per micro-batch: the
-concatenated feedline block, the raw feature block, and its standardized
-copy. :class:`BufferRing` preallocates a small ring of paired
-(feedline, features) slots sized for the batcher's largest possible
-emission; :meth:`MicroBatcher.rebatch <repro.pipeline.batching
-.MicroBatcher.rebatch>` assembles each batch directly into a slot's
-feedline buffer, and the engine writes raw scores into the paired
-feature buffer and standardizes them in place — so a steady-state
-serving loop performs no per-batch array allocation at all.
+Serving is float32 from the source chunk to the decision: traces are
+complex64 (the digitizer's own precision) and features float32.
+:class:`BufferRing` preallocates a small ring of paired (complex64
+feedline, float32 features) slots sized for the batcher's largest
+possible emission, plus one float32 feature block for lent batches.
+:meth:`MicroBatcher.rebatch <repro.pipeline.batching
+.MicroBatcher.rebatch>` hands a batch that lies inside one source
+chunk downstream as a read-only view of that chunk, lent to the ring
+(:meth:`BufferRing.lend`), so it is never copied; only a batch
+spanning chunks is assembled into a slot's feedline buffer. Either way
+the engine writes raw scores into the ring-owned feature block
+:meth:`BufferRing.paired_features` returns and standardizes them in
+place, so a steady-state serving loop performs no per-batch array
+allocation at all.
 
 Ownership contract: a slot is valid from :meth:`BufferRing.acquire`
-until the ring wraps back around to it (``slots`` acquisitions later).
+until the ring wraps back around to it (``slots`` acquisitions later),
+and the lent-feature block until the next :meth:`BufferRing.lend`.
 The default two-slot ring therefore supports exactly one batch in
 flight while the next is being assembled; anything holding a batch
 longer — a sink retaining raw traces, a test comparing batches — must
@@ -48,6 +54,9 @@ class _Slot:
 class BufferRing:
     """A fixed ring of reusable (feedline, features) batch buffers.
 
+    Feedline slots are complex64 and feature blocks float32, the serving
+    precision; a batch written into a slot is cast to it.
+
     Parameters
     ----------
     max_batch:
@@ -80,6 +89,10 @@ class BufferRing:
         self._slots = [_Slot() for _ in range(slots)]
         self._next = 0
         self._acquired = 0
+        self._lent: np.ndarray | None = None
+        self._lent_features = np.empty(
+            (self.max_batch, self.n_features), dtype=np.float32
+        )
 
     @property
     def slots(self) -> int:
@@ -104,12 +117,26 @@ class BufferRing:
         self._acquired += 1
         if slot.feedline is None or slot.feedline.shape[1] < trace_len:
             slot.feedline = np.empty(
-                (self.max_batch, trace_len), dtype=np.complex128
+                (self.max_batch, trace_len), dtype=np.complex64
             )
             slot.features = np.empty(
-                (self.max_batch, self.n_features), dtype=np.float64
+                (self.max_batch, self.n_features), dtype=np.float32
             )
         return slot.feedline[:n_shots, :trace_len]
+
+    def lend(self, view: np.ndarray) -> None:
+        """Pair a batch the ring does not hold with its feature block.
+
+        The batcher hands off a batch that lies inside one source chunk
+        as a read-only view of that chunk instead of copying it into a
+        slot; lending it here makes :meth:`paired_features` return the
+        ring's lent-feature block for it, so the engine still scores
+        into ring-owned memory. Acquires no slot. A batch over
+        ``max_batch`` is not paired (the engine allocates, as for an
+        oversized :meth:`acquire`).
+        """
+        if view.shape[0] <= self.max_batch:
+            self._lent = view
 
     def seal(self, view: np.ndarray) -> np.ndarray:
         """Hand-off hook the batcher calls once a batch is assembled.
@@ -121,18 +148,22 @@ class BufferRing:
         return view
 
     def paired_features(self, feedline: np.ndarray) -> np.ndarray | None:
-        """The feature buffer paired with a ring-owned feedline view.
+        """The feature buffer paired with a ring-owned or lent batch.
 
-        Matches by buffer identity — the view's ``.base`` chain is
-        walked to its allocation (sanitizer handles add a view layer) —
-        so only batches actually assembled into this ring get a paired
-        feature block; foreign arrays return ``None`` and the engine
-        scores them into a fresh array.
+        The batch last passed to :meth:`lend` gets the lent-feature
+        block. A slot view matches by buffer identity — its ``.base``
+        chain is walked to its allocation (sanitizer handles add a view
+        layer). Foreign arrays return ``None`` and the engine scores
+        them into a fresh array; that includes arrays over a foreign
+        buffer (a shared-memory mapping, a ``bytearray``), whose chain
+        ends at a non-array object.
         """
+        if feedline is self._lent:
+            return self._lent_features[: feedline.shape[0]]
         base = feedline.base
         if base is None:
             return None
-        while base.base is not None:
+        while isinstance(base, np.ndarray) and base.base is not None:
             base = base.base
         for slot in self._slots:
             if slot.feedline is base:

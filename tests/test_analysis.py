@@ -976,22 +976,26 @@ class TestRingSanitizer:
         assert isinstance(make_buffer_ring(2, 3), GuardedBufferRing)
 
     def test_rebatch_hands_off_sealed_guarded_batches(self):
+        """3-shot chunks under 4-shot batches: every batch spans two
+        chunks, so each is assembled into a guarded ring slot."""
         log = ReportLog()
         ring = GuardedBufferRing(4, 6, slots=2, log=log)
         chunks = [
             ShotChunk(
-                feedline=np.full((4, 5), i + 1, dtype=complex),
-                prepared_levels=np.zeros((4, 2), dtype=np.int64),
+                feedline=np.full((3, 5), i + 1, dtype=np.complex64),
+                prepared_levels=np.zeros((3, 2), dtype=np.int64),
                 chunk_id=i,
             )
-            for i in range(3)
+            for i in range(4)
         ]
         batches = list(MicroBatcher(4).rebatch(chunks, ring=ring))
-        assert len(batches) == 3
+        assert len(batches) == ring.acquired == 3
         last = batches[-1].feedline
         assert isinstance(last, RingSlotView)
         assert not last.flags.writeable  # sealed at hand-off
-        assert np.all(np.asarray(last) == 3.0)
+        # Shots 8..11: the last of chunk 2, then all of chunk 3.
+        assert np.all(np.asarray(last)[:1] == 3.0)
+        assert np.all(np.asarray(last)[1:] == 4.0)
         assert ring.paired_features(last) is not None
         # batches[0] used slot 0, recycled by batches[2]: retaining it
         # past the wrap is the seeded bug.
