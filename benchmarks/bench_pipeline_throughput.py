@@ -45,7 +45,7 @@ import numpy as np
 
 from benchmarks.conftest import record_bench_result, run_once
 from repro.config import get_profile
-from repro.pipeline import MultiFeedlineRunner, PipelineConfig
+from repro.pipeline import EXECUTOR_NAMES, MultiFeedlineRunner, PipelineConfig
 from repro.serve import (
     BatchingSpec,
     CalibrationSpec,
@@ -134,7 +134,7 @@ def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
 def _cluster_sweep(
     profile,
     feedline_counts=(1, 2, 3),
-    executors=("serial", "thread", "process"),
+    executors=EXECUTOR_NAMES,
     shots=2000,
     qubits_per_feedline=5,
     adaptive=True,
@@ -145,8 +145,9 @@ def _cluster_sweep(
     The largest feedline count is primed first (serial, cold) so every
     measured cell serves calibration from the registry; cells then time
     pure streaming + shard dispatch over one persistent warm runner per
-    executor, keeping the best of ``rounds`` repeats. Rounds alternate
-    across executors (thread r0, process r0, thread r1, ...) so slow
+    executor (its prefit forks process shards before any timed round),
+    keeping the best of ``rounds`` repeats. Rounds alternate across
+    executors (serial r0, process r0, serial r1, ...) so slow
     drift on the host — page-cache warming, thermal or neighbor load —
     lands on every backend equally instead of biasing whichever cell
     happens to run last.
@@ -177,6 +178,8 @@ def _cluster_sweep(
                 for executor in executors
             }
             try:
+                for runner in runners.values():
+                    runner.prefit()
                 reports = {executor: [] for executor in executors}
                 for _ in range(rounds):
                     for executor in executors:
@@ -350,9 +353,7 @@ def test_pipeline_cluster_sweep(benchmark, profile):
         adaptive=False,
     )
     assert set(sweep) == {
-        f"feedlines{n}_{ex}"
-        for n in (1, 2)
-        for ex in ("serial", "thread", "process")
+        f"feedlines{n}_{ex}" for n in (1, 2) for ex in EXECUTOR_NAMES
     }
     for cell in sweep.values():
         assert cell["n_shots"] == 600 * cell["n_feedlines"]
@@ -362,7 +363,7 @@ def test_pipeline_cluster_sweep(benchmark, profile):
     # shots to the same labels at a given feedline count.
     for n in (1, 2):
         accs = {sweep[f"feedlines{n}_{ex}"]["accuracy"]
-                for ex in ("serial", "thread", "process")}
+                for ex in EXECUTOR_NAMES}
         assert len(accs) == 1
     record_bench_result("pipeline_cluster_sweep", sweep)
 

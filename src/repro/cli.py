@@ -144,6 +144,9 @@ def build_list_parser() -> argparse.ArgumentParser:
 
 def build_pipeline_parser() -> argparse.ArgumentParser:
     """Parser for the ``repro pipeline`` subcommand (exposed for tests)."""
+    from repro.pipeline.cluster import EXECUTOR_NAMES
+    from repro.serve.spec import ClusterSpec
+
     parser = argparse.ArgumentParser(
         prog="repro pipeline",
         description=(
@@ -170,11 +173,13 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
+        choices=EXECUTOR_NAMES,
+        default=ClusterSpec.executor,
         help=(
-            "shard backend for --feedlines > 1; process workers rebuild "
-            "calibration from registry artifacts (default: thread)"
+            "shard backend for --feedlines > 1: process forks one worker "
+            "per shard, which rebuilds calibration from registry "
+            "artifacts; serial runs every feedline on the calling thread "
+            "(default: %(default)s)"
         ),
     )
     parser.add_argument(
@@ -501,6 +506,9 @@ def build_record_parser() -> argparse.ArgumentParser:
 
 def build_replay_parser() -> argparse.ArgumentParser:
     """Parser for the ``repro replay`` subcommand (exposed for tests)."""
+    from repro.pipeline.cluster import EXECUTOR_NAMES
+    from repro.serve.spec import ClusterSpec
+
     parser = argparse.ArgumentParser(
         prog="repro replay",
         description=(
@@ -527,9 +535,9 @@ def build_replay_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard backend for --feedlines > 1 (default: thread)",
+        choices=EXECUTOR_NAMES,
+        default=ClusterSpec.executor,
+        help="shard backend for --feedlines > 1 (default: %(default)s)",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=256, help="shots per source chunk"

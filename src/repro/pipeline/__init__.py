@@ -22,9 +22,10 @@ online-decoding premise implies:
   ``run(source)`` streams any :class:`TraceSource`, and the registry
   lookup that resolves its fitted model.
 - :mod:`repro.pipeline.cluster` — multi-feedline sharding:
-  :class:`MultiFeedlineRunner` replicates the chain per feedline across
-  pluggable :class:`ShardExecutor` backends (serial/thread/process) and
-  merges the per-feedline reports into one :class:`ClusterReport`.
+  :class:`MultiFeedlineRunner` replicates the chain per feedline, on
+  the calling thread (``serial``) or on a :class:`ProcessShardExecutor`
+  pool (``process``), and merges the per-feedline reports into one
+  :class:`ClusterReport`.
 - :mod:`repro.pipeline.blas` — the per-shard OpenBLAS thread budget
   applied before process shards fork.
 """
@@ -41,10 +42,6 @@ from repro.pipeline.cluster import (
     FeedlineSpec,
     MultiFeedlineRunner,
     ProcessShardExecutor,
-    SerialShardExecutor,
-    ShardExecutor,
-    ThreadShardExecutor,
-    get_shard_executor,
 )
 from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import LatencyStats, PipelineReport, StageTimings
@@ -94,11 +91,7 @@ __all__ = [
     "DriftMonitor",
     "EXECUTOR_NAMES",
     "FeedlineSpec",
-    "ShardExecutor",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "get_shard_executor",
     "ClusterReport",
     "MultiFeedlineRunner",
     "BatchDiscriminationEngine",

@@ -13,18 +13,16 @@ the per-feedline :class:`~repro.pipeline.metrics.PipelineReport` digests
 into one :class:`ClusterReport` (global shots/sec, worst-feedline p99,
 per-feedline FPGA budget verdicts).
 
-Shard execution is pluggable through :class:`ShardExecutor`:
+Shards run on one of two executors:
 
 - ``serial`` — feedlines run one after another on the calling thread
   (deterministic reference, and the profile/debug path). A one-feedline
   serving session is a one-feedline runner on this executor.
-- ``thread`` — a ``ThreadPoolExecutor`` shard per feedline; numpy's BLAS
-  kernels release the GIL, so real work overlaps.
-- ``process`` — a ``ProcessPoolExecutor`` shard per feedline for the
-  python-bound parts of the chain. Workers never receive pickled fitted
-  models: each task carries only the chip parameters, registry
-  coordinates and a picklable traffic factory, and the worker
-  *rebuilds* its discriminator from
+- ``process`` (the default) — a :class:`ProcessShardExecutor` pool with
+  one OS process per shard, for the python-bound parts of the chain.
+  Workers never receive pickled fitted models: each task carries only
+  the chip parameters, registry coordinates and a picklable traffic
+  factory, and the worker *rebuilds* its discriminator from
   :class:`~repro.pipeline.registry.CalibrationRegistry` artifacts (or
   fits and stores them on a cold start).
 
@@ -41,8 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import resource_tracker
@@ -72,12 +69,8 @@ from repro.pipeline.source import TraceSource
 __all__ = [
     "EXECUTOR_NAMES",
     "FeedlineSpec",
-    "ShardExecutor",
-    "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "available_cpus",
-    "get_shard_executor",
     "validate_executor",
     "ClusterReport",
     "MultiFeedlineRunner",
@@ -191,11 +184,11 @@ def _placement_weight(task) -> int:
 def _placement_order(tasks: Sequence) -> list:
     """Greedy longest-first dispatch order for heterogeneous feedlines.
 
-    Pool executors hand tasks to workers in submission order; submitting
-    the heaviest feedlines first keeps a heavy shard from landing last
-    on an otherwise-drained pool and stretching the cluster wall time.
-    Ties keep spec order (stable sort), so homogeneous clusters dispatch
-    exactly as before.
+    The process pool hands tasks to workers in submission order;
+    submitting the heaviest feedlines first keeps a heavy shard from
+    landing last on an otherwise-drained pool and stretching the cluster
+    wall time. Ties keep spec order (stable sort), so homogeneous
+    clusters dispatch exactly as before.
     """
     return sorted(tasks, key=_placement_weight, reverse=True)
 
@@ -235,94 +228,18 @@ def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
     return task.name, report
 
 
-class ShardExecutor(ABC):
-    """Executes feedline tasks; backends differ in where shards run."""
-
-    #: Registry name of the backend (``serial``/``thread``/``process``).
-    name: str = "abstract"
-
-    @abstractmethod
-    def map(
-        self,
-        fn: Callable[[_FeedlineTask], tuple[str, PipelineReport]],
-        tasks: Sequence[_FeedlineTask],
-    ) -> list[tuple[str, PipelineReport]]:
-        """Run ``fn`` over every task, returning results in task order."""
-
-    def close(self) -> None:
-        """Release backend resources. Idempotent."""
-
-
-class SerialShardExecutor(ShardExecutor):
-    """Runs every feedline inline on the calling thread."""
-
-    name = "serial"
-
-    def __init__(self, workers: int = 1) -> None:
-        del workers  # one caller thread, by definition
-
-    def map(self, fn, tasks):
-        return [fn(task) for task in tasks]
-
-
-def _warmup(index: int) -> int:
-    """Pool warm-up task (module-level: process-pool picklable).
-
-    The tiny matmul initializes per-process BLAS state in freshly
-    spawned workers; the short sleep keeps every warm-up task in flight
-    at once, so no single worker can drain the queue and the pool really
-    does spawn all its workers up front (``concurrent.futures`` pools
-    otherwise reuse an idle worker instead of growing).
-    """
-    import time as _time
-
-    import numpy as np
-
-    x = np.full((8, 8), float(index + 1))
-    _time.sleep(0.02)
-    return int((x @ x).shape[0])
-
-
-class _PoolShardExecutor(ShardExecutor):
-    """Shared plumbing for the ``concurrent.futures`` backends."""
-
-    _pool_cls: type
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        self._before_spawn()
-        self._pool = self._pool_cls(max_workers=self.workers)
-        # ``concurrent.futures`` pools spawn workers lazily on first
-        # submit; serving pools are long-lived, so pre-spawn here and
-        # keep cold-start (fork/thread creation) out of the measured
-        # dispatch path.
-        list(self._pool.map(_warmup, range(self.workers)))
-
-    def _before_spawn(self) -> None:
-        """Runs in the creating process before any worker exists."""
-
-    def map(self, fn, tasks):
-        return list(self._pool.map(fn, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ThreadShardExecutor(_PoolShardExecutor):
-    """One thread per shard; BLAS-heavy stages overlap despite the GIL."""
-
-    name = "thread"
-    _pool_cls = ThreadPoolExecutor
-
-
-class ProcessShardExecutor(_PoolShardExecutor):
+class ProcessShardExecutor:
     """One OS process per shard; scales the python-bound stage glue.
 
     Workers rebuild discriminators from calibration-registry artifacts
     (see :func:`_run_feedline`) — fitted models are never pickled across
     the process boundary.
+
+    The pool forks lazily: under the ``fork`` start method (the Linux
+    default), ``ProcessPoolExecutor`` launches all ``workers`` at its
+    first submit. A serving session's ``prefit()`` in ``warm()`` is that
+    first submit, so its first measured run pays no fork. Forked workers
+    inherit the creating process's BLAS state.
 
     BLAS share: before the pool forks, the *creating* process's OpenBLAS
     thread count is lowered to ``max(1, available_cpus() // workers)``
@@ -334,8 +251,7 @@ class ProcessShardExecutor(_PoolShardExecutor):
     creating process after the pool is gone: setting it inside the
     workers, or restoring it after the fork, restarts a helper thread that
     spins for about 0.1 s each time. The inheritance relies on the
-    ``fork`` start method, the Linux default. Without OpenBLAS this is a
-    no-op.
+    ``fork`` start method. Without OpenBLAS this is a no-op.
 
     Resource tracker: the creating process also starts its
     ``multiprocessing`` resource tracker before the pool forks, so every
@@ -344,27 +260,29 @@ class ProcessShardExecutor(_PoolShardExecutor):
     a serving session's live replay segment included.
     """
 
-    name = "process"
-    _pool_cls = ProcessPoolExecutor
-
-    def _before_spawn(self) -> None:
-        limit_openblas_threads(max(1, available_cpus() // self.workers))
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        limit_openblas_threads(max(1, available_cpus() // workers))
         resource_tracker.ensure_running()
+        self._executor = ProcessPoolExecutor(max_workers=workers)
 
+    def map(self, fn: Callable, tasks: Sequence) -> list:
+        """Run ``fn`` over every task, returning results in task order."""
+        return list(self._executor.map(fn, tasks))
 
-_EXECUTORS: dict[str, type[ShardExecutor]] = {
-    cls.name: cls
-    for cls in (SerialShardExecutor, ThreadShardExecutor, ProcessShardExecutor)
-}
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers. Idempotent."""
+        self._executor.shutdown(wait=True)
 
 
 #: Valid ``executor=`` names, in documentation order.
-EXECUTOR_NAMES = tuple(_EXECUTORS)
+EXECUTOR_NAMES = ("serial", "process")
 
 
 def validate_executor(name: str) -> str:
     """Check a shard-executor name; returns it for chaining."""
-    if name not in _EXECUTORS:
+    if name not in EXECUTOR_NAMES:
         known = ", ".join(EXECUTOR_NAMES)
         raise ConfigurationError(
             f"unknown shard executor {name!r}; expected one of: {known}"
@@ -378,11 +296,6 @@ def available_cpus() -> int:
         return max(len(os.sched_getaffinity(0)), 1)
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def get_shard_executor(name: str, workers: int = 1) -> ShardExecutor:
-    """Build a shard executor backend by name."""
-    return _EXECUTORS[validate_executor(name)](workers)
 
 
 @dataclass
@@ -558,13 +471,12 @@ class MultiFeedlineRunner:
     profile:
         Sizing profile shared by every feedline's calibration.
     executor:
-        Shard backend: ``serial``, ``thread``, or ``process``.
+        Shard backend: ``process`` (default) or ``serial``.
     workers:
-        Shard workers; defaults to one per feedline, capped at the CPU
-        count (oversubscribing cores costs throughput on every backend
-        — forked shards timesharing one core additionally thrash the
-        cache across address spaces). ``serial`` always runs (and
-        reports) one worker, whatever is asked.
+        Process shards; defaults to one per feedline, capped at the CPU
+        count (forked shards timesharing one core thrash the cache
+        across address spaces). ``serial`` always runs (and reports)
+        one worker, whatever is asked.
     config:
         Per-feedline runtime config (batching, backpressure, adaptive
         batching, drift detection).
@@ -573,7 +485,7 @@ class MultiFeedlineRunner:
     registry_dir:
         Shared calibration-registry root. ``None`` makes every shard fit
         its own calibration from scratch (no artifacts stored) — fine
-        for ``serial``/``thread``, wasteful but correct for ``process``.
+        for ``serial``, wasteful but correct for ``process``.
     design:
         Registered discriminator design served on every feedline; must
         resolve to the MLR family (checked here, once).
@@ -584,7 +496,7 @@ class MultiFeedlineRunner:
         feedlines: Sequence[FeedlineSpec | ChipConfig],
         profile: Profile,
         *,
-        executor: str = "thread",
+        executor: str = "process",
         workers: int | None = None,
         config: PipelineConfig | None = None,
         chunk_size: int = 256,
@@ -622,7 +534,9 @@ class MultiFeedlineRunner:
             str(registry_dir) if registry_dir is not None else None
         )
         self.design = design
-        self._shard_executor: ShardExecutor | None = None
+        # The process shard pool, forked by the first _map() call and
+        # kept across calls until close() (or a failed call) drops it.
+        self._pool: ProcessShardExecutor | None = None
         # Calibration-artifact version served per feedline name. Hot
         # recalibration bumps these atomically (plain dict assignment
         # under the GIL) so the next run() serves the new artifacts
@@ -637,40 +551,40 @@ class MultiFeedlineRunner:
             spec.name: spec.chip for spec in self.feedlines
         }
 
-    def _get_executor(self) -> ShardExecutor:
-        """The runner's long-lived shard pool (created on first use).
+    def _map(self, fn: Callable, tasks: Sequence) -> list:
+        """Run ``fn`` over ``tasks`` heaviest-first; results in that order.
 
-        Serving pools persist across streams: repeated :meth:`run` calls
-        reuse warm workers instead of re-spawning them. Release with
-        :meth:`close` (or use the runner as a context manager).
+        The one shard path of :meth:`prefit`, :meth:`recalibrate` and
+        :meth:`dispatch`. ``serial`` runs every task on the calling
+        thread; ``process`` runs them on the runner's pool, forked on
+        first use and reused by later calls. A failed call closes the
+        pool — a dead shard leaves it broken — so the next call forks a
+        fresh one.
         """
-        if self._shard_executor is None:
-            self._shard_executor = get_shard_executor(
-                self.executor, self.workers
-            )
-        return self._shard_executor
-
-    def prewarm(self) -> "MultiFeedlineRunner":
-        """Spawn the shard pool now instead of on the first :meth:`run`.
-
-        Long-lived serving sessions (:class:`repro.serve.ReadoutService`)
-        call this during warm-up so the first measured run pays no pool
-        cold-start.
-        """
-        self._get_executor()
-        return self
+        ordered = _placement_order(tasks)
+        try:
+            if self.executor == "serial":
+                return [fn(task) for task in ordered]
+            if self._pool is None:
+                self._pool = ProcessShardExecutor(self.workers)
+            return self._pool.map(fn, ordered)
+        except BaseException:
+            self.close()
+            raise
 
     def prefit(self) -> int:
         """Resolve every feedline's calibration through the shard pool.
 
         Dispatches calibration-only tasks (no streaming) over the
         runner's executor, so cold fits for distinct feedlines run as
-        concurrently as serving does — thread shards fit on parallel
-        threads, process shards fit in the workers that later serve
-        them, with artifacts handed off through the shared registry.
-        Heaviest feedlines fit first (same greedy longest-first order as
-        serving); same-key feedlines stay fit-once via the registry's
-        fit locks. Returns the number of cold fits performed.
+        concurrently as serving does: process shards fit in the workers
+        that later serve them, with artifacts handed off through the
+        shared registry. On ``process`` the first call forks the pool,
+        which is how a serving session's ``warm()`` keeps the fork out
+        of its first run. Heaviest feedlines fit first (same greedy
+        longest-first order as serving); same-key feedlines stay
+        fit-once via the registry's fit locks. Returns the number of
+        cold fits performed.
         """
         if self.registry_dir is None:
             raise ConfigurationError(
@@ -688,9 +602,7 @@ class MultiFeedlineRunner:
             )
             for spec in self.feedlines
         ]
-        results = self._get_executor().map(
-            _prefit_feedline, _placement_order(tasks)
-        )
+        results = self._map(_prefit_feedline, tasks)
         return sum(0 if cached else 1 for _, cached in results)
 
     def artifact_versions(self) -> dict[str, int]:
@@ -775,9 +687,7 @@ class MultiFeedlineRunner:
             )
             for spec in self.feedlines
         ]
-        results = self._get_executor().map(
-            _prefit_feedline, _placement_order(tasks)
-        )
+        results = self._map(_prefit_feedline, tasks)
         # Swap only after every feedline's new artifact is on disk.
         self._versions = next_versions
         self._calibration_chips = {
@@ -786,10 +696,10 @@ class MultiFeedlineRunner:
         return sum(0 if cached else 1 for _, cached in results)
 
     def close(self) -> None:
-        """Shut down the shard pool. Idempotent; :meth:`run` revives it."""
-        if self._shard_executor is not None:
-            self._shard_executor.close()
-            self._shard_executor = None
+        """Shut down the shard pool. Idempotent; the next call forks anew."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     def __enter__(self) -> "MultiFeedlineRunner":
         return self
@@ -899,20 +809,12 @@ class MultiFeedlineRunner:
         dispatch, so the dispatch order cannot change any result.
         """
         tasks = self._tasks(traffic)
-        shard_executor = self._get_executor()
-        ordered = _placement_order(tasks)
-        try:
-            # The timed window covers dispatch and shard execution only:
-            # pool spawn (pre-warmed at construction) and teardown are
-            # serving-lifetime costs, not per-stream throughput.
-            wall_start = time.perf_counter()
-            results = shard_executor.map(_run_feedline, ordered)
-            wall = time.perf_counter() - wall_start
-        except BaseException:
-            # A failed dispatch may leave the pool wedged; rebuild it on
-            # the next run rather than reusing a broken executor.
-            self.close()
-            raise
+        # The timed window covers dispatch and shard execution: a warm
+        # session forked its pool in prefit(), and teardown is a
+        # serving-lifetime cost, not per-stream throughput.
+        wall_start = time.perf_counter()
+        results = self._map(_run_feedline, tasks)
+        wall = time.perf_counter() - wall_start
 
         # Reports keep declared feedline order regardless of placement.
         by_name = dict(results)
@@ -927,7 +829,7 @@ class MultiFeedlineRunner:
             # sub-resolution wall reports 0.0, "not measurable".
             shots_per_second=total_shots / wall if wall > 0 else 0.0,
             feedline_reports=reports,
-            placement={task.name: slot for slot, task in enumerate(ordered)},
+            placement={name: slot for slot, (name, _) in enumerate(results)},
         )
 
     def publish_replay(

@@ -52,11 +52,12 @@ _SLUG = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSIONED_STEM = re.compile(r"^(?P<qubit>.+)\.v(?P<version>\d+)$")
 
 #: Process-wide per-(root, key) fit locks: concurrent ``get_or_fit`` calls
-#: for the same artifact — e.g. identical feedlines sharded across thread
-#: workers — serialize here so exactly one fits and the rest get the
-#: warm artifact. Keyed by the resolved root so two registry *instances*
-#: over the same directory still share a lock. In-process only; separate
-#: OS processes coordinate through :func:`_artifact_file_lock` (an
+#: for the same artifact from threads of one process — e.g. two user
+#: threads warming sessions over identical feedlines — serialize here so
+#: exactly one fits and the rest get the warm artifact. Keyed by the
+#: resolved root so two registry *instances* over the same directory
+#: still share a lock. In-process only; separate OS processes (process
+#: shards included) coordinate through :func:`_artifact_file_lock` (an
 #: advisory ``flock`` sidecar held across the cold fit), falling back to
 #: the atomic rename in :meth:`CalibrationRegistry.save` where locking
 #: is unavailable (a duplicated fit there is wasted work, never a
@@ -216,9 +217,8 @@ def _unlink_lock_sidecar(artifact_path: Path) -> None:
 #: process is picked up, not masked. Bounded (artifacts hold NN weights
 #: and matched-filter kernels); keyed like the fit locks so registry
 #: instances over the same root share entries. Discriminator predict
-#: paths are read-only, so sharing one instance across shard threads is
-#: safe — the single-feedline engine already shares one across channel
-#: workers.
+#: paths are read-only, so sharing one instance across threads of one
+#: process is safe.
 _MEMORY_CACHE: dict[
     tuple[str, "CalibrationKey"], tuple[tuple[int, int], Discriminator]
 ] = {}

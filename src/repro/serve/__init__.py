@@ -10,9 +10,9 @@ paper's *persistent* datapath explicit:
   all-errors-at-once validation. Every other configuration surface
   (``PipelineConfig``, ``repro pipeline`` flags) is derived from it.
 - :mod:`repro.serve.service` — :class:`ReadoutService`, the long-lived
-  session: ``warm()`` once (pre-fit/load all discriminators, pre-spawn
-  shard pools), then ``run()`` repeatedly with zero refits — unless a
-  run's online drift score trips the alarm and the spec's
+  session: ``warm()`` once (pre-fit/load all discriminators, which
+  forks the shard pool), then ``run()`` repeatedly with zero refits —
+  unless a run's online drift score trips the alarm and the spec's
   recalibration is enabled, in which case the service refits through
   the shard pool and hot-swaps the next artifact version without
   dropping the session — accumulating cumulative :class:`ServiceStats`.

@@ -3,8 +3,8 @@
 The paper's readout datapath is persistent: calibrated once, then
 discriminating shots continuously. :class:`ReadoutService` is that shape
 as an API — it resolves a :class:`~repro.serve.spec.ServeSpec` once,
-pre-warms the shard executors, pre-fits or loads every per-feedline
-discriminator (:meth:`ReadoutService.warm`), and then serves repeated
+pre-fits or loads every per-feedline discriminator on the shards that
+will serve it (:meth:`ReadoutService.warm`), and then serves repeated
 :meth:`ReadoutService.run` calls against the warm state. Every session
 serves through its :class:`~repro.pipeline.cluster.MultiFeedlineRunner`;
 a one-feedline session is a one-feedline cluster on the calling thread.
@@ -272,12 +272,13 @@ class ReadoutService:
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
     session's :class:`~repro.pipeline.cluster.MultiFeedlineRunner`,
-    pre-spawns its shard pool, pre-fits or loads every discriminator,
-    and opens the one-feedline backend or publishes a multi-feedline
-    replay corpus to shared memory; :meth:`run` streams traffic through
-    the runner's one dispatch; :meth:`close` releases the pool, the
-    backend, the replay segment and any session-private registry. The
-    service is reusable after ``close`` — the next ``run`` re-warms.
+    pre-fits or loads every discriminator through it (forking a
+    process shard pool), and opens the one-feedline backend or
+    publishes a multi-feedline replay corpus to shared memory;
+    :meth:`run` streams traffic through the runner's one dispatch;
+    :meth:`close` releases the pool, the backend, the replay segment
+    and any session-private registry. The service is reusable after
+    ``close`` — the next ``run`` re-warms.
     """
 
     def __init__(
@@ -405,11 +406,12 @@ class ReadoutService:
         """Resolve the spec and pre-warm all serving state. Idempotent.
 
         Fits (or loads) every per-feedline discriminator through the
-        calibration registry and pre-spawns the shard pools, so
-        subsequent :meth:`run` calls measure pure serving. When the spec
-        names no ``registry_dir``, the session owns a private temporary
-        registry, discarded on :meth:`close` — even then, repeated runs
-        within the session never refit.
+        calibration registry on the runner's shards; on ``process`` that
+        first call forks the shard pool, so subsequent :meth:`run` calls
+        measure pure serving. When the spec names no ``registry_dir``,
+        the session owns a private temporary registry, discarded on
+        :meth:`close` — even then, repeated runs within the session
+        never refit.
         """
         if self._warmed:
             return self
@@ -467,9 +469,9 @@ class ReadoutService:
             design=spec.calibration.design,
         )
         self._runner = runner  # before prefit: errors must close it
-        # Pool first, then calibration *through* the pool: cold fits
-        # for distinct feedlines run as concurrently as serving.
-        runner.prewarm()
+        # Calibration *through* the pool: cold fits for distinct
+        # feedlines run as concurrently as serving, and this first
+        # call forks the process shards before any measured run.
         cold_fits = runner.prefit()
         if single:
             # Resolve the traffic endpoint through the backend registry

@@ -254,9 +254,9 @@ class ClusterSpec(_Section):
         Readout groups to serve, one discrimination chain each; ``1`` is
         a one-feedline cluster.
     executor:
-        Shard backend for multi-feedline serving (``serial``/``thread``/
-        ``process``); validated — but inert — with one feedline, which
-        always runs on the calling thread (``serial``).
+        Shard backend for multi-feedline serving: ``process`` (one OS
+        process per shard) or ``serial`` (the calling thread). Validated
+        — but inert — with one feedline, which always runs ``serial``.
     workers:
         Shard workers (``None``: one per feedline, capped at the CPU
         count).
@@ -267,7 +267,7 @@ class ClusterSpec(_Section):
     """
 
     feedlines: int = 1
-    executor: str = "thread"
+    executor: str = "process"
     workers: int | None = None
     qubits_per_feedline: int | None = None
 

@@ -854,7 +854,7 @@ class TestWarmReplaySession:
         try:
             expected = counts_by_feedline(service.run())
             (segment,) = shm_names() - before
-            shards = service._runner._get_executor()._pool._processes
+            shards = service._runner._pool._executor._processes
             victim = next(iter(shards.values()))
             os.kill(victim.pid, signal.SIGKILL)
             assert wait([victim.sentinel], timeout=10)

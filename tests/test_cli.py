@@ -216,8 +216,12 @@ class TestPipelineSubcommand:
             assert feedline["details"]["adaptive_batching"] is True
 
     def test_pipeline_rejects_unknown_executor(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["pipeline", "--feedlines", "2", "--executor", "gpu"])
+        for executor in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                cli.main(
+                    ["pipeline", "--feedlines", "2", "--executor", executor]
+                )
+            assert f"invalid choice: {executor!r}" in capsys.readouterr().err
 
     def test_pipeline_dispatches_with_options_first(self, capsys, shared_registry):
         code = cli.main(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.physics.device import (
     make_feedline_chip,
     multi_feedline_chips,
 )
+from repro.physics.drift import DEMO_DRIFT
 from repro.pipeline import (
     EXECUTOR_NAMES,
     AdaptiveBatcher,
@@ -26,11 +31,9 @@ from repro.pipeline import (
     MultiFeedlineRunner,
     PipelineConfig,
     ProcessShardExecutor,
-    SerialShardExecutor,
     ShotChunk,
-    ThreadShardExecutor,
-    get_shard_executor,
 )
+from repro.pipeline.cluster import validate_executor
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -108,37 +111,61 @@ class TestFeedlineChipFactory:
             multi_feedline_chips(0)
 
 
-def _double(x: int) -> int:
+def _task_name(task) -> str:
     """Module-level so the process executor can pickle it."""
-    return 2 * x
+    return task.name
 
 
 class TestShardExecutors:
     def test_names_cover_all_backends(self):
-        assert EXECUTOR_NAMES == ("serial", "thread", "process")
+        assert EXECUTOR_NAMES == ("serial", "process")
 
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_map_preserves_task_order(self, name):
-        executor = get_shard_executor(name, workers=2)
-        try:
-            assert executor.map(_double, [3, 1, 2]) == [6, 2, 4]
-        finally:
-            executor.close()
+        # Results come back in dispatch order on either path: heaviest
+        # first, equal weights in declared order.
+        light = make_feedline_chip(0, n_qubits=1, trace_len=80)
+        heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
+        specs = [
+            FeedlineSpec("light", light),
+            FeedlineSpec("heavy", heavy),
+            FeedlineSpec("light-too", light),
+        ]
+        with MultiFeedlineRunner(
+            specs, tiny_profile(), executor=name, workers=2
+        ) as runner:
+            tasks = runner._tasks(runner._simulated_traffic(10, None))
+            assert runner._map(_task_name, tasks) == [
+                "heavy", "light", "light-too"
+            ]
 
     def test_unknown_executor_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown shard executor"):
-            get_shard_executor("gpu")
+        # "thread" is not an executor: it fails like any unknown name.
+        for name in ("gpu", "thread"):
+            with pytest.raises(
+                ConfigurationError, match="unknown shard executor"
+            ):
+                validate_executor(name)
 
     def test_pool_executors_reject_bad_workers(self):
         with pytest.raises(ConfigurationError):
-            ThreadShardExecutor(0)
-        with pytest.raises(ConfigurationError):
             ProcessShardExecutor(0)
 
-    def test_serial_close_is_idempotent(self):
-        executor = SerialShardExecutor()
-        executor.close()
-        executor.close()
+    def test_serial_close_is_idempotent(self, feedline_chips, warm_registry):
+        for executor in EXECUTOR_NAMES:
+            runner = MultiFeedlineRunner(
+                feedline_chips,
+                tiny_profile(),
+                executor=executor,
+                config=PipelineConfig(batch_size=10),
+                registry_dir=warm_registry,
+            )
+            if executor == "process":
+                runner.run(10)
+                assert runner._pool is not None
+            runner.close()
+            runner.close()
+            assert runner._pool is None, executor
 
 
 class TestClusterValidation:
@@ -152,10 +179,13 @@ class TestClusterValidation:
             MultiFeedlineRunner(specs, tiny_profile())
 
     def test_rejects_unknown_executor(self, feedline_chips):
-        with pytest.raises(ConfigurationError, match="unknown shard executor"):
-            MultiFeedlineRunner(
-                feedline_chips, tiny_profile(), executor="gpu"
-            )
+        for name in ("gpu", "thread"):
+            with pytest.raises(
+                ConfigurationError, match=f"unknown shard executor '{name}'"
+            ):
+                MultiFeedlineRunner(
+                    feedline_chips, tiny_profile(), executor=name
+                )
 
     def test_rejects_non_streamable_design(self, feedline_chips):
         # Checked once at construction, not per shard at dispatch time.
@@ -206,13 +236,12 @@ class TestClusterDeterminism:
 
     def test_identical_assignment_counts_across_executors(self, per_executor):
         serial = per_executor["serial"]
-        for executor in ("thread", "process"):
-            other = per_executor[executor]
-            for name, report in serial.feedline_reports.items():
-                assert (
-                    other.feedline_reports[name].assignment_counts
-                    == report.assignment_counts
-                ), f"{executor} diverged on {name}"
+        process = per_executor["process"]
+        for name, report in serial.feedline_reports.items():
+            assert (
+                process.feedline_reports[name].assignment_counts
+                == report.assignment_counts
+            ), f"process diverged on {name}"
 
     def test_identical_accuracy_across_executors(self, per_executor):
         accuracies = {
@@ -232,9 +261,9 @@ class TestClusterDeterminism:
         # One shard worker vs one worker per feedline: same traffic,
         # same labels, only the schedule differs.
         narrow = self._run(
-            feedline_chips, warm_registry, "thread", workers=1
+            feedline_chips, warm_registry, "process", workers=1
         )
-        wide = per_executor["thread"]
+        wide = per_executor["process"]
         for name, report in narrow.feedline_reports.items():
             assert (
                 wide.feedline_reports[name].assignment_counts
@@ -332,7 +361,7 @@ class TestPrefit:
         with MultiFeedlineRunner(
             feedline_chips,
             tiny_profile(),
-            executor="thread",
+            executor="process",
             registry_dir=tmp_path,
         ) as runner:
             assert runner.prefit() == 2, "one cold fit per feedline"
@@ -350,6 +379,40 @@ class TestPrefit:
         ) as runner:
             with pytest.raises(ConfigurationError, match="registry"):
                 runner.prefit()
+
+
+class TestBrokenPoolRecovery:
+    """A dead process shard costs one failed call, never a dead runner."""
+
+    @pytest.mark.parametrize("call", ["prefit", "recalibrate"])
+    def test_call_after_shard_kill_forks_a_fresh_pool(
+        self, call, feedline_chips, tmp_path
+    ):
+        calls = {
+            "prefit": lambda runner: runner.prefit(),
+            "recalibrate": lambda runner: runner.recalibrate(
+                DEMO_DRIFT, 1000
+            ),
+        }
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="process",
+            workers=2,
+            config=PipelineConfig(batch_size=20),
+            registry_dir=tmp_path,
+        ) as runner:
+            runner.prefit()
+            victim = next(iter(runner._pool._executor._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=10)
+            with pytest.raises(BrokenProcessPool):
+                calls[call](runner)
+            calls[call](runner)
+            report = runner.run(20)
+        assert all(
+            r.calibration_cached for r in report.feedline_reports.values()
+        )
 
 
 class TestClusterReportAggregation:
@@ -502,7 +565,8 @@ class TestRegistryShardingIsolation:
 
         monkeypatch.setattr(MLRDiscriminator, "fit", counting_fit)
         kwargs = dict(
-            executor="thread",
+            # Serial: the fit counter lives in this process.
+            executor="serial",
             config=PipelineConfig(batch_size=20),
             registry_dir=tmp_path,
         )
@@ -521,19 +585,12 @@ class TestRegistryShardingIsolation:
         assert warm.accuracy == cold.accuracy
 
     def test_identical_feedlines_share_one_artifact(
-        self, tmp_path, feedline_chips, monkeypatch
+        self, tmp_path, feedline_chips
     ):
         # Two feedlines with the same chip and registry device resolve to
-        # the same CalibrationKey: the cold threaded run must fit exactly
-        # once, with the second shard served from the first's artifact.
-        fits: list[int] = []
-        original_fit = MLRDiscriminator.fit
-
-        def counting_fit(self, corpus, indices):
-            fits.append(1)
-            return original_fit(self, corpus, indices)
-
-        monkeypatch.setattr(MLRDiscriminator, "fit", counting_fit)
+        # the same CalibrationKey: the cold run on two process shards
+        # must fit exactly once (the registry's flock sidecar), with the
+        # second shard served from the first's artifact.
         chip = feedline_chips[0]
         specs = [
             FeedlineSpec("fl-a", chip, device="shared-group"),
@@ -543,11 +600,12 @@ class TestRegistryShardingIsolation:
             tiny_profile(),
             20,
             specs,
-            executor="thread",
+            executor="process",
+            workers=2,
             config=PipelineConfig(batch_size=20),
             registry_dir=tmp_path,
         )
-        assert len(fits) == 1, "shared key must fit once across shards"
+        # A second fit would report its feedline cold: [False, False].
         cached = sorted(
             r.calibration_cached for r in report.feedline_reports.values()
         )

@@ -136,32 +136,36 @@ class TestServeSpecRoundTrip:
 
 class TestServeSpecValidation:
     def test_from_dict_reports_every_problem_at_once(self):
-        bad = {
-            "traffic": {"shots": 0, "chunk_size": -2, "bogus": 1},
-            # channel_workers is a retired knob: old spec files that
-            # still set it fail loudly instead of being ignored.
-            "cluster": {"feedlines": 0, "executor": "gpu",
-                        "channel_workers": 2},
-            "batching": {"batch_size": 0, "adaptive": "yes"},
-            "calibration": {"design": ""},
-            "networking": {},
-        }
-        with pytest.raises(ConfigurationError) as excinfo:
-            ServeSpec.from_dict(bad)
-        message = str(excinfo.value)
-        for fragment in (
-            "traffic.shots",
-            "traffic.chunk_size",
-            "traffic.bogus",
-            "cluster.feedlines",
-            "cluster.executor",
-            "cluster.channel_workers: unknown field",
-            "batching.batch_size",
-            "batching.adaptive",
-            "calibration.design",
-            "networking: unknown section",
-        ):
-            assert fragment in message, fragment
+        # "thread" is not an executor: old spec files that still name it
+        # fail by name, like any unknown executor.
+        for executor in ("gpu", "thread"):
+            bad = {
+                "traffic": {"shots": 0, "chunk_size": -2, "bogus": 1},
+                # channel_workers is a retired knob: old spec files that
+                # still set it fail loudly instead of being ignored.
+                "cluster": {"feedlines": 0, "executor": executor,
+                            "channel_workers": 2},
+                "batching": {"batch_size": 0, "adaptive": "yes"},
+                "calibration": {"design": ""},
+                "networking": {},
+            }
+            with pytest.raises(ConfigurationError) as excinfo:
+                ServeSpec.from_dict(bad)
+            message = str(excinfo.value)
+            for fragment in (
+                "traffic.shots",
+                "traffic.chunk_size",
+                "traffic.bogus",
+                "cluster.feedlines",
+                "cluster.executor must be one of: serial, process; "
+                f"got {executor!r}",
+                "cluster.channel_workers: unknown field",
+                "batching.batch_size",
+                "batching.adaptive",
+                "calibration.design",
+                "networking: unknown section",
+            ):
+                assert fragment in message, fragment
 
     def test_direct_section_construction_reports_all_its_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -270,8 +274,9 @@ class TestServeSpecValidation:
         BatchingSpec(adaptive=False, batch_size=64, max_batch_size=8)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            ClusterSpec(executor="gpu")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(ConfigurationError, match="executor"):
+                ClusterSpec(executor=executor)
 
     def test_sections_must_be_spec_instances(self):
         with pytest.raises(ConfigurationError, match="traffic"):
@@ -426,6 +431,24 @@ class TestReadoutServiceWarmReuse:
         assert not Path(private_root).exists()
         assert service.registry_dir is None
 
+    def test_warm_forks_every_process_shard_before_any_run(self, tmp_path):
+        spec = ServeSpec(
+            cluster=ClusterSpec(
+                feedlines=2,
+                executor="process",
+                workers=2,
+                qubits_per_feedline=2,
+            ),
+            calibration=CalibrationSpec(
+                registry_dir=str(tmp_path / "registry")
+            ),
+        )
+        with ReadoutService(spec, profile=tiny_profile()) as service:
+            shards = service._runner._pool._executor._processes
+            assert service.stats.n_runs == 0
+            assert len(shards) == 2
+            assert all(shard.is_alive() for shard in shards.values())
+
     def test_failed_warm_releases_pool_and_temp_registry(self, monkeypatch):
         from repro.exceptions import DataError
         from repro.pipeline.cluster import MultiFeedlineRunner
@@ -438,7 +461,7 @@ class TestReadoutServiceWarmReuse:
         monkeypatch.setattr(MultiFeedlineRunner, "prefit", failing_prefit)
         spec = ServeSpec(
             cluster=ClusterSpec(
-                feedlines=2, executor="thread", qubits_per_feedline=2
+                feedlines=2, executor="process", qubits_per_feedline=2
             )
         )
         service = ReadoutService(spec, profile=tiny_profile())
@@ -676,15 +699,19 @@ class TestServeCli:
 
     def test_serve_reports_every_spec_problem(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "traffic": {"shots": 0},
-            "cluster": {"executor": "gpu"},
-        }))
-        with pytest.raises(ConfigurationError) as excinfo:
-            cli.main(["serve", "--spec", str(path)])
-        message = str(excinfo.value)
-        assert "traffic.shots" in message
-        assert "cluster.executor" in message
+        for executor in ("gpu", "thread"):
+            path.write_text(json.dumps({
+                "traffic": {"shots": 0},
+                "cluster": {"executor": executor},
+            }))
+            with pytest.raises(ConfigurationError) as excinfo:
+                cli.main(["serve", "--spec", str(path)])
+            message = str(excinfo.value)
+            assert "traffic.shots" in message
+            assert (
+                "cluster.executor must be one of: serial, process; "
+                f"got {executor!r}"
+            ) in message
 
     def test_legacy_positional_form_forwards_seed(
         self, capsys, tmp_path, spec_file
@@ -1006,7 +1033,7 @@ class TestRunFailureCleanup:
         spec = ServeSpec(
             traffic=TrafficSpec(shots=20, chunk_size=10),
             cluster=ClusterSpec(
-                feedlines=2, executor="thread", qubits_per_feedline=2
+                feedlines=2, executor="process", qubits_per_feedline=2
             ),
             batching=BatchingSpec(batch_size=10),
         )
