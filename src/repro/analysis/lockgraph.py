@@ -1,7 +1,7 @@
 """Runtime lock-order detection for the serving stack.
 
 The calibration→serve hand-off holds several locks with nesting — the
-registry's per-key fit locks, its memory-cache guard, the flock
+registry's per-key fit locks and their guard, the flock
 ``.npz.lock`` sidecar, and each serving session's recalibration gate. A
 consistent global acquisition order is what makes that deadlock-free,
 and this module machine-checks it at runtime:

@@ -455,7 +455,7 @@ class AllConsistencyChecker(Checker):
 _LOCK_FACTORY_NAMES = frozenset({"trace_lock", "Lock", "RLock"})
 
 #: Receiver names that read as locks when used as ``with`` contexts
-#: (``self._lock``, ``gate``, ``_MEMORY_CACHE_GUARD``, ``_fit_lock(...)``).
+#: (``self._lock``, ``gate``, ``_FIT_LOCKS_GUARD``, ``_fit_lock(...)``).
 _LOCKISH_NAME = re.compile(
     r"(?:^|_)(?:lock|gate|guard|mutex)s?$", re.IGNORECASE
 )

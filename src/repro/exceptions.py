@@ -29,3 +29,7 @@ class ShapeError(ReproError, ValueError):
 
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative algorithm failed to converge within its budget."""
+
+
+class ShardCrashedError(ReproError, RuntimeError):
+    """A process shard died or its pipe broke in the middle of a call."""

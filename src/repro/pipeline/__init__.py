@@ -22,10 +22,11 @@ online-decoding premise implies:
   ``run(source)`` streams any :class:`TraceSource`, and the registry
   lookup that resolves its fitted model.
 - :mod:`repro.pipeline.cluster` — multi-feedline sharding:
-  :class:`MultiFeedlineRunner` replicates the chain per feedline, on
-  the calling thread (``serial``) or on a :class:`ProcessShardExecutor`
-  pool (``process``), and merges the per-feedline reports into one
-  :class:`ClusterReport`.
+  :class:`MultiFeedlineRunner` replicates the chain per feedline in
+  feedline workers that keep it warm across runs, on the
+  calling thread (``serial``) or in the long-lived processes of a
+  :class:`ProcessShardExecutor` (``process``), and merges the
+  per-feedline reports into one :class:`ClusterReport`.
 - :mod:`repro.pipeline.blas` — the per-shard OpenBLAS thread budget
   applied before process shards fork.
 """

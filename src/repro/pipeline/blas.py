@@ -6,8 +6,8 @@ those helpers busy-wait for more work. Two shards with one helper each
 on a two-CPU box spend their time spinning against each other's compute.
 :class:`~repro.pipeline.cluster.ProcessShardExecutor` therefore lowers
 the creating process's OpenBLAS thread count to its per-shard share
-before the pool forks. Forked shards inherit the count; with a share of
-one they never start a spinning helper.
+before it forks its shard workers. Forked workers inherit the count;
+with a share of one they never start a spinning helper.
 
 The library numpy already loaded is found through ``/proc/self/maps``
 and driven with stdlib ``ctypes``, so no extra dependency is needed.

@@ -138,6 +138,16 @@ class BufferRing:
         if view.shape[0] <= self.max_batch:
             self._lent = view
 
+    def release(self) -> None:
+        """Forget the lent batch; the ring then holds no source memory.
+
+        A ring reused across runs calls this when a run ends: the last
+        lent view would otherwise outlive the run, and once its source
+        is gone — a replay segment a worker unmaps — it points at memory
+        that is no longer mapped.
+        """
+        self._lent = None
+
     def seal(self, view: np.ndarray) -> np.ndarray:
         """Hand-off hook the batcher calls once a batch is assembled.
 

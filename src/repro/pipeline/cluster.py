@@ -13,33 +13,44 @@ the per-feedline :class:`~repro.pipeline.metrics.PipelineReport` digests
 into one :class:`ClusterReport` (global shots/sec, worst-feedline p99,
 per-feedline FPGA budget verdicts).
 
-Shards run on one of two executors:
+Like the paper's datapath, a shard is calibrated once and then serves
+continuously: each one is a :class:`FeedlineWorker` that lives for a
+warm cycle, from the runner's first call to its
+:meth:`~MultiFeedlineRunner.close`, and keeps, per feedline, the served
+version's discriminator and its
+:class:`~repro.pipeline.runner.ReadoutPipeline` (engine, fused-bank
+cache, buffer ring), plus one mapping per replay segment. A run sends
+each worker only what changes per run — the served version with its
+device snapshot, and the traffic builder — and gets the feedline reports
+back. Workers run on one of two executors:
 
-- ``serial`` — feedlines run one after another on the calling thread
-  (deterministic reference, and the profile/debug path). A one-feedline
-  serving session is a one-feedline runner on this executor.
-- ``process`` (the default) — a :class:`ProcessShardExecutor` pool with
-  one OS process per shard, for the python-bound parts of the chain.
-  Workers never receive pickled fitted models: each task carries only
-  the chip parameters, registry coordinates and a picklable traffic
-  factory, and the worker *rebuilds* its discriminator from
-  :class:`~repro.pipeline.registry.CalibrationRegistry` artifacts (or
-  fits and stores them on a cold start).
+- ``serial`` — one worker on the calling thread runs every feedline, one
+  after another (deterministic reference, and the profile/debug path).
+  A one-feedline serving session is a one-feedline runner on this
+  executor.
+- ``process`` (the default) — a :class:`ProcessShardExecutor`: long-lived
+  processes forked at the runner's first call, each owning a fixed set
+  of feedlines and talking to the parent over one duplex pipe, for the
+  python-bound parts of the chain. Workers never receive pickled fitted
+  models: they resolve their discriminators from
+  :class:`~repro.pipeline.registry.CalibrationRegistry` artifacts (or fit
+  and store them on a cold start).
 
 Every feedline's traffic seed is derived deterministically from the
 profile seed and the feedline index, so the same cluster run yields
 bit-identical assignment counts under any executor and any partitioning.
-Heterogeneous clusters dispatch heaviest feedlines first (greedy
-longest-first by qubit count x trace length) so a pool never idles while
-its longest shard runs last; the aggregate report still lists feedlines
-in declared order.
+Heterogeneous clusters place heaviest feedlines first (greedy
+longest-first by qubit count x trace length, each onto the least-loaded
+worker) so no worker idles while another runs a long tail; the aggregate
+report still lists feedlines in declared order.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import resource_tracker
@@ -49,7 +60,8 @@ from typing import Callable, Mapping, Sequence
 from repro._util import json_finite
 from repro.config import Profile
 from repro.data.dataset import ReadoutCorpus
-from repro.exceptions import ConfigurationError
+from repro.discriminators.mlr import MLRDiscriminator
+from repro.exceptions import ConfigurationError, ShardCrashedError
 from repro.physics.device import ChipConfig
 from repro.physics.drift import DriftModel
 from repro.pipeline.blas import limit_openblas_threads
@@ -63,12 +75,17 @@ from repro.pipeline.runner import (
     fit_or_load_discriminator,
     validate_streamable_design,
 )
-from repro.pipeline.shm import SharedMemoryTraceSource, SharedTraceBlock
+from repro.pipeline.shm import (
+    SharedMemoryTraceSource,
+    SharedTraceBlock,
+    SharedTraceDescriptor,
+)
 from repro.pipeline.source import TraceSource
 
 __all__ = [
     "EXECUTOR_NAMES",
     "FeedlineSpec",
+    "FeedlineWorker",
     "ProcessShardExecutor",
     "available_cpus",
     "validate_executor",
@@ -105,25 +122,21 @@ class FeedlineSpec:
 
 @dataclass(frozen=True)
 class _FeedlineTask:
-    """Work order for one feedline shard.
+    """One run's work order for one feedline: what changes per run.
 
-    Carries calibration coordinates, never fitted models, plus
-    ``source``: a zero-argument callable that builds this run's
-    :class:`~repro.pipeline.source.TraceSource` where the shard runs.
-    The shard does not know what kind of traffic it streams. Simulated
-    traffic and shared-memory replay views pickle into process shards;
-    a one-feedline session's backend ``trace_source`` runs on the
-    calling thread. ``calibration_chip`` is the device snapshot the
-    served ``version`` was fitted on, and serving demodulates with it.
+    ``version`` is the artifact version to serve and
+    ``calibration_chip`` the device snapshot it was fitted on, which
+    serving demodulates with. ``source`` is a zero-argument callable that
+    builds the run's :class:`~repro.pipeline.source.TraceSource` where
+    the worker runs; the worker does not know what kind of traffic it
+    streams. Simulated traffic and shared-memory replay pickle into
+    process workers; a one-feedline session's backend ``trace_source``
+    runs on the calling thread. ``chip`` (the declared chip) only weighs
+    the task for placement.
     """
 
     name: str
     chip: ChipConfig
-    device: str
-    profile: Profile
-    config: PipelineConfig
-    registry_dir: str | None
-    design: str
     version: int
     calibration_chip: ChipConfig
     source: Callable[[], TraceSource]
@@ -131,43 +144,185 @@ class _FeedlineTask:
 
 @dataclass(frozen=True)
 class _PrefitTask:
-    """Picklable calibration-only work order for one feedline.
+    """Calibration-only work order: "fit version N" of one feedline.
 
-    The streaming-free sibling of :class:`_FeedlineTask`: resolves the
-    feedline's calibration through the shared registry (fitting and
-    storing on a cold key) without serving any traffic. Hot
-    recalibration reuses it with a bumped ``version`` and the drifted
-    device snapshot as ``calibration_chip`` (the key identity stays the
-    declared chip's).
+    Resolves the feedline's artifact through the shared registry
+    (fitting and storing it on a cold key) without serving traffic, and
+    leaves the model in the worker for the runs that follow. Hot
+    recalibration sends it with a bumped ``version``, the drifted device
+    snapshot as ``calibration_chip`` (the key identity stays the
+    declared chip's) and its own sizing ``profile``; ``None`` means the
+    worker's serving profile.
     """
 
     name: str
     chip: ChipConfig
-    device: str
-    profile: Profile
-    registry_dir: str
-    design: str
     version: int = 0
+    profile: Profile | None = None
     calibration_chip: ChipConfig | None = None
 
 
-def _prefit_feedline(task: _PrefitTask) -> tuple[str, bool]:
-    """Fit or load one feedline's calibration (module-level: pool safe).
+@dataclass(frozen=True)
+class _SegmentTraffic:
+    """Replay traffic a worker keeps attached across runs.
+
+    Calling it attaches the published segment; a :class:`FeedlineWorker`
+    instead keeps one attached source per segment name and re-streams it
+    on every run, so a serving session maps its replay segment once per
+    worker and warm cycle.
+    """
+
+    descriptor: SharedTraceDescriptor
+    chip: ChipConfig
+    chunk_size: int
+
+    def __call__(self) -> SharedMemoryTraceSource:
+        return SharedMemoryTraceSource(
+            self.descriptor, self.chip, chunk_size=self.chunk_size
+        )
+
+
+@dataclass
+class _Served:
+    """A feedline's served artifact version, its model and its pipeline."""
+
+    version: int
+    discriminator: MLRDiscriminator
+    pipeline: ReadoutPipeline | None = None
+
+
+class FeedlineWorker:
+    """What one shard keeps for its feedlines across a warm cycle.
+
+    Per feedline it holds one served version: the discriminator a fit,
+    load or earlier run left here, and that version's
+    :class:`~repro.pipeline.runner.ReadoutPipeline`, built at the first
+    run that serves it. A version is resolved through the registry only
+    when nothing in this cycle left it here. Per replay segment it holds
+    one attached :class:`~repro.pipeline.shm.SharedMemoryTraceSource`,
+    attached at the first run that names the segment and re-streamed by
+    every later one (``chunks()`` restarts at shot 0).
+
+    A runner builds its workers itself: in the calling process on
+    ``serial``, and before the fork on ``process``, where each child
+    owns its copy.
+    """
+
+    def __init__(
+        self,
+        feedlines: Sequence[FeedlineSpec],
+        profile: Profile,
+        config: PipelineConfig,
+        registry_dir: str | None,
+        design: str,
+    ) -> None:
+        self.feedlines = {spec.name: spec for spec in feedlines}
+        self.profile = profile
+        self.config = config
+        self.registry = (
+            CalibrationRegistry(registry_dir)
+            if registry_dir is not None
+            else None
+        )
+        self.design = design
+        self._served: dict[str, _Served] = {}
+        self._segments: dict[str, SharedMemoryTraceSource] = {}
+
+    def __repr__(self) -> str:
+        return f"FeedlineWorker({', '.join(self.feedlines)})"
+
+    def resolve(
+        self,
+        name: str,
+        version: int,
+        profile: Profile | None = None,
+        calibration_chip: ChipConfig | None = None,
+    ) -> bool:
+        """Resolve feedline ``name``'s artifact ``version`` and keep it.
+
+        Loads the stored artifact, or fits and stores it on a cold key
+        (same-key feedlines stay fit-once through the registry's
+        in-process and cross-process fit locks). The kept model replaces
+        the feedline's earlier version and its pipeline. Returns whether
+        the artifact was already warm.
+        """
+        spec = self.feedlines[name]
+        discriminator, cached = fit_or_load_discriminator(
+            profile if profile is not None else self.profile,
+            self.registry,
+            chip=spec.chip,
+            device=spec.registry_device,
+            design=self.design,
+            version=version,
+            calibration_chip=calibration_chip,
+        )
+        self._served[name] = _Served(version, discriminator)
+        return cached
+
+    def run(self, task: _FeedlineTask) -> PipelineReport:
+        """Serve one run of one feedline; returns its report.
+
+        The report's ``calibration_cached`` is False only when this run
+        had to fit.
+        """
+        served = self._served.get(task.name)
+        cached = True
+        if served is None or served.version != task.version:
+            cached = self.resolve(task.name, task.version)
+            served = self._served[task.name]
+        if served.pipeline is None:
+            served.pipeline = ReadoutPipeline(
+                served.discriminator, task.calibration_chip, self.config
+            )
+        if isinstance(task.source, _SegmentTraffic):
+            name = task.source.descriptor.name
+            source = self._segments.get(name)
+            if source is None:
+                source = self._segments[name] = task.source()
+            report = served.pipeline.run(source)
+        else:
+            source = task.source()
+            try:
+                report = served.pipeline.run(source)
+            finally:
+                # A one-run source drops what it holds (a replay view
+                # its mapping); the parent owns any unlink.
+                source.close()
+        report.calibration_cached = cached
+        report.details["feedline"] = task.name
+        return report
+
+    def close(self) -> None:
+        """Drop every pipeline, then unmap every segment. Idempotent."""
+        # Pipelines go first: nothing of theirs may still reference a
+        # mapping when it closes.
+        self._served.clear()
+        segments, self._segments = self._segments, {}
+        for source in segments.values():
+            source.close()
+
+
+def _prefit_feedline(
+    worker: FeedlineWorker, task: _PrefitTask
+) -> tuple[str, bool]:
+    """Fit or load one feedline's calibration in its worker.
 
     Returns ``(name, cached)`` — whether the artifact was already warm.
-    Same-key feedlines stay fit-once through the registry's in-process
-    and cross-process fit locks.
     """
-    _, cached = fit_or_load_discriminator(
-        task.profile,
-        CalibrationRegistry(task.registry_dir),
-        chip=task.chip,
-        device=task.device,
-        design=task.design,
-        version=task.version,
+    cached = worker.resolve(
+        task.name,
+        task.version,
+        profile=task.profile,
         calibration_chip=task.calibration_chip,
     )
     return task.name, cached
+
+
+def _run_feedline(
+    worker: FeedlineWorker, task: _FeedlineTask
+) -> tuple[str, PipelineReport]:
+    """Serve one run of one feedline in its worker."""
+    return task.name, worker.run(task)
 
 
 def _placement_weight(task) -> int:
@@ -182,98 +337,218 @@ def _placement_weight(task) -> int:
 
 
 def _placement_order(tasks: Sequence) -> list:
-    """Greedy longest-first dispatch order for heterogeneous feedlines.
+    """Greedy longest-first order for heterogeneous feedlines.
 
-    The process pool hands tasks to workers in submission order;
-    submitting the heaviest feedlines first keeps a heavy shard from
-    landing last on an otherwise-drained pool and stretching the cluster
-    wall time. Ties keep spec order (stable sort), so homogeneous
-    clusters dispatch exactly as before.
+    Placing the heaviest feedlines first keeps a heavy one from landing
+    last on an otherwise idle worker and stretching the cluster wall
+    time. Ties keep spec order (stable sort), so homogeneous clusters
+    place and run exactly in declared order.
     """
     return sorted(tasks, key=_placement_weight, reverse=True)
 
 
-def _run_feedline(task: _FeedlineTask) -> tuple[str, PipelineReport]:
-    """Run one feedline chain end to end (module-level: process-pool safe).
+def _assign_workers(
+    feedlines: Sequence[FeedlineSpec], workers: int
+) -> dict[str, int]:
+    """Feedline name -> worker index: longest-first onto the least loaded.
 
-    The discriminator is resolved through the calibration registry by
-    key — a process worker rebuilds it from stored artifacts rather than
-    unpickling a fitted object, and a cold worker fits and stores it.
-    The task's ``source`` builds the traffic here, and the source is
-    closed on the way out (a replay view drops its mapping; the parent
-    owns the unlink).
+    Ties go to the lowest index, so equal feedlines deal out round-robin
+    in declared order.
     """
-    registry = (
-        CalibrationRegistry(task.registry_dir)
-        if task.registry_dir is not None
-        else None
-    )
-    discriminator, cached = fit_or_load_discriminator(
-        task.profile,
-        registry,
-        chip=task.chip,
-        device=task.device,
-        design=task.design,
-        version=task.version,
-    )
-    source = task.source()
-    try:
-        report = ReadoutPipeline(
-            discriminator, task.calibration_chip, task.config
-        ).run(source)
-    finally:
-        source.close()
-    report.calibration_cached = cached
-    report.details["feedline"] = task.name
-    return task.name, report
+    load = [0] * workers
+    owners: dict[str, int] = {}
+    for spec in _placement_order(feedlines):
+        index = load.index(min(load))
+        owners[spec.name] = index
+        load[index] += _placement_weight(spec)
+    return owners
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, chained as the cause of its error."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _shard_main(pipe, state, inherited) -> None:
+    """Body of one shard process: answer calls until told to stop.
+
+    A call is ``(fn, tasks)``; the reply is ``(True, [fn(state, task)
+    ...])``, the tasks run one after another, or ``(False, error,
+    traceback text)``. ``None`` or a closed pipe ends the loop.
+    """
+    # The parent ends of this pipe and of those forked before it:
+    # holding one would keep its worker from ever seeing it close.
+    for parent_end in inherited:
+        parent_end.close()
+    while True:
+        try:
+            message = pipe.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        fn, tasks = message
+        try:
+            reply = (True, [fn(state, task) for task in tasks])
+        except Exception as exc:  # repro: allow(broad-except) a worker's error goes back to the parent, which re-raises it
+            reply = (False, exc, traceback.format_exc())
+        try:
+            pipe.send(reply)
+        except BrokenPipeError:
+            return  # the parent closed this worker mid-call
+        except Exception as exc:  # repro: allow(broad-except) an unpicklable reply still reaches the parent, as text
+            # Pickling fails before anything is written to the pipe.
+            error = RuntimeError(f"shard reply could not be sent: {exc!r}")
+            pipe.send((False, error, traceback.format_exc()))
+
+
+#: Seconds :meth:`ProcessShardExecutor.close` waits for its workers to
+#: exit before it terminates them, then kills them.
+_EXIT_GRACE_S = 1.0
 
 
 class ProcessShardExecutor:
-    """One OS process per shard; scales the python-bound stage glue.
+    """Long-lived shard processes, one duplex pipe each.
 
-    Workers rebuild discriminators from calibration-registry artifacts
-    (see :func:`_run_feedline`) — fitted models are never pickled across
-    the process boundary.
+    ``workers`` processes are forked here with the ``fork`` start
+    method. Each owns the object ``state(index)`` built for it in the
+    parent just before its fork — a :class:`FeedlineWorker` for a
+    runner — for the executor's whole life, and :meth:`map` runs
+    ``fn(state, task)`` against it. Fitted models are never pickled
+    across the process boundary: workers resolve them from
+    calibration-registry artifacts (see :meth:`FeedlineWorker.resolve`).
 
-    The pool forks lazily: under the ``fork`` start method (the Linux
-    default), ``ProcessPoolExecutor`` launches all ``workers`` at its
-    first submit. A serving session's ``prefit()`` in ``warm()`` is that
-    first submit, so its first measured run pays no fork. Forked workers
-    inherit the creating process's BLAS state.
+    Fork, not spawn: a forked worker is ready in milliseconds (a spawned
+    one re-imports the package, which takes seconds), and both the BLAS
+    share and the shared resource tracker below rely on inheritance. The
+    executor starts no thread of its own, so the parent forks with none
+    of ours running.
 
-    BLAS share: before the pool forks, the *creating* process's OpenBLAS
+    BLAS share: before the fork, the *creating* process's OpenBLAS
     thread count is lowered to ``max(1, available_cpus() // workers)``
     (see :mod:`repro.pipeline.blas`), so the shards together use no more
     BLAS threads than there are CPUs. Forked workers inherit that count;
     with a share of one they never start an OpenBLAS helper thread, which
     would otherwise busy-wait after every GEMM and take CPU from the other
     shards. The count is only ever lowered, and it stays lowered in the
-    creating process after the pool is gone: setting it inside the
+    creating process after the workers are gone: setting it inside the
     workers, or restoring it after the fork, restarts a helper thread that
-    spins for about 0.1 s each time. The inheritance relies on the
-    ``fork`` start method. Without OpenBLAS this is a no-op.
+    spins for about 0.1 s each time. Without OpenBLAS this is a no-op.
 
     Resource tracker: the creating process also starts its
-    ``multiprocessing`` resource tracker before the pool forks, so every
-    shard inherits it. A shard with a tracker of its own would have it
-    unlink every segment the shard attached as soon as the shard exits,
-    a serving session's live replay segment included.
+    ``multiprocessing`` resource tracker before the fork, so every
+    worker inherits it. A worker with a tracker of its own would have it
+    unlink every segment the worker attached as soon as the worker
+    exits, a serving session's live replay segment included.
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(
+        self,
+        workers: int,
+        state: Callable[[int], object] | None = None,
+    ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         limit_openblas_threads(max(1, available_cpus() // workers))
         resource_tracker.ensure_running()
-        self._executor = ProcessPoolExecutor(max_workers=workers)
+        context = multiprocessing.get_context("fork")
+        self._states = [
+            None if state is None else state(index)
+            for index in range(workers)
+        ]
+        self._pipes: list = []
+        self._processes: list = []
+        try:
+            for worker_state in self._states:
+                pipe, child_pipe = context.Pipe()
+                self._pipes.append(pipe)
+                process = context.Process(
+                    target=_shard_main,
+                    args=(child_pipe, worker_state, self._pipes[:]),
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    # Only the child may hold its end: a dead worker
+                    # must read as EOF here.
+                    child_pipe.close()
+                self._processes.append(process)
+        except BaseException:
+            self.close()
+            raise
 
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        """Run ``fn`` over every task, returning results in task order."""
-        return list(self._executor.map(fn, tasks))
+    def map(self, fn: Callable, jobs: Sequence[tuple[int, object]]) -> list:
+        """Run ``fn(state, task)`` for every ``(worker, task)``; in order.
+
+        Each worker gets its tasks in one message and runs them one after
+        another; the workers run concurrently. A worker's error is
+        re-raised here with its original type, its traceback text chained
+        as the cause. A worker that dies, or whose pipe breaks, mid-call
+        raises :class:`~repro.exceptions.ShardCrashedError`. A failed
+        call may leave replies unread, so the executor must then be
+        closed (a runner does that for every failed call).
+        """
+        positions: dict[int, list[int]] = {}
+        for position, (index, _) in enumerate(jobs):
+            positions.setdefault(index, []).append(position)
+        for index, owned in positions.items():
+            try:
+                self._pipes[index].send((fn, [jobs[p][1] for p in owned]))
+            except OSError as exc:
+                raise self._crashed(index) from exc
+        results: list = [None] * len(jobs)
+        for index, owned in positions.items():
+            try:
+                reply = self._pipes[index].recv()
+            except (EOFError, OSError) as exc:
+                raise self._crashed(index) from exc
+            if not reply[0]:
+                _, error, text = reply
+                raise error from _RemoteTraceback(text)
+            for position, result in zip(owned, reply[1]):
+                results[position] = result
+        return results
+
+    def _crashed(self, index: int) -> ShardCrashedError:
+        process = self._processes[index]
+        process.join(_EXIT_GRACE_S)
+        return ShardCrashedError(
+            f"shard worker {index} ({self._states[index]!r}, pid "
+            f"{process.pid}) died mid-call; exit code {process.exitcode}"
+        )
 
     def close(self) -> None:
-        """Shut the pool down and wait for its workers. Idempotent."""
-        self._executor.shutdown(wait=True)
+        """Stop every worker. Idempotent, and never hangs on a busy one.
+
+        Asks each worker to stop and closes its pipe, then gives the
+        workers :data:`_EXIT_GRACE_S` to exit before terminating, and
+        finally killing, any still running (a worker mid-call reads the
+        request only when its call ends).
+        """
+        pipes, self._pipes = self._pipes, []
+        processes, self._processes = self._processes, []
+        for pipe in pipes:
+            try:
+                pipe.send(None)
+            except OSError:
+                pass  # already dead: its exit code is all that is left
+            pipe.close()
+        deadline = time.monotonic() + _EXIT_GRACE_S
+        for process in processes:
+            process.join(max(0.0, deadline - time.monotonic()))
+            if process.is_alive():
+                process.terminate()
+                process.join(_EXIT_GRACE_S)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
 
 #: Valid ``executor=`` names, in documentation order.
@@ -463,6 +738,10 @@ class ClusterReport:
 class MultiFeedlineRunner:
     """Streams several feedlines concurrently, one chain per shard.
 
+    The runner's workers live for a warm cycle: its first call starts
+    them and :meth:`close` (or a failed call) ends it. Calls on one
+    runner must not overlap; each worker serves one call at a time.
+
     Parameters
     ----------
     feedlines:
@@ -475,17 +754,20 @@ class MultiFeedlineRunner:
     workers:
         Process shards; defaults to one per feedline, capped at the CPU
         count (forked shards timesharing one core thrash the cache
-        across address spaces). ``serial`` always runs (and reports)
-        one worker, whatever is asked.
+        across address spaces). Feedlines go longest-first onto the
+        least-loaded shard, and a shard runs its feedlines one after
+        another; only shards that own a feedline are forked. ``serial``
+        always runs (and reports) one worker, whatever is asked.
     config:
         Per-feedline runtime config (batching, backpressure, adaptive
         batching, drift detection).
     chunk_size:
         Shots per source chunk inside each feedline.
     registry_dir:
-        Shared calibration-registry root. ``None`` makes every shard fit
-        its own calibration from scratch (no artifacts stored) — fine
-        for ``serial``, wasteful but correct for ``process``.
+        Shared calibration-registry root. ``None`` makes every worker
+        fit its feedlines' calibrations from scratch at its first run
+        (no artifacts stored) — fine for ``serial``, wasteful but
+        correct for ``process``.
     design:
         Registered discriminator design served on every feedline; must
         resolve to the MLR family (checked here, once).
@@ -534,13 +816,17 @@ class MultiFeedlineRunner:
             str(registry_dir) if registry_dir is not None else None
         )
         self.design = design
-        # The process shard pool, forked by the first _map() call and
-        # kept across calls until close() (or a failed call) drops it.
+        # Feedline name -> worker index, fixed for the runner's life.
+        self._owners = _assign_workers(self.feedlines, self.workers)
+        # The warm cycle's workers, started by the first _map() call and
+        # kept across calls until close() (or a failed call) drops them:
+        # on serial one in this process, on process forked shards.
+        self._serial: FeedlineWorker | None = None
         self._pool: ProcessShardExecutor | None = None
         # Calibration-artifact version served per feedline name. Hot
         # recalibration bumps these atomically (plain dict assignment
         # under the GIL) so the next run() serves the new artifacts
-        # without touching the pool or the session.
+        # without restarting a worker or the session.
         self._versions: dict[str, int] = {
             spec.name: 0 for spec in self.feedlines
         }
@@ -551,37 +837,66 @@ class MultiFeedlineRunner:
             spec.name: spec.chip for spec in self.feedlines
         }
 
+    def _worker(self, index: int) -> FeedlineWorker:
+        """A fresh worker for the feedlines placed on shard ``index``."""
+        owned = [
+            spec for spec in self.feedlines if self._owners[spec.name] == index
+        ]
+        return FeedlineWorker(
+            owned,
+            self.profile,
+            self.config,
+            self.registry_dir,
+            self.design,
+        )
+
+    def _start(self) -> None:
+        """Start the warm cycle's workers, unless they are running.
+
+        On ``process`` this forks the shards, which inherit every
+        mapping the parent holds at that moment.
+        """
+        if self.executor == "serial":
+            if self._serial is None:
+                self._serial = self._worker(0)
+        elif self._pool is None:
+            self._pool = ProcessShardExecutor(
+                min(self.workers, len(self.feedlines)), self._worker
+            )
+
     def _map(self, fn: Callable, tasks: Sequence) -> list:
-        """Run ``fn`` over ``tasks`` heaviest-first; results in that order.
+        """Run ``fn(worker, task)`` heaviest-first; results in that order.
 
         The one shard path of :meth:`prefit`, :meth:`recalibrate` and
-        :meth:`dispatch`. ``serial`` runs every task on the calling
-        thread; ``process`` runs them on the runner's pool, forked on
-        first use and reused by later calls. A failed call closes the
-        pool — a dead shard leaves it broken — so the next call forks a
-        fresh one.
+        :meth:`dispatch`: each task runs on the worker that owns its
+        feedline. ``serial`` runs every task on the calling thread;
+        ``process`` sends them to the forked shards, which are started
+        by the first call and reused by later ones. A failed call closes
+        every worker — a dead or failed shard may hold half-updated
+        state — so the next call starts fresh ones.
         """
         ordered = _placement_order(tasks)
         try:
-            if self.executor == "serial":
-                return [fn(task) for task in ordered]
-            if self._pool is None:
-                self._pool = ProcessShardExecutor(self.workers)
-            return self._pool.map(fn, ordered)
+            self._start()
+            if self._serial is not None:
+                return [fn(self._serial, task) for task in ordered]
+            return self._pool.map(
+                fn, [(self._owners[task.name], task) for task in ordered]
+            )
         except BaseException:
             self.close()
             raise
 
     def prefit(self) -> int:
-        """Resolve every feedline's calibration through the shard pool.
+        """Resolve every feedline's calibration in its worker.
 
-        Dispatches calibration-only tasks (no streaming) over the
-        runner's executor, so cold fits for distinct feedlines run as
-        concurrently as serving does: process shards fit in the workers
-        that later serve them, with artifacts handed off through the
-        shared registry. On ``process`` the first call forks the pool,
-        which is how a serving session's ``warm()`` keeps the fork out
-        of its first run. Heaviest feedlines fit first (same greedy
+        Sends each worker "fit version 0" of its feedlines (no
+        streaming), so cold fits for distinct feedlines run as
+        concurrently as serving does, and the resolved models stay in
+        the workers that serve them: the runs of this cycle resolve
+        nothing. On ``process`` the first call forks the shards, which
+        is how a serving session's ``warm()`` keeps the fork out of its
+        first run. Heaviest feedlines fit first (same greedy
         longest-first order as serving); same-key feedlines stay
         fit-once via the registry's fit locks. Returns the number of
         cold fits performed.
@@ -591,17 +906,7 @@ class MultiFeedlineRunner:
                 "prefit() needs a registry_dir: stored artifacts are the "
                 "hand-off between calibration and serving shards"
             )
-        tasks = [
-            _PrefitTask(
-                name=spec.name,
-                chip=spec.chip,
-                device=spec.registry_device,
-                profile=self.profile,
-                registry_dir=self.registry_dir,
-                design=self.design,
-            )
-            for spec in self.feedlines
-        ]
+        tasks = [_PrefitTask(spec.name, spec.chip) for spec in self.feedlines]
         results = self._map(_prefit_feedline, tasks)
         return sum(0 if cached else 1 for _, cached in results)
 
@@ -617,9 +922,10 @@ class MultiFeedlineRunner:
     ) -> int:
         """Refit every feedline against the drifted device, hot.
 
-        Dispatches calibration tasks through the shard pool — exactly
-        like :meth:`prefit`, so recalibration runs as concurrently as
-        serving — at each feedline's *next* artifact version, with the
+        Sends each worker "fit version N" — exactly like :meth:`prefit`,
+        so recalibration runs as concurrently as serving and leaves the
+        new models in the workers — at each feedline's *next* artifact
+        version, with the
         calibration corpus simulated from the device ``drift_model``
         predicts after ``shots_elapsed`` session shots. The currently
         served versions stay on disk and keep serving until every fit
@@ -676,11 +982,8 @@ class MultiFeedlineRunner:
             _PrefitTask(
                 name=spec.name,
                 chip=spec.chip,
-                device=spec.registry_device,
-                profile=fit_profile,
-                registry_dir=self.registry_dir,
-                design=self.design,
                 version=next_versions[spec.name],
+                profile=fit_profile,
                 calibration_chip=drift_model.chip_at(
                     spec.chip, shots_elapsed
                 ),
@@ -696,10 +999,18 @@ class MultiFeedlineRunner:
         return sum(0 if cached else 1 for _, cached in results)
 
     def close(self) -> None:
-        """Shut down the shard pool. Idempotent; the next call forks anew."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """End the warm cycle: close every worker. Idempotent.
+
+        Workers drop their pipelines and replay mappings; process shards
+        are stopped (a busy one is terminated after a short grace, so
+        this never hangs). The next call starts fresh workers.
+        """
+        serial, self._serial = self._serial, None
+        pool, self._pool = self._pool, None
+        if serial is not None:
+            serial.close()
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "MultiFeedlineRunner":
         return self
@@ -778,11 +1089,6 @@ class MultiFeedlineRunner:
             _FeedlineTask(
                 name=spec.name,
                 chip=spec.chip,
-                device=spec.registry_device,
-                profile=self.profile,
-                config=self.config,
-                registry_dir=self.registry_dir,
-                design=self.design,
                 version=self._versions[spec.name],
                 calibration_chip=self._calibration_chips[spec.name],
                 source=source,
@@ -793,24 +1099,25 @@ class MultiFeedlineRunner:
     def dispatch(
         self, traffic: Sequence[Callable[[], TraceSource]]
     ) -> ClusterReport:
-        """Serve one run of traffic through the shard pool.
+        """Serve one run of traffic through the feedline workers.
 
         The one run path: :meth:`run`, :meth:`dispatch_replay` and a
         one-feedline :class:`repro.serve.ReadoutService` all end here.
         ``traffic`` holds one zero-argument callable per feedline, in
         declared order, that builds the feedline's
-        :class:`~repro.pipeline.source.TraceSource` where its shard
+        :class:`~repro.pipeline.source.TraceSource` where its worker
         runs; process shards need it picklable. Every feedline serves
         its current artifact version, demodulated with the device
-        snapshot that version was fitted on.
+        snapshot that version was fitted on, on the pipeline its worker
+        keeps for that version.
 
-        Heterogeneous feedlines dispatch heaviest-first (greedy
+        Heterogeneous feedlines run heaviest-first (greedy
         longest-first); each feedline's traffic is fixed before
         dispatch, so the dispatch order cannot change any result.
         """
         tasks = self._tasks(traffic)
         # The timed window covers dispatch and shard execution: a warm
-        # session forked its pool in prefit(), and teardown is a
+        # session forked its shards in prefit(), and teardown is a
         # serving-lifetime cost, not per-stream throughput.
         wall_start = time.perf_counter()
         results = self._map(_run_feedline, tasks)
@@ -910,22 +1217,21 @@ class MultiFeedlineRunner:
     def dispatch_replay(
         self, blocks: Mapping[str, SharedTraceBlock]
     ) -> ClusterReport:
-        """Replay published segments through the shard pool.
+        """Replay published segments through the feedline workers.
 
-        The dispatch half of :meth:`run_replay`: each feedline's traffic
-        is a picklable view factory over its block's descriptor, and
-        shard workers attach by name and stream read-only views.
-        ``blocks`` maps every feedline name to a live block (as
-        :meth:`publish_replay` returns); they stay published, so a
-        serving session dispatches the same blocks on every run.
+        A serving session's run: each feedline's traffic is its block's
+        descriptor, and a worker attaches a segment by
+        name at the first run that names it, then keeps the mapping and
+        re-streams its read-only views on every later run, until the
+        runner closes. ``blocks`` maps every feedline name to a live
+        block (as :meth:`publish_replay` returns); they stay published,
+        so a serving session dispatches the same blocks on every run and
+        unlinks them only after :meth:`close`.
         """
         return self.dispatch(
             [
-                partial(
-                    SharedMemoryTraceSource,
-                    blocks[spec.name].descriptor,
-                    spec.chip,
-                    chunk_size=self.chunk_size,
+                _SegmentTraffic(
+                    blocks[spec.name].descriptor, spec.chip, self.chunk_size
                 )
                 for spec in self.feedlines
             ]
@@ -966,11 +1272,25 @@ class MultiFeedlineRunner:
             feedline's chip geometry and carry labels (the shared block
             ships traces and ground truth together).
 
-        Segments are unlinked before returning, success or not.
+        Segments are unlinked before returning, success or not, and no
+        worker maps them any more: each attaches its segment for this
+        one run only, and the workers are started before the publish, so
+        no fork inherits the parent's mapping either.
         """
+        self._start()
         blocks = self.publish_replay(corpora)
         try:
-            return self.dispatch_replay(blocks)
+            return self.dispatch(
+                [
+                    partial(
+                        SharedMemoryTraceSource,
+                        blocks[spec.name].descriptor,
+                        spec.chip,
+                        chunk_size=self.chunk_size,
+                    )
+                    for spec in self.feedlines
+                ]
+            )
         finally:
             for block in blocks.values():
                 block.unlink()

@@ -112,6 +112,10 @@ class DriftMonitor:
         self.reference = reference / total
         self.n_levels = int(n_levels)
         self.n_qubits = int(n_qubits)
+        # The reference side of every divergence, smoothed once.
+        self._reference_marginals = [
+            self._smoothed(q) for q in self._marginals(self.reference)
+        ]
         self.reference_margin = (
             None if reference_margin is None else float(reference_margin)
         )
@@ -171,6 +175,12 @@ class DriftMonitor:
             for q in range(self.n_qubits)
         ])
 
+    @staticmethod
+    def _smoothed(marginal: np.ndarray) -> np.ndarray:
+        """Laplace-smoothed, renormalized level distribution."""
+        marginal = marginal + _SMOOTHING
+        return marginal / marginal.sum()
+
     def _divergence(self) -> float:
         """Smoothed symmetric KL vs the reference, worst qubit marginal.
 
@@ -184,12 +194,9 @@ class DriftMonitor:
             return 0.0
         worst = 0.0
         for p, q in zip(
-            self._marginals(self._ewma_dist), self._marginals(self.reference)
+            self._marginals(self._ewma_dist), self._reference_marginals
         ):
-            p = p + _SMOOTHING
-            q = q + _SMOOTHING
-            p = p / p.sum()
-            q = q / q.sum()
+            p = self._smoothed(p)
             forward = float(np.sum(p * np.log(p / q)))
             backward = float(np.sum(q * np.log(q / p)))
             worst = max(worst, 0.5 * (forward + backward))
@@ -218,19 +225,26 @@ class DriftMonitor:
     @property
     def alarm(self) -> bool:
         """Whether the score crossed the threshold with enough evidence."""
-        return (
-            self._n_shots >= self.min_shots
-            and self.drift_score >= self.threshold
-        )
+        return self._alarm(self.drift_score)
+
+    def _alarm(self, score: float) -> bool:
+        return self._n_shots >= self.min_shots and score >= self.threshold
 
     def summary(self) -> dict:
-        """JSON-able digest for reports."""
+        """JSON-able digest for reports.
+
+        Evaluates each signal once; the score and the alarm are derived
+        from those values, as :attr:`drift_score` and :attr:`alarm` do.
+        """
+        divergence = self._divergence()
+        erosion = self._margin_erosion()
+        score = max(divergence, erosion)
         return {
-            "drift_score": self.drift_score,
-            "assignment_divergence": self._divergence(),
-            "margin_erosion": self._margin_erosion(),  # repro: allow(json-finite) clamped to [0, 1] by construction
+            "drift_score": score,
+            "assignment_divergence": divergence,
+            "margin_erosion": erosion,  # repro: allow(json-finite) clamped to [0, 1] by construction
             "threshold": self.threshold,
             "n_shots": self._n_shots,
             "n_batches": self._n_batches,
-            "alarm": self.alarm,
+            "alarm": self._alarm(score),
         }

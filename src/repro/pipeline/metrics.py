@@ -116,12 +116,17 @@ class LatencyStats:
 
         Percentiles over an empty stage are NaN (see :meth:`percentile`);
         :func:`json_finite` maps them to ``None`` so the digest stays
-        strict-JSON serializable.
+        strict-JSON serializable. Both percentiles come from one pass
+        over the window.
         """
+        if self._samples:
+            p50, p99 = np.percentile(np.asarray(self._samples), [50.0, 99.0])
+        else:
+            p50 = p99 = float("nan")
         return {
             "batches": self.count,
-            "p50_ms": json_finite(self.p50_ms),
-            "p99_ms": json_finite(self.p99_ms),
+            "p50_ms": json_finite(float(p50) * 1e3),
+            "p99_ms": json_finite(float(p99) * 1e3),
             "mean_per_shot_us": json_finite(self.mean_per_shot_us),
             "total_seconds": self.total_seconds,
         }

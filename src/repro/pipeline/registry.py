@@ -209,70 +209,6 @@ def _unlink_lock_sidecar(artifact_path: Path) -> None:
         handle.close()
 
 
-#: Process-local LRU of fitted discriminators fronting the disk tree:
-#: a long-lived serving worker deserializes each artifact once, then
-#: serves it from memory. Each entry remembers the artifact file's
-#: (mtime_ns, size) fingerprint and is treated as a miss when the file
-#: on disk no longer matches — an artifact rewritten by *another*
-#: process is picked up, not masked. Bounded (artifacts hold NN weights
-#: and matched-filter kernels); keyed like the fit locks so registry
-#: instances over the same root share entries. Discriminator predict
-#: paths are read-only, so sharing one instance across threads of one
-#: process is safe.
-_MEMORY_CACHE: dict[
-    tuple[str, "CalibrationKey"], tuple[tuple[int, int], Discriminator]
-] = {}
-_MEMORY_CACHE_GUARD = trace_lock("registry.memory-cache-guard")
-_MEMORY_CACHE_MAX = 16
-
-
-def _artifact_fingerprint(path: Path) -> tuple[int, int] | None:
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    return (stat.st_mtime_ns, stat.st_size)
-
-
-def _cache_get(
-    root: Path, key: "CalibrationKey", fingerprint: tuple[int, int] | None
-) -> Discriminator | None:
-    if fingerprint is None:
-        return None
-    cache_key = (str(root.resolve()), key)
-    with _MEMORY_CACHE_GUARD:
-        entry = _MEMORY_CACHE.get(cache_key)
-        if entry is None:
-            return None
-        stored_fingerprint, discriminator = entry
-        if stored_fingerprint != fingerprint:
-            del _MEMORY_CACHE[cache_key]  # rewritten on disk: stale
-            return None
-        _MEMORY_CACHE[cache_key] = _MEMORY_CACHE.pop(cache_key)  # LRU bump
-        return discriminator
-
-
-def _cache_put(
-    root: Path,
-    key: "CalibrationKey",
-    discriminator: Discriminator,
-    fingerprint: tuple[int, int] | None,
-) -> None:
-    if fingerprint is None:
-        return
-    cache_key = (str(root.resolve()), key)
-    with _MEMORY_CACHE_GUARD:
-        _MEMORY_CACHE.pop(cache_key, None)
-        _MEMORY_CACHE[cache_key] = (fingerprint, discriminator)
-        while len(_MEMORY_CACHE) > _MEMORY_CACHE_MAX:
-            _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
-
-
-def _cache_evict(root: Path, key: "CalibrationKey") -> None:
-    with _MEMORY_CACHE_GUARD:
-        _MEMORY_CACHE.pop((str(root.resolve()), key), None)
-
-
 @dataclass(frozen=True)
 class CalibrationKey:
     """Identity of one calibration artifact.
@@ -413,9 +349,6 @@ class CalibrationRegistry:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        # The overwritten artifact is the new truth: a memoized copy of
-        # the previous one must not mask it.
-        _cache_evict(self.root, key)
         return path
 
     def load(self, key: CalibrationKey) -> Discriminator:
@@ -432,7 +365,6 @@ class CalibrationRegistry:
         when no cold fit currently holds it (see
         :func:`_unlink_lock_sidecar`).
         """
-        _cache_evict(self.root, key)
         path = self.path_for(key)
         _unlink_lock_sidecar(path)
         if path.is_file():
@@ -521,7 +453,6 @@ class CalibrationRegistry:
                 bytes_freed += size
                 path.unlink(missing_ok=True)
                 _unlink_lock_sidecar(path)
-                _cache_evict(self.root, key)
             else:
                 survivors.append((mtime, key, path, size))
 
@@ -534,7 +465,6 @@ class CalibrationRegistry:
                 total -= size
                 path.unlink(missing_ok=True)
                 _unlink_lock_sidecar(path)
-                _cache_evict(self.root, key)
 
         # Orphaned sidecars: a sidecar that had to be left behind (held
         # by a fit while its artifact was removed) is reclaimed by the
@@ -595,34 +525,26 @@ class CalibrationRegistry:
         sidecar extends the same dedup to process shards sharing a key;
         where file locking is unavailable the atomic artifact rename
         keeps duplicated fits harmless.
-        Served artifacts are additionally memoized in a process-local
-        LRU, so a long-lived worker deserializes each artifact once (the
-        on-disk file remains the source of truth — a deleted artifact is
-        never served from memory).
+        Every warm hit deserializes the artifact from disk: a serving
+        worker resolves each version once and keeps the model itself
+        (see :class:`repro.pipeline.cluster.FeedlineWorker`).
         """
 
         def _try_load() -> Discriminator | None:
             path = self.path_for(key)
-            fingerprint = _artifact_fingerprint(path)
-            if fingerprint is not None:
-                cached = _cache_get(self.root, key, fingerprint)
-                if cached is not None:
-                    return cached
-                try:
-                    loaded = self.load(key)
-                except Exception:  # repro: allow(broad-except) corrupt artifact of any vintage is a miss
-                    # A corrupt or unreadable artifact (e.g. written by
-                    # an older incompatible version) is a cache miss,
-                    # not a permanently poisoned key: drop it and refit.
-                    # Only the artifact, though — this path can run
-                    # while *we* hold the lock sidecar, and unlinking a
-                    # held sidecar would let another process mint a
-                    # fresh lock and fit the same key concurrently.
-                    _cache_evict(self.root, key)
-                    path.unlink(missing_ok=True)
-                else:
-                    _cache_put(self.root, key, loaded, fingerprint)
-                    return loaded
+            if not path.is_file():
+                return None
+            try:
+                return self.load(key)
+            except Exception:  # repro: allow(broad-except) corrupt artifact of any vintage is a miss
+                # A corrupt or unreadable artifact (e.g. written by an
+                # older incompatible version) is a cache miss, not a
+                # permanently poisoned key: drop it and refit. Only the
+                # artifact, though — this path can run while *we* hold
+                # the lock sidecar, and unlinking a held sidecar would
+                # let another process mint a fresh lock and fit the
+                # same key concurrently.
+                path.unlink(missing_ok=True)
             return None
 
         loaded = _try_load()
@@ -649,9 +571,6 @@ class CalibrationRegistry:
                     else np.asarray(indices)
                 )
                 discriminator.fit(corpus, idx)
-                path = self.save(key, discriminator)
-                _cache_put(
-                    self.root, key, discriminator, _artifact_fingerprint(path)
-                )
+                self.save(key, discriminator)
         _fit_lock_discard(self.root, key)
         return discriminator, False

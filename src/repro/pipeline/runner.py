@@ -27,7 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.fpga.latency import check_cycle_budget, decision_budget_ns
 from repro.physics.device import ChipConfig, default_five_qubit_chip
 from repro.pipeline.batching import AdaptiveBatcher, MicroBatcher
-from repro.pipeline.buffers import make_buffer_ring
+from repro.pipeline.buffers import BufferRing, make_buffer_ring
 from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import PipelineReport, StageTimings
 from repro.pipeline.registry import CalibrationKey, CalibrationRegistry
@@ -165,6 +165,12 @@ class ReadoutPipeline:
         each run builds its own backpressured ERASER+M speculation sink —
         the paper's downstream QEC consumer — and the pipeline is
         reusable across runs.
+
+    The engine (with its fused-bank cache) and the buffer ring are built
+    at the first :meth:`run` and reused by every later one; the ring is
+    sized from the batcher's ``max_emit_size``, which the config fixes.
+    The batcher, the drift monitor and the default sink hold per-run
+    state, so each run builds its own.
     """
 
     def __init__(
@@ -178,6 +184,8 @@ class ReadoutPipeline:
         self.chip = chip
         self.discriminator = discriminator
         self._sink_override = sink
+        self._engine: BatchDiscriminationEngine | None = None
+        self._ring: BufferRing | None = None
 
     def _make_sink(self) -> ResultSink:
         if self._sink_override is not None:
@@ -242,10 +250,17 @@ class ReadoutPipeline:
         )
         wall_start = time.perf_counter()
         try:
-            engine = BatchDiscriminationEngine(self.discriminator, self.chip)
-            # make_buffer_ring arms the use-after-recycle sanitizer when
-            # REPRO_SANITIZE is set; plain ring otherwise.
-            ring = make_buffer_ring(batcher.max_emit_size, engine.n_features)
+            if self._engine is None:
+                engine = BatchDiscriminationEngine(
+                    self.discriminator, self.chip
+                )
+                # make_buffer_ring arms the use-after-recycle sanitizer
+                # when REPRO_SANITIZE is set; plain ring otherwise.
+                self._ring = make_buffer_ring(
+                    batcher.max_emit_size, engine.n_features
+                )
+                self._engine = engine
+            engine, ring = self._engine, self._ring
             # Built only after the engine checks out, so a construction
             # error cannot leak the default sink's consumer thread.
             sink = self._make_sink()
@@ -290,6 +305,11 @@ class ReadoutPipeline:
                 except Exception:  # repro: allow(broad-except) stage error outranks deferred sink error
                     pass
             raise
+        finally:
+            # The ring outlives the run; it must not keep the source's
+            # memory (a replay segment a worker may unmap) referenced.
+            if self._ring is not None:
+                self._ring.release()
         sink_summary = sink.close()
         wall = time.perf_counter() - wall_start
 
@@ -320,8 +340,9 @@ class ReadoutPipeline:
                     else max_dispatched
                 ),
             }
-        if monitor is not None:
-            details["drift"] = monitor.summary()
+        drift = None if monitor is None else monitor.summary()
+        if drift is not None:
+            details["drift"] = drift
         return PipelineReport(
             n_shots=n_shots,
             n_batches=n_batches,
@@ -337,8 +358,8 @@ class ReadoutPipeline:
             accuracy=(n_correct / n_labeled) if n_labeled else None,
             assignment_counts=assignment_counts.tolist(),
             details=details,
-            drift_score=None if monitor is None else monitor.drift_score,
-            drift_alarm=None if monitor is None else monitor.alarm,
+            drift_score=None if drift is None else drift["drift_score"],
+            drift_alarm=None if drift is None else drift["alarm"],
         )
 
 

@@ -51,7 +51,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     not share it by default — a worker forked before its parent started
     a tracker starts its own on first attach, and that tracker unlinks
     the segment when the worker exits. ``ProcessShardExecutor`` therefore
-    starts the creator's tracker before its pool forks. Explicitly
+    starts the creator's tracker before it forks its workers. A worker
+    attaches each segment once per warm cycle and keeps the mapping
+    until its runner closes. Explicitly
     *unregistering* after attach (the common workaround) would be wrong
     too: in the serial executor the attacher IS the creator, and
     stripping the registration makes the later ``unlink``

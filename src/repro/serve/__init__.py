@@ -10,12 +10,13 @@ paper's *persistent* datapath explicit:
   all-errors-at-once validation. Every other configuration surface
   (``PipelineConfig``, ``repro pipeline`` flags) is derived from it.
 - :mod:`repro.serve.service` — :class:`ReadoutService`, the long-lived
-  session: ``warm()`` once (pre-fit/load all discriminators, which
-  forks the shard pool), then ``run()`` repeatedly with zero refits —
-  unless a run's online drift score trips the alarm and the spec's
-  recalibration is enabled, in which case the service refits through
-  the shard pool and hot-swaps the next artifact version without
-  dropping the session — accumulating cumulative :class:`ServiceStats`.
+  session: ``warm()`` once (pre-fit/load all discriminators in the
+  feedline workers that keep them, forking the process shards), then
+  ``run()`` repeatedly with zero refits and no per-run set-up — unless
+  a run's online drift score trips the alarm and the spec's
+  recalibration is enabled, in which case the workers refit and the
+  service hot-swaps the next artifact version without dropping the
+  session — accumulating cumulative :class:`ServiceStats`.
   :func:`serve_once` is the one turnkey entry point: warm, run once,
   tear down.
 

@@ -13,8 +13,8 @@ in the calibration registry (a private temporary one when the spec
 names none) and fitted models stay resident in memory between runs.
 The one sanctioned exception is *hot recalibration*: when the spec's
 :class:`~repro.serve.spec.RecalibrationSpec` is enabled and a run's
-online drift score trips the alarm, the service refits through the
-shard pool against the drifted device and atomically swaps the next
+online drift score trips the alarm, the service refits in the shard
+workers against the drifted device and atomically swaps the next
 calibration-artifact version in — without dropping the session.
 
 Cumulative serving telemetry accumulates in :class:`ServiceStats` —
@@ -113,7 +113,7 @@ class ServiceStats:
     ----------
     warm_seconds:
         Wall time spent in :meth:`ReadoutService.warm` (calibration
-        fits/loads plus shard-pool spawn) — the cost the warm runs
+        fits/loads plus the shard workers' fork) — the cost the warm runs
         amortize. Cumulative: a service re-warmed after ``close()``
         adds each warm-up cycle.
     cold_fits:
@@ -272,13 +272,14 @@ class ReadoutService:
     Lifecycle: :meth:`warm` (idempotent; implicit on the first
     :meth:`run` and on ``__enter__``) resolves the profile, builds the
     session's :class:`~repro.pipeline.cluster.MultiFeedlineRunner`,
-    pre-fits or loads every discriminator through it (forking a
-    process shard pool), and opens the one-feedline backend or
-    publishes a multi-feedline replay corpus to shared memory;
-    :meth:`run` streams traffic through the runner's one dispatch;
-    :meth:`close` releases the pool, the backend, the replay segment
-    and any session-private registry. The service is reusable after
-    ``close`` — the next ``run`` re-warms.
+    pre-fits or loads every discriminator in the feedline workers that
+    will serve it (forking the process shards), and opens the
+    one-feedline backend or publishes a multi-feedline replay corpus to
+    shared memory; :meth:`run` streams traffic through the runner's one
+    dispatch, on the pipelines the workers keep; :meth:`close` stops
+    the workers and releases the backend, the replay segment and any
+    session-private registry. The service is reusable after ``close`` —
+    the next ``run`` re-warms.
     """
 
     def __init__(
@@ -406,12 +407,13 @@ class ReadoutService:
         """Resolve the spec and pre-warm all serving state. Idempotent.
 
         Fits (or loads) every per-feedline discriminator through the
-        calibration registry on the runner's shards; on ``process`` that
-        first call forks the shard pool, so subsequent :meth:`run` calls
-        measure pure serving. When the spec names no ``registry_dir``,
-        the session owns a private temporary registry, discarded on
-        :meth:`close` — even then, repeated runs within the session
-        never refit.
+        calibration registry in the runner's feedline workers, which keep
+        the models for the whole warm cycle; on ``process`` that first
+        call forks the shard workers, before any replay segment is
+        published, so subsequent :meth:`run` calls measure pure serving.
+        When the spec names no ``registry_dir``, the session owns a
+        private temporary registry, discarded on :meth:`close` — even
+        then, repeated runs within the session never refit.
         """
         if self._warmed:
             return self
@@ -422,7 +424,7 @@ class ReadoutService:
         try:
             cold_fits = self._warm_state(spec, profile, config)
         except BaseException:
-            # A failed warm-up must not leak the spawned shard pool or
+            # A failed warm-up must not leak the forked shard workers or
             # the session-private registry; close() releases both.
             self.close()
             raise
@@ -469,9 +471,11 @@ class ReadoutService:
             design=spec.calibration.design,
         )
         self._runner = runner  # before prefit: errors must close it
-        # Calibration *through* the pool: cold fits for distinct
-        # feedlines run as concurrently as serving, and this first
-        # call forks the process shards before any measured run.
+        # Calibration in the workers that serve: cold fits for distinct
+        # feedlines run as concurrently as serving, the models stay
+        # there, and this first call forks the process shards before
+        # any measured run (and before the replay publish below, so no
+        # worker inherits the parent's mapping of the segment).
         cold_fits = runner.prefit()
         if single:
             # Resolve the traffic endpoint through the backend registry
@@ -509,8 +513,13 @@ class ReadoutService:
     ) -> "PipelineReport | ClusterReport":
         """Serve one run of traffic against the warm state.
 
-        Returns the feedline's :class:`PipelineReport` on a one-feedline
-        session, and a :class:`ClusterReport` on more feedlines.
+        Each feedline worker serves on the pipeline it keeps for the
+        served artifact version; the run sends it only the traffic and
+        the version. Returns the feedline's :class:`PipelineReport` on a
+        one-feedline session, and a :class:`ClusterReport` on more
+        feedlines. A failed run closes the session (a dead process shard
+        raises :class:`~repro.exceptions.ShardCrashedError`); the next
+        run re-warms.
 
         Parameters
         ----------
@@ -578,9 +587,11 @@ class ReadoutService:
                 (report,) = feedline_reports
             recalibrated = self._maybe_recalibrate(report, drift_model)
         except BaseException:
-            # An exception escaping mid-run must not leak the shard pool
-            # or the session-private registry; release both exactly as a
-            # failed warm() does. The session re-warms on the next run.
+            # An exception escaping mid-run (a worker's error, or a
+            # ShardCrashedError for a dead one) must not leak the shard
+            # workers or the session-private registry; release both
+            # exactly as a failed warm() does. The session re-warms on
+            # the next run.
             self.close()
             raise
         self.stats.record(
@@ -626,7 +637,7 @@ class ReadoutService:
         """Refit against the drifted device when the alarm demands it.
 
         Runs *between* serving runs on the session's own state — the
-        shard pools stay warm, no run is dropped, and the freshly
+        shard workers stay warm, no run is dropped, and the freshly
         fitted artifacts land as the next version in the registry
         before the served version pointer moves (see
         :meth:`CalibrationRegistry.supersede` semantics).
@@ -649,8 +660,11 @@ class ReadoutService:
         return True
 
     def close(self) -> None:
-        """Release shard pools, replay segments and any private registry.
+        """Stop the shard workers; release replay segments and registry.
 
+        Ends the warm cycle: the workers drop their pipelines and replay
+        mappings and the process shards exit (a busy one is terminated
+        after a short grace), before the segments are unlinked.
         Idempotent; cumulative :attr:`stats` survive, and the next
         :meth:`run` re-warms.
         """

@@ -454,7 +454,7 @@ class RecalibrationSpec(_Section):
     Parameters
     ----------
     enabled:
-        Refit through the shard pool when a run's drift alarm trips,
+        Refit in the shard workers when a run's drift alarm trips,
         hot-swapping the next calibration-artifact version. Off by
         default: detection always reports, recovery is opt-in.
     threshold:

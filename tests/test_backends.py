@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -15,7 +16,6 @@ import sys
 import textwrap
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -43,7 +43,7 @@ from repro.config import Profile
 from repro.data import generate_corpus
 from repro.data.basis import digits_to_state
 from repro.data.dataset import ReadoutCorpus
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import ConfigurationError, DataError, ShardCrashedError
 from repro.physics.device import make_feedline_chip, multi_feedline_chips
 from repro.pipeline import (
     EXECUTOR_NAMES,
@@ -684,6 +684,15 @@ def shm_names() -> set[str]:
     return {path.name for path in SHM_DIR.glob("psm_*")}
 
 
+def mappings(pid: int, segment: str) -> int:
+    """How many mappings of shared-memory ``segment`` process ``pid`` holds.
+
+    An unlinked segment still mapped reads ``... (deleted)``; it counts.
+    """
+    with open(f"/proc/{pid}/maps") as maps:
+        return sum(f"/dev/shm/{segment}" in line for line in maps)
+
+
 def counts_by_feedline(report) -> dict[str, list[int]]:
     return {
         name: feedline.assignment_counts
@@ -854,23 +863,96 @@ class TestWarmReplaySession:
         try:
             expected = counts_by_feedline(service.run())
             (segment,) = shm_names() - before
-            shards = service._runner._pool._executor._processes
-            victim = next(iter(shards.values()))
+            workers = list(service._runner._pool._processes)
+            victim = workers[0]
             os.kill(victim.pid, signal.SIGKILL)
             assert wait([victim.sentinel], timeout=10)
             # A tracker private to the dead shard would unlink the
             # segment it attached within this window.
             time.sleep(1.0)
             assert (SHM_DIR / segment).exists()
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(ShardCrashedError):
                 service.run()
-            # The failed run closed the session, segment included...
+            # The failed run closed the session, segment and surviving
+            # worker included...
             assert shm_names() - before == set()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
             # ...and the next run re-warms and serves the same counts.
             assert counts_by_feedline(service.run()) == expected
         finally:
             service.close()
         assert shm_names() - before == set()
+
+    def test_each_worker_keeps_the_segment_mapped_across_runs(
+        self, corpus_path, registry_dir
+    ):
+        before = shm_names()
+        with ReadoutService(
+            self.spec(corpus_path, registry_dir), profile=tiny_profile()
+        ) as service:
+            (segment,) = shm_names() - before
+            workers = service._runner._pool._processes
+            assert len(workers) == 2
+            for _ in range(3):
+                service.run()
+                # Attached by run 1 and kept, never mapped twice.
+                assert [mappings(w.pid, segment) for w in workers] == [1, 1]
+
+    def test_close_stops_every_worker_and_leaves_no_segment(
+        self, corpus_path, registry_dir
+    ):
+        before = shm_names()
+        service = ReadoutService(
+            self.spec(corpus_path, registry_dir), profile=tiny_profile()
+        )
+        try:
+            service.run()
+            service.run()
+            workers = list(service._runner._pool._processes)
+        finally:
+            service.close()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert not set(workers) & set(multiprocessing.active_children())
+        assert shm_names() - before == set()
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_one_shot_replay_leaves_no_worker_mapping(
+        self, executor, feedline_chips, corpus_path, registry_dir,
+        monkeypatch,
+    ):
+        segments = []
+        publish = SharedTraceBlock.__init__
+
+        def recording_publish(self, *args, **kwargs):
+            publish(self, *args, **kwargs)
+            segments.append(self.descriptor.name)
+
+        monkeypatch.setattr(SharedTraceBlock, "__init__", recording_publish)
+        corpus = load_corpus(corpus_path)
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor=executor,
+            workers=2,
+            # Batches of one whole chunk reach the engine as views of
+            # the segment, lent to each pipeline's kept ring.
+            config=PipelineConfig(batch_size=20),
+            chunk_size=20,
+            registry_dir=registry_dir,
+        ) as runner:
+            # The first call starts the workers, the second reuses them.
+            runner.run_replay(corpus)
+            runner.run_replay(corpus)
+            pids = [os.getpid()]
+            if executor == "process":
+                pids += [w.pid for w in runner._pool._processes]
+            assert len(segments) == 2
+            for pid in pids:
+                assert [mappings(pid, name) for name in segments] == [0, 0]
 
     def test_close_unlinks_segment_when_teardown_raises(
         self, corpus_path, registry_dir, monkeypatch

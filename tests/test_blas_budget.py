@@ -14,7 +14,7 @@ needs_openblas = pytest.mark.skipif(
 )
 
 
-def _threads_after_gemm(index: int) -> tuple[int, int]:
+def _threads_after_gemm(state, index: int) -> tuple[int, int]:
     """Worker task: (OpenBLAS thread count, OS threads after a GEMM)."""
     a = np.full((256, 256), float(index + 1))
     a @ a
@@ -36,7 +36,7 @@ def test_process_shards_get_their_cpu_share(restore_blas_threads):
     share = max(1, available_cpus() // 2)
     executor = ProcessShardExecutor(2)
     try:
-        results = executor.map(_threads_after_gemm, range(2))
+        results = executor.map(_threads_after_gemm, [(0, 0), (1, 1)])
     finally:
         executor.close()
     for blas_threads, os_threads in results:

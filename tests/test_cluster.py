@@ -6,7 +6,6 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from repro.config import Profile
 from repro.discriminators import MLRDiscriminator
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShardCrashedError
 from repro.physics.device import (
     default_five_qubit_chip,
     make_feedline_chip,
@@ -111,8 +110,10 @@ class TestFeedlineChipFactory:
             multi_feedline_chips(0)
 
 
-def _task_name(task) -> str:
-    """Module-level so the process executor can pickle it."""
+def _task_name(worker, task) -> str:
+    """Module-level so process workers unpickle it by reference."""
+    # Every task runs on the worker that owns its feedline.
+    assert task.name in worker.feedlines
     return task.name
 
 
@@ -160,12 +161,16 @@ class TestShardExecutors:
                 config=PipelineConfig(batch_size=10),
                 registry_dir=warm_registry,
             )
+            runner.close()  # before any call: nothing to close
+            runner.run(10)
             if executor == "process":
-                runner.run(10)
                 assert runner._pool is not None
+            else:
+                assert runner._serial is not None
             runner.close()
             runner.close()
             assert runner._pool is None, executor
+            assert runner._serial is None, executor
 
 
 class TestClusterValidation:
@@ -403,16 +408,173 @@ class TestBrokenPoolRecovery:
             registry_dir=tmp_path,
         ) as runner:
             runner.prefit()
-            victim = next(iter(runner._pool._executor._processes.values()))
+            victim = runner._pool._processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             assert wait([victim.sentinel], timeout=10)
-            with pytest.raises(BrokenProcessPool):
+            # The error names the dead worker's feedline and exit code.
+            with pytest.raises(
+                ShardCrashedError, match=r"feedline-0.*exit code -9"
+            ):
                 calls[call](runner)
             calls[call](runner)
             report = runner.run(20)
         assert all(
             r.calibration_cached for r in report.feedline_reports.values()
         )
+
+
+def _served_state(worker, task):
+    """Probe: what the worker owning ``task``'s feedline keeps for it."""
+    served = worker._served[task.name]
+    return (
+        task.name,
+        served.version,
+        served.pipeline is not None,
+        len(worker._served) == len(worker.feedlines),
+    )
+
+
+def _unservable_traffic():
+    """A traffic builder that fails where the worker runs."""
+    raise ConfigurationError("no traffic for this feedline")
+
+
+def _fail_or_hang(worker, task):
+    """feedline-0 fails at once; every other feedline outlasts any test."""
+    if task.name == "feedline-0":
+        raise ConfigurationError("feedline-0 cannot serve")
+    time.sleep(120)
+    return task.name
+
+
+class TestFeedlineWorkers:
+    """Per warm cycle: one resolve per served version, one engine per
+    feedline; failures keep their type and never hang a close."""
+
+    def test_serial_cycle_builds_each_engine_once_and_resolves_once(
+        self, feedline_chips, warm_registry, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.pipeline.stages import BatchDiscriminationEngine
+
+        engines = Counter()
+        build = BatchDiscriminationEngine.__init__
+
+        def counting_build(self, discriminator, chip):
+            engines[chip.qubits[0].name] += 1
+            build(self, discriminator, chip)
+
+        resolves = Counter()
+        get_or_fit = CalibrationRegistry.get_or_fit
+
+        def counting_get_or_fit(self, key, *args, **kwargs):
+            resolves[key.device] += 1
+            return get_or_fit(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(
+            BatchDiscriminationEngine, "__init__", counting_build
+        )
+        monkeypatch.setattr(
+            CalibrationRegistry, "get_or_fit", counting_get_or_fit
+        )
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="serial",
+            config=PipelineConfig(batch_size=10),
+            registry_dir=warm_registry,
+        ) as runner:
+            runner.prefit()
+            reports = [runner.run(20) for _ in range(3)]
+        assert sorted(engines.values()) == [1, 1], "one engine per feedline"
+        assert sorted(resolves.values()) == [1, 1], "resolved at prefit only"
+        assert all(
+            feedline.calibration_cached
+            for report in reports
+            for feedline in report.feedline_reports.values()
+        )
+
+    def test_run_after_recalibrate_serves_the_new_version(
+        self, feedline_chips, tmp_path
+    ):
+        from repro.pipeline.cluster import _PrefitTask
+
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="process",
+            workers=2,
+            config=PipelineConfig(batch_size=20),
+            registry_dir=tmp_path,
+        ) as runner:
+            runner.prefit()
+            runner.run(20)
+            runner.recalibrate(DEMO_DRIFT, 1000)
+            report = runner.run(20)
+            probe = runner._map(
+                _served_state,
+                [_PrefitTask(s.name, s.chip) for s in runner.feedlines],
+            )
+        # The recalibration left version 1 in the workers: the run
+        # fitted and resolved nothing, and built one pipeline for it.
+        assert all(
+            feedline.calibration_cached
+            for feedline in report.feedline_reports.values()
+        )
+        assert probe == [
+            ("feedline-0", 1, True, True),
+            ("feedline-1", 1, True, True),
+        ]
+
+    def test_worker_error_keeps_its_type_and_next_call_succeeds(
+        self, feedline_chips, warm_registry
+    ):
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="process",
+            workers=2,
+            config=PipelineConfig(batch_size=10),
+            registry_dir=warm_registry,
+        ) as runner:
+            with pytest.raises(
+                ConfigurationError, match="no traffic for this feedline"
+            ) as excinfo:
+                runner.dispatch([_unservable_traffic] * 2)
+            # The worker's traceback text is chained as the cause.
+            assert "_unservable_traffic" in str(excinfo.value.__cause__)
+            report = runner.run(10)
+        assert report.n_shots == 20
+
+    def test_failed_call_closes_a_busy_worker_without_waiting(
+        self, feedline_chips, warm_registry
+    ):
+        from repro.pipeline.cluster import _PrefitTask
+
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="process",
+            workers=2,
+            config=PipelineConfig(batch_size=10),
+            registry_dir=warm_registry,
+        ) as runner:
+            runner.prefit()
+            workers = list(runner._pool._processes)
+            start = time.monotonic()
+            with pytest.raises(ConfigurationError, match="cannot serve"):
+                runner._map(
+                    _fail_or_hang,
+                    [_PrefitTask(s.name, s.chip) for s in runner.feedlines],
+                )
+            # feedline-1's worker was still mid-call: close() stopped it
+            # instead of waiting out its call.
+            assert time.monotonic() - start < 30
+            assert not any(worker.is_alive() for worker in workers)
+            assert runner._pool is None
+            report = runner.run(10)
+        assert report.n_shots == 20
 
 
 class TestClusterReportAggregation:

@@ -361,6 +361,34 @@ class TestPipelineDriftDetection:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["drift_alarm"] is False
 
+    def test_report_scores_drift_once_per_run(
+        self, tmp_path, two_qubit_chip, monkeypatch
+    ):
+        calls = []
+        divergence = DriftMonitor._divergence
+
+        def counting_divergence(self):
+            calls.append(1)
+            return divergence(self)
+
+        monkeypatch.setattr(DriftMonitor, "_divergence", counting_divergence)
+        report = serve_one_feedline(
+            fast_profile(),
+            two_qubit_chip,
+            120,
+            config=PipelineConfig(batch_size=40),
+            chunk_size=60,
+            registry_dir=tmp_path,
+            device="drift-test",
+        )
+        assert len(calls) == 1
+        drift = report.details["drift"]
+        assert report.drift_score == drift["drift_score"]
+        assert report.drift_alarm is drift["alarm"]
+        assert drift["drift_score"] == max(
+            drift["assignment_divergence"], drift["margin_erosion"]
+        )
+
     def test_detection_can_be_disabled(self, tmp_path, two_qubit_chip):
         report = serve_one_feedline(
             fast_profile(),

@@ -444,10 +444,10 @@ class TestReadoutServiceWarmReuse:
             ),
         )
         with ReadoutService(spec, profile=tiny_profile()) as service:
-            shards = service._runner._pool._executor._processes
+            shards = service._runner._pool._processes
             assert service.stats.n_runs == 0
             assert len(shards) == 2
-            assert all(shard.is_alive() for shard in shards.values())
+            assert all(shard.is_alive() for shard in shards)
 
     def test_failed_warm_releases_pool_and_temp_registry(self, monkeypatch):
         from repro.exceptions import DataError
