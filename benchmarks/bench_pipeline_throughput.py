@@ -137,7 +137,6 @@ def _cluster_sweep(
     executors=EXECUTOR_NAMES,
     shots=2000,
     qubits_per_feedline=5,
-    adaptive=True,
     rounds=3,
 ):
     """Feedline-count x executor grid over one warm shared registry.
@@ -156,7 +155,6 @@ def _cluster_sweep(
     from repro.physics.device import multi_feedline_chips
 
     cpus = available_cpus()
-    config = PipelineConfig(adaptive_batching=adaptive)
     chips = multi_feedline_chips(
         max(feedline_counts), n_qubits=qubits_per_feedline
     )
@@ -172,7 +170,6 @@ def _cluster_sweep(
                     chips[:n_feedlines],
                     profile,
                     executor=executor,
-                    config=config,
                     registry_dir=registry_dir,
                 )
                 for executor in executors
@@ -340,9 +337,7 @@ def test_pipeline_serve_warm(benchmark, profile):
 
 def test_pipeline_cluster_sweep(benchmark, profile):
     # Two-qubit feedlines keep the pytest path fast; the standalone run
-    # records the full five-qubit sweep. Fixed-size batching here: the
-    # accuracy-equality assertion below needs identical batch
-    # partitioning per executor (adaptive sizes are timing-dependent).
+    # records the full five-qubit sweep.
     sweep = run_once(
         benchmark,
         _cluster_sweep,
@@ -350,7 +345,6 @@ def test_pipeline_cluster_sweep(benchmark, profile):
         feedline_counts=(1, 2),
         shots=600,
         qubits_per_feedline=2,
-        adaptive=False,
     )
     assert set(sweep) == {
         f"feedlines{n}_{ex}" for n in (1, 2) for ex in EXECUTOR_NAMES

@@ -27,7 +27,7 @@ Examples::
     repro run fidelity --workers 2
     repro fig5b --profile full --seed 7
     repro pipeline --shots 2000 --profile quick
-    repro pipeline --feedlines 3 --executor process --adaptive-batching
+    repro pipeline --feedlines 3 --executor process
     repro pipeline --prune --max-age-s 604800
     repro serve --spec examples/serve_spec.json --repeat 5 --json serve.json
     repro record --out corpus/ --shots 2000 --json record.json
@@ -199,29 +199,6 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--batch-size", type=int, default=64, help="shots per micro-batch"
-    )
-    parser.add_argument(
-        "--adaptive-batching",
-        action="store_true",
-        help=(
-            "resize micro-batches from the observed per-shot latency EWMA "
-            "against the FPGA decision budget instead of fixing --batch-size"
-        ),
-    )
-    parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=1024,
-        help="upper bound on the adapted batch size (default: 1024)",
-    )
-    parser.add_argument(
-        "--target-batch-ms",
-        type=float,
-        default=None,
-        help=(
-            "per-batch compute-latency target for --adaptive-batching "
-            "(default: derived from the FPGA decision budget)"
-        ),
     )
     parser.add_argument(
         "--chunk-size", type=int, default=256, help="shots per source chunk"
@@ -687,12 +664,7 @@ def _run_pipeline(argv: list[str]) -> int:
             workers=args.shard_workers,
             qubits_per_feedline=args.qubits_per_feedline,
         ),
-        batching=BatchingSpec(
-            batch_size=args.batch_size,
-            adaptive=args.adaptive_batching,
-            max_batch_size=args.max_batch_size,
-            target_batch_ms=args.target_batch_ms,
-        ),
+        batching=BatchingSpec(batch_size=args.batch_size),
         calibration=CalibrationSpec(
             profile=args.profile,
             seed=args.seed,

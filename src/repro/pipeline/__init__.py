@@ -31,11 +31,7 @@ online-decoding premise implies:
   applied before process shards fork.
 """
 
-from repro.pipeline.batching import (
-    MIN_PER_SHOT_SECONDS,
-    AdaptiveBatcher,
-    MicroBatcher,
-)
+from repro.pipeline.batching import MicroBatcher
 from repro.pipeline.buffers import BufferRing
 from repro.pipeline.cluster import (
     EXECUTOR_NAMES,
@@ -48,7 +44,6 @@ from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import LatencyStats, PipelineReport, StageTimings
 from repro.pipeline.registry import CalibrationKey, CalibrationRegistry, PruneReport
 from repro.pipeline.runner import (
-    ADAPTIVE_BUDGET_SLACK,
     PipelineConfig,
     ReadoutPipeline,
     calibration_key,
@@ -85,10 +80,7 @@ __all__ = [
     "SharedTraceBlock",
     "SharedMemoryTraceSource",
     "MicroBatcher",
-    "AdaptiveBatcher",
     "BufferRing",
-    "MIN_PER_SHOT_SECONDS",
-    "ADAPTIVE_BUDGET_SLACK",
     "DriftMonitor",
     "EXECUTOR_NAMES",
     "FeedlineSpec",

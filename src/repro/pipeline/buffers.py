@@ -60,8 +60,8 @@ class BufferRing:
     Parameters
     ----------
     max_batch:
-        Largest batch any slot must hold — the batcher's
-        ``max_emit_size``.
+        Largest batch any slot must hold — the pipeline's
+        ``batch_size``.
     n_features:
         Feature columns of the paired float buffer (``n_qubits *
         filters_per_qubit``).

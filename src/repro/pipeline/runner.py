@@ -24,9 +24,9 @@ from repro.data.synthetic import generate_corpus
 from repro.discriminators import registry as discriminators
 from repro.discriminators.mlr import MLRDiscriminator
 from repro.exceptions import ConfigurationError
-from repro.fpga.latency import check_cycle_budget, decision_budget_ns
+from repro.fpga.latency import check_cycle_budget
 from repro.physics.device import ChipConfig, default_five_qubit_chip
-from repro.pipeline.batching import AdaptiveBatcher, MicroBatcher
+from repro.pipeline.batching import MicroBatcher
 from repro.pipeline.buffers import BufferRing, make_buffer_ring
 from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import PipelineReport, StageTimings
@@ -36,7 +36,6 @@ from repro.pipeline.source import TraceSource
 from repro.pipeline.stages import BatchDiscriminationEngine
 
 __all__ = [
-    "ADAPTIVE_BUDGET_SLACK",
     "PipelineConfig",
     "ReadoutPipeline",
     "calibration_key",
@@ -51,14 +50,6 @@ DEFAULT_DEVICE = "five-qubit-default"
 DEFAULT_DESIGN = "ours"
 
 
-#: Software slack multiplier applied to the FPGA per-shot decision budget
-#: when deriving the adaptive batcher's default batch-latency target: the
-#: hardware decides in nanoseconds, a software batch may take that many
-#: shots' worth of budget (~8 ns * 5e5 = 4 ms per batch for the paper's
-#: 3-layer head).
-ADAPTIVE_BUDGET_SLACK = 5.0e5
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Runtime knobs for the streaming pipeline.
@@ -66,22 +57,10 @@ class PipelineConfig:
     Parameters
     ----------
     batch_size:
-        Shots per dispatched micro-batch (the initial size when adaptive
-        batching is on).
+        Shots per dispatched micro-batch.
     max_pending:
         Sink queue capacity in batches before backpressure blocks
         dispatch.
-    adaptive_batching:
-        Resize micro-batches from the observed per-shot compute-latency
-        EWMA (see :class:`~repro.pipeline.batching.AdaptiveBatcher`)
-        instead of keeping ``batch_size`` fixed.
-    max_batch_size:
-        Upper bound on the adapted batch size (adaptive mode only; the
-        fixed-size path ignores it).
-    target_batch_ms:
-        Per-batch compute-latency target for adaptive mode. ``None``
-        derives it from the serving head's FPGA decision budget times
-        :data:`ADAPTIVE_BUDGET_SLACK`.
     drift_detection:
         Monitor streamed assignments and score margins against the
         calibration-time references carried in the served artifact (see
@@ -101,9 +80,6 @@ class PipelineConfig:
 
     batch_size: int = 64
     max_pending: int = 8
-    adaptive_batching: bool = False
-    max_batch_size: int = 1024
-    target_batch_ms: float | None = None
     drift_detection: bool = True
     drift_threshold: float = 0.1
     drift_ewma_alpha: float = 0.25
@@ -114,20 +90,10 @@ class PipelineConfig:
         # several bad knobs reports them all in one pass instead of
         # failing one field at a time.
         problems: list[str] = []
-        for field_name in ("batch_size", "max_pending", "max_batch_size"):
+        for field_name in ("batch_size", "max_pending"):
             value = getattr(self, field_name)
             if value < 1:
                 problems.append(f"{field_name} must be >= 1, got {value}")
-        if self.adaptive_batching and self.max_batch_size < self.batch_size:
-            problems.append(
-                "max_batch_size must be >= batch_size when adaptive "
-                f"batching is on, got {self.max_batch_size} < "
-                f"{self.batch_size}"
-            )
-        if self.target_batch_ms is not None and self.target_batch_ms <= 0:
-            problems.append(
-                f"target_batch_ms must be positive, got {self.target_batch_ms}"
-            )
         if self.drift_threshold <= 0:
             problems.append(
                 f"drift_threshold must be positive, got {self.drift_threshold}"
@@ -168,9 +134,9 @@ class ReadoutPipeline:
 
     The engine (with its fused-bank cache) and the buffer ring are built
     at the first :meth:`run` and reused by every later one; the ring is
-    sized from the batcher's ``max_emit_size``, which the config fixes.
-    The batcher, the drift monitor and the default sink hold per-run
-    state, so each run builds its own.
+    sized from the config's ``batch_size``. The batcher, the drift
+    monitor and the default sink hold per-run state, so each run builds
+    its own.
     """
 
     def __init__(
@@ -195,25 +161,6 @@ class ReadoutPipeline:
             max_pending=self.config.max_pending,
         )
 
-    def _make_batcher(self) -> MicroBatcher:
-        """Fixed-size batcher, or the latency-adaptive one when enabled."""
-        config = self.config
-        if not config.adaptive_batching:
-            return MicroBatcher(config.batch_size)
-        if config.target_batch_ms is not None:
-            target_s = config.target_batch_ms * 1e-3
-        else:
-            head = self.discriminator.models[0]
-            target_s = (
-                decision_budget_ns(head.layer_sizes) * 1e-9
-                * ADAPTIVE_BUDGET_SLACK
-            )
-        return AdaptiveBatcher(
-            config.batch_size,
-            target_seconds=target_s,
-            max_size=config.max_batch_size,
-        )
-
     def _make_drift_monitor(self) -> DriftMonitor | None:
         """Per-run drift monitor, when enabled and the artifact can."""
         if not self.config.drift_detection:
@@ -235,7 +182,7 @@ class ReadoutPipeline:
     def run(self, source: TraceSource) -> PipelineReport:
         """Drain the source through the stages; returns the run report."""
         timings = StageTimings()
-        batcher = self._make_batcher()
+        batcher = MicroBatcher(self.config.batch_size)
         monitor = self._make_drift_monitor()
         sink = None
 
@@ -243,8 +190,6 @@ class ReadoutPipeline:
         n_batches = 0
         n_correct = 0
         n_labeled = 0
-        min_dispatched: int | None = None
-        max_dispatched: int | None = None
         assignment_counts = np.zeros(
             self.chip.n_levels**self.chip.n_qubits, dtype=np.int64
         )
@@ -257,7 +202,7 @@ class ReadoutPipeline:
                 # make_buffer_ring arms the use-after-recycle sanitizer
                 # when REPRO_SANITIZE is set; plain ring otherwise.
                 self._ring = make_buffer_ring(
-                    batcher.max_emit_size, engine.n_features
+                    self.config.batch_size, engine.n_features
                 )
                 self._engine = engine
             engine, ring = self._engine, self._ring
@@ -269,17 +214,8 @@ class ReadoutPipeline:
                     batch.feedline,
                     out_features=ring.paired_features(batch.feedline),
                 )
-                compute_s = 0.0
                 for stage, seconds in result.stage_seconds.items():
                     timings.record(stage, seconds, batch.n_shots)
-                    compute_s += seconds
-                if isinstance(batcher, AdaptiveBatcher):
-                    if min_dispatched is None:
-                        min_dispatched = max_dispatched = batch.n_shots
-                    else:
-                        min_dispatched = min(min_dispatched, batch.n_shots)
-                        max_dispatched = max(max_dispatched, batch.n_shots)
-                    batcher.observe(compute_s, batch.n_shots)
 
                 t0 = time.perf_counter()
                 sink.consume(result.levels, result.joint, batch.chunk_id)
@@ -318,28 +254,7 @@ class ReadoutPipeline:
             measured_ns_per_shot=timings.compute_per_shot_us() * 1e3,
             layer_sizes=head.layer_sizes,
         )
-        details = {
-            "batch_size": self.config.batch_size,
-            "adaptive_batching": self.config.adaptive_batching,
-        }
-        if isinstance(batcher, AdaptiveBatcher):
-            # Sizes actually streamed (includes the initial batch and the
-            # end-of-stream flush), not the controller's chosen sizes —
-            # the honest range for anyone tuning latency off the report.
-            details["adaptive"] = {
-                "target_batch_ms": batcher.target_seconds * 1e3,
-                "final_batch_size": batcher.batch_size,
-                "min_batch_size": (
-                    batcher.batch_size
-                    if min_dispatched is None
-                    else min_dispatched
-                ),
-                "max_batch_size": (
-                    batcher.batch_size
-                    if max_dispatched is None
-                    else max_dispatched
-                ),
-            }
+        details = {"batch_size": self.config.batch_size}
         drift = None if monitor is None else monitor.summary()
         if drift is not None:
             details["drift"] = drift

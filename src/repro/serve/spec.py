@@ -12,7 +12,7 @@ derive from it. Its sections:
 - :class:`ClusterSpec` — where it runs (feedlines, shard executor and
   workers, qubits per feedline).
 - :class:`BatchingSpec` — how it is batched (micro-batch size,
-  backpressure, adaptive sizing).
+  backpressure).
 - :class:`CalibrationSpec` — how discriminators are calibrated (profile,
   design, registry root, seed override).
 - :class:`DriftSpec` — simulated device drift injected across the
@@ -78,11 +78,8 @@ def _check_number(
     name: str,
     value: Any,
     positive: bool = False,
-    optional: bool = False,
 ) -> None:
     """Append a problem unless ``value`` is a (positive) real number."""
-    if value is None and optional:
-        return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{name} must be a number, got {value!r}")
         return
@@ -301,52 +298,18 @@ class BatchingSpec(_Section):
     Parameters
     ----------
     batch_size:
-        Shots per dispatched micro-batch (the initial size when
-        ``adaptive`` is on).
+        Shots per dispatched micro-batch.
     max_pending:
         Sink queue capacity in batches before backpressure blocks.
-    adaptive:
-        Resize batches from the per-shot compute-latency EWMA against
-        the FPGA decision budget.
-    max_batch_size:
-        Upper bound on the adapted batch size (adaptive mode only).
-    target_batch_ms:
-        Per-batch latency target for adaptive mode; ``None`` derives it
-        from the serving head's FPGA decision budget.
     """
 
     batch_size: int = 64
     max_pending: int = 8
-    adaptive: bool = False
-    max_batch_size: int = 1024
-    target_batch_ms: float | None = None
 
     def _problems(self) -> list[str]:
         problems: list[str] = []
         _check_int(problems, "batch_size", self.batch_size, minimum=1)
         _check_int(problems, "max_pending", self.max_pending, minimum=1)
-        _check_bool(problems, "adaptive", self.adaptive)
-        _check_int(problems, "max_batch_size", self.max_batch_size, minimum=1)
-        _check_number(
-            problems,
-            "target_batch_ms",
-            self.target_batch_ms,
-            positive=True,
-            optional=True,
-        )
-        if (
-            self.adaptive is True
-            and isinstance(self.batch_size, int)
-            and isinstance(self.max_batch_size, int)
-            and not isinstance(self.batch_size, bool)
-            and 1 <= self.batch_size
-            and 1 <= self.max_batch_size < self.batch_size
-        ):
-            problems.append(
-                "max_batch_size must be >= batch_size when adaptive "
-                f"batching is on, got {self.max_batch_size} < "
-                f"{self.batch_size}"
-            )
         return problems
 
 
@@ -667,9 +630,6 @@ class ServeSpec:
         return PipelineConfig(
             batch_size=self.batching.batch_size,
             max_pending=self.batching.max_pending,
-            adaptive_batching=self.batching.adaptive,
-            max_batch_size=self.batching.max_batch_size,
-            target_batch_ms=self.batching.target_batch_ms,
             drift_threshold=self.recalibration.threshold,
             drift_min_shots=self.recalibration.min_shots,
         )

@@ -403,7 +403,7 @@ class TestRunPipelineApi:
             cluster=ClusterSpec(
                 feedlines=2, executor="serial", qubits_per_feedline=2
             ),
-            batching=BatchingSpec(batch_size=15, adaptive=True),
+            batching=BatchingSpec(batch_size=15),
         )
         report = serve_once(spec, profile=self._tiny_profile())
         assert isinstance(report, ClusterReport)

@@ -181,7 +181,7 @@ class TestPipelineSubcommand:
         assert "--registry" in out
         assert "--feedlines" in out
         assert "--executor" in out
-        assert "--adaptive-batching" in out
+        assert "--batch-size" in out
 
     def test_pipeline_multi_feedline_streams_and_writes_json(
         self, capsys, tmp_path
@@ -196,7 +196,6 @@ class TestPipelineSubcommand:
                 "--shots", "60",
                 "--batch-size", "30",
                 "--chunk-size", "30",
-                "--adaptive-batching",
                 "--no-cache",
                 "--json", str(json_path),
             ]
@@ -213,7 +212,24 @@ class TestPipelineSubcommand:
         for feedline in payload["feedlines"].values():
             for stage in ("matched_filter", "discriminate", "sink"):
                 assert stage in feedline["stages"]
-            assert feedline["details"]["adaptive_batching"] is True
+            assert feedline["details"]["batch_size"] == 30
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--adaptive-batching"],
+            ["--max-batch-size", "256"],
+            ["--target-batch-ms", "4"],
+        ],
+        ids=["adaptive-batching", "max-batch-size", "target-batch-ms"],
+    )
+    def test_pipeline_rejects_retired_batching_flags(self, capsys, argv):
+        # Micro-batches are fixed at --batch-size; the adaptive flags
+        # are gone, so scripts that still pass them fail loudly.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["pipeline", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pipeline_rejects_unknown_executor(self, capsys):
         for executor in ("gpu", "thread"):

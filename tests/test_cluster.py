@@ -1,4 +1,5 @@
-"""Tests for multi-feedline sharding, executors, and adaptive batching."""
+"""Tests for multi-feedline sharding, the shard executors and fixed
+micro-batching."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from repro.physics.device import (
 from repro.physics.drift import DEMO_DRIFT
 from repro.pipeline import (
     EXECUTOR_NAMES,
-    AdaptiveBatcher,
     CalibrationKey,
     CalibrationRegistry,
     ClusterReport,
@@ -30,7 +30,6 @@ from repro.pipeline import (
     MultiFeedlineRunner,
     PipelineConfig,
     ProcessShardExecutor,
-    ShotChunk,
 )
 from repro.pipeline.cluster import validate_executor
 
@@ -775,127 +774,14 @@ class TestRegistryShardingIsolation:
         assert len(list(CalibrationRegistry(tmp_path).keys())) == 1
 
 
-def _latency_chunks(n_shots: int, chunk_size: int = 8):
-    feed = np.zeros((n_shots, 4), dtype=complex)
-    return [
-        ShotChunk(feed[i : i + chunk_size], None, i // chunk_size)
-        for i in range(0, n_shots, chunk_size)
-    ]
-
-
 class TestAdaptiveBatcher:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=1.0, min_size=0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=1.0, min_size=4, max_size=2)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=1.0, alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=1.0).observe(-1.0, 4)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatcher(8, target_seconds=1.0).observe(1.0, 0)
-
-    def test_zero_latency_sample_cannot_poison_the_ewma(self):
-        # Regression: a sub-resolution perf_counter delta observes
-        # seconds == 0.0. Unclamped, such samples drag the EWMA toward
-        # zero and ``int(target / ewma)`` explodes the next batch to
-        # max_size regardless of the real latency; the per-shot floor
-        # keeps the estimate positive and immediately recoverable.
-        from repro.pipeline.batching import MIN_PER_SHOT_SECONDS
-
-        batcher = AdaptiveBatcher(
-            8, target_seconds=8e-3, max_size=4096, alpha=0.5
-        )
-        for _ in range(20):  # establish a real 1 ms/shot latency
-            batcher.observe(1e-3 * batcher.batch_size, batcher.batch_size)
-        assert batcher.batch_size == 8
-        # One quantized-to-zero sample at alpha=0.5 can at most halve
-        # the EWMA (double the size) — it must not jump to max_size.
-        size = batcher.observe(0.0, batcher.batch_size)
-        assert size <= 16
-        assert batcher.ewma_per_shot_s >= MIN_PER_SHOT_SECONDS
-        # A long run of zeros floors the estimate instead of zeroing it
-        # (max_size is then the honest answer for a genuinely
-        # immeasurable stage)...
-        for _ in range(100):
-            batcher.observe(0.0, batcher.batch_size)
-        assert batcher.ewma_per_shot_s >= MIN_PER_SHOT_SECONDS
-        assert batcher.batch_size == 4096
-        # ...and a single real sample immediately re-constrains it.
-        size = batcher.observe(1e-3 * batcher.batch_size, batcher.batch_size)
-        assert size == int(8e-3 / batcher.ewma_per_shot_s)
-        assert size < 4096
-
-    @pytest.mark.parametrize(
-        "target_ms, per_shot_ms, expected",
-        [
-            (10.0, 1.0, 10),  # converges to target/latency
-            (64.0, 1.0, 64),
-            (0.5, 1.0, 1),  # over-budget latency clamps to min, never 0
-            (1e6, 1.0, 256),  # huge headroom clamps to max_size
-        ],
-    )
-    def test_converges_to_clamped_ratio(self, target_ms, per_shot_ms, expected):
-        batcher = AdaptiveBatcher(
-            8, target_seconds=target_ms * 1e-3, max_size=256, alpha=0.5
-        )
-        for _ in range(40):
-            size = batcher.observe(per_shot_ms * 1e-3 * batcher.batch_size,
-                                   batcher.batch_size)
-        assert size == expected
-        assert batcher.batch_size == expected
-        # Stability: further identical observations do not move the size.
-        assert batcher.observe(per_shot_ms * 1e-3 * size, size) == expected
-
-    @pytest.mark.parametrize("per_shot_ms", [0.01, 0.1, 1.0, 25.0])
-    def test_sizes_always_within_bounds(self, per_shot_ms):
-        batcher = AdaptiveBatcher(16, target_seconds=2e-3, max_size=128)
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            jitter = 1.0 + 0.5 * rng.random()
-            batcher.observe(
-                per_shot_ms * 1e-3 * jitter * batcher.batch_size,
-                batcher.batch_size,
-            )
-        assert batcher.n_observations == 60
-        low, high = batcher.chosen_range
-        assert low >= 1
-        assert high <= 128
-
-    def test_zero_latency_opens_up_to_max(self):
-        batcher = AdaptiveBatcher(4, target_seconds=1e-3, max_size=32)
-        assert batcher.observe(0.0, 4) == 32
-
-    def test_ewma_smooths_spikes(self):
-        batcher = AdaptiveBatcher(10, target_seconds=10e-3, alpha=0.2)
-        batcher.observe(1e-3 * 10, 10)  # 1 ms/shot -> size 10
-        before = batcher.batch_size
-        batcher.observe(20e-3, 1)  # one 20 ms/shot outlier
-        after = batcher.batch_size
-        # The outlier shrinks the batch, but the EWMA damps it above the
-        # instantaneous answer (10 ms target / 20 ms per shot -> size 1;
-        # the blended estimate of 4.8 ms/shot still allows a size-2 batch).
-        assert 1 < after < before
-        assert after == 2
-
-    def test_rebatch_follows_resizes(self):
-        batcher = AdaptiveBatcher(4, target_seconds=1.0, max_size=16)
-        sizes = []
-        stream = batcher.rebatch(_latency_chunks(64, chunk_size=8))
-        for batch in stream:
-            sizes.append(batch.n_shots)
-            # Pretend each shot takes 1/8 s: converges toward size 8.
-            batcher.observe(batch.n_shots / 8.0, batch.n_shots)
-        assert sizes[0] == 4  # initial size honored before feedback
-        assert 8 in sizes  # resize took effect mid-stream
-        assert sum(sizes) == 64  # no shot dropped
+    """The latency-adaptive batcher is retired: every run serves one
+    fixed micro-batch size."""
 
     def test_fixed_path_when_adaptive_off(self, tiny_corpus):
-        # PipelineConfig(adaptive_batching=False) must keep the plain
-        # MicroBatcher: constant batch size, no adaptive details.
+        # The plain MicroBatcher is the only path: constant batch size,
+        # no adaptive details, and no knob that turns adaptation on.
+        import repro.pipeline
         from repro.discriminators import MLRDiscriminator as MLR
         from repro.ml import stratified_split
         from repro.pipeline import CorpusTraceSource, ReadoutPipeline
@@ -908,30 +794,10 @@ class TestAdaptiveBatcher:
             disc, tiny_corpus.chip, PipelineConfig(batch_size=50)
         )
         report = pipeline.run(CorpusTraceSource(tiny_corpus, chunk_size=45))
-        assert report.details["adaptive_batching"] is False
+        assert report.details["batch_size"] == 50
+        assert "adaptive_batching" not in report.details
         assert "adaptive" not in report.details
         assert report.n_batches == -(-tiny_corpus.n_traces // 50)
-
-    def test_adaptive_run_reports_trajectory(self, tiny_corpus):
-        from repro.discriminators import MLRDiscriminator as MLR
-        from repro.ml import stratified_split
-        from repro.pipeline import CorpusTraceSource, ReadoutPipeline
-
-        train, _ = stratified_split(tiny_corpus.labels, 0.5, seed=21)
-        disc = MLR(epochs=6, learning_rate=3e-3, seed=22).fit(
-            tiny_corpus, train
-        )
-        pipeline = ReadoutPipeline(
-            disc,
-            tiny_corpus.chip,
-            PipelineConfig(
-                batch_size=8, adaptive_batching=True, max_batch_size=64
-            ),
-        )
-        report = pipeline.run(CorpusTraceSource(tiny_corpus, chunk_size=40))
-        adaptive = report.details["adaptive"]
-        assert report.details["adaptive_batching"] is True
-        assert 1 <= adaptive["min_batch_size"]
-        assert adaptive["max_batch_size"] <= 64
-        assert adaptive["target_batch_ms"] > 0
-        assert report.n_shots == tiny_corpus.n_traces
+        with pytest.raises(TypeError, match="adaptive_batching"):
+            PipelineConfig(batch_size=50, adaptive_batching=True)
+        assert not hasattr(repro.pipeline, "AdaptiveBatcher")

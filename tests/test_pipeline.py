@@ -728,9 +728,7 @@ class TestPipelineEndToEnd:
 class TestPipelineConfigValidation:
     """PipelineConfig reports every invalid knob in one error."""
 
-    @pytest.mark.parametrize(
-        "field_name", ["batch_size", "max_pending", "max_batch_size"]
-    )
+    @pytest.mark.parametrize("field_name", ["batch_size", "max_pending"])
     @pytest.mark.parametrize("value", [0, -1, -64])
     def test_rejects_non_positive_values(self, field_name, value):
         with pytest.raises(ConfigurationError, match=field_name):
@@ -738,34 +736,25 @@ class TestPipelineConfigValidation:
 
     def test_reports_all_invalid_fields_at_once(self):
         with pytest.raises(ConfigurationError) as err:
-            PipelineConfig(batch_size=0, max_pending=-1, max_batch_size=0)
+            PipelineConfig(batch_size=0, max_pending=-1, drift_threshold=0.0)
         message = str(err.value)
-        for field_name in ("batch_size", "max_pending", "max_batch_size"):
+        for field_name in ("batch_size", "max_pending", "drift_threshold"):
             assert field_name in message, message
         # One combined error, not the first violation alone.
-        assert message.count("must be >= 1") == 3
-
-    def test_adaptive_bound_must_cover_initial_size(self):
-        with pytest.raises(ConfigurationError, match="max_batch_size"):
-            PipelineConfig(
-                batch_size=128, adaptive_batching=True, max_batch_size=64
-            )
-        # Without adaptive batching the cap is inert and not enforced.
-        PipelineConfig(batch_size=2048, max_batch_size=1024)
-
-    @pytest.mark.parametrize("target", [0.0, -5.0])
-    def test_rejects_non_positive_latency_target(self, target):
-        with pytest.raises(ConfigurationError, match="target_batch_ms"):
-            PipelineConfig(target_batch_ms=target)
+        assert message.count("must be >= 1") == 2
 
     def test_valid_config_roundtrips_every_knob(self):
         config = PipelineConfig(
             batch_size=32,
             max_pending=4,
-            adaptive_batching=True,
-            max_batch_size=256,
-            target_batch_ms=2.5,
+            drift_detection=False,
+            drift_threshold=0.2,
+            drift_ewma_alpha=0.5,
+            drift_min_shots=10,
         )
         assert config.batch_size == 32
-        assert config.adaptive_batching is True
-        assert config.target_batch_ms == 2.5
+        assert config.max_pending == 4
+        assert config.drift_detection is False
+        assert config.drift_threshold == 0.2
+        assert config.drift_ewma_alpha == 0.5
+        assert config.drift_min_shots == 10

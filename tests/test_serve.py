@@ -85,13 +85,7 @@ class TestServeSpecRoundTrip:
                 workers=2,
                 qubits_per_feedline=2,
             ),
-            batching=BatchingSpec(
-                batch_size=9,
-                max_pending=2,
-                adaptive=True,
-                max_batch_size=99,
-                target_batch_ms=1.5,
-            ),
+            batching=BatchingSpec(batch_size=9, max_pending=2),
             calibration=CalibrationSpec(
                 profile="full",
                 design="herqules",
@@ -145,7 +139,9 @@ class TestServeSpecValidation:
                 # still set it fail loudly instead of being ignored.
                 "cluster": {"feedlines": 0, "executor": executor,
                             "channel_workers": 2},
-                "batching": {"batch_size": 0, "adaptive": "yes"},
+                # So are the adaptive-batching fields: batches are fixed.
+                "batching": {"batch_size": 0, "adaptive": True,
+                             "max_batch_size": 256, "target_batch_ms": None},
                 "calibration": {"design": ""},
                 "networking": {},
             }
@@ -161,7 +157,9 @@ class TestServeSpecValidation:
                 f"got {executor!r}",
                 "cluster.channel_workers: unknown field",
                 "batching.batch_size",
-                "batching.adaptive",
+                "batching.adaptive: unknown field",
+                "batching.max_batch_size: unknown field",
+                "batching.target_batch_ms: unknown field",
                 "calibration.design",
                 "networking: unknown section",
             ):
@@ -267,12 +265,6 @@ class TestServeSpecValidation:
         )
         assert spec.traffic.backend == "replay"
 
-    def test_adaptive_cross_field_bound(self):
-        with pytest.raises(ConfigurationError, match="max_batch_size"):
-            BatchingSpec(adaptive=True, batch_size=64, max_batch_size=8)
-        # Inert without adaptive batching (matches PipelineConfig).
-        BatchingSpec(adaptive=False, batch_size=64, max_batch_size=8)
-
     def test_unknown_executor_rejected(self):
         for executor in ("gpu", "thread"):
             with pytest.raises(ConfigurationError, match="executor"):
@@ -315,20 +307,11 @@ class TestServeSpecDerivation:
 
     def test_pipeline_config_mapping(self):
         spec = ServeSpec(
-            batching=BatchingSpec(
-                batch_size=32,
-                max_pending=4,
-                adaptive=True,
-                max_batch_size=128,
-                target_batch_ms=2.0,
-            ),
+            batching=BatchingSpec(batch_size=32, max_pending=4),
         )
         config = spec.pipeline_config()
         assert config.batch_size == 32
         assert config.max_pending == 4
-        assert config.adaptive_batching is True
-        assert config.max_batch_size == 128
-        assert config.target_batch_ms == 2.0
 
 
 class TestReadoutServiceWarmReuse:

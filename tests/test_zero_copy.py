@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import RecordingBackend, SimulatorBackend, load_corpus
 from repro.config import Profile
@@ -29,6 +31,7 @@ from repro.pipeline import (
     BufferRing,
     CollectingSink,
     CorpusTraceSource,
+    EraserSpeculationSink,
     LatencyStats,
     MicroBatcher,
     MultiFeedlineRunner,
@@ -696,8 +699,8 @@ class TestBufferRing:
 class TestPipelineEngineParity:
     """End-to-end: the served pipeline report equals the offline oracle."""
 
-    def _run(self, fitted, corpus, **config_kw):
-        config = PipelineConfig(batch_size=48, **config_kw)
+    def _run(self, fitted, corpus, batch_size=48):
+        config = PipelineConfig(batch_size=batch_size)
         pipeline = ReadoutPipeline(fitted, corpus.chip, config)
         return pipeline.run(CorpusTraceSource(corpus, chunk_size=64))
 
@@ -720,12 +723,35 @@ class TestPipelineEngineParity:
         )
 
     def test_fused_with_adaptive_batching(self, fitted, tiny_corpus):
-        report = self._run(
-            fitted, tiny_corpus, adaptive_batching=True, max_batch_size=128
-        )
+        """Adaptive batching is retired: a config asking for it is
+        refused, and the fused run at its old 128-shot bound serves
+        fixed 128-shot batches with the oracle's counts."""
+        with pytest.raises(TypeError, match="adaptive_batching"):
+            PipelineConfig(
+                batch_size=48, adaptive_batching=True, max_batch_size=128
+            )
+        report = self._run(fitted, tiny_corpus, batch_size=128)
+        assert report.n_batches == -(-tiny_corpus.n_traces // 128)
         assert report.assignment_counts == self._oracle_counts(
             fitted, tiny_corpus
         )
+
+
+class _EraserCollectingSink(CollectingSink):
+    """Keeps every label, and feeds the ERASER sink whose summary it
+    reports: one run then yields both the served levels and the
+    summary the default sink would give."""
+
+    def __init__(self, n_qubits: int) -> None:
+        super().__init__()
+        self.eraser = EraserSpeculationSink(n_qubits)
+
+    def consume(self, levels, joint, batch_id):
+        super().consume(levels, joint, batch_id)
+        self.eraser.consume(levels, joint, batch_id)
+
+    def close(self) -> dict:
+        return self.eraser.close()
 
 
 class TestServingFlipBound:
@@ -738,9 +764,10 @@ class TestServingFlipBound:
     at its default ``ap_fixed<8,3>`` weights and ``ap_fixed<16,8>``
     activations). Serving is held to 0 flips, the standard CI's
     ``counts_identical`` and perfbench's per-shot check already apply,
-    through every hand-off: one-shot batches, batches that are whole
-    16-shot chunks (uncopied views), and 256-shot batches over 100-shot
-    chunks (assembled in ring slots).
+    for any batch and chunk size: one-shot batches, batches that are
+    whole chunks (uncopied views), batches inside a chunk and batches
+    spanning chunks (assembled in ring slots). How the stream is cut
+    into batches must not change what is served either.
     """
 
     @pytest.fixture(scope="class")
@@ -763,28 +790,67 @@ class TestServingFlipBound:
             chip=two_qubit_chip,
         )
 
+    @staticmethod
+    def _serve(fitted, corpus, batch_size, chunk_size):
+        """One run; returns its report and the served per-qubit levels."""
+        sink = _EraserCollectingSink(corpus.chip.n_qubits)
+        pipeline = ReadoutPipeline(
+            fitted,
+            corpus.chip,
+            PipelineConfig(batch_size=batch_size),
+            sink=sink,
+        )
+        report = pipeline.run(CorpusTraceSource(corpus, chunk_size=chunk_size))
+        return report, sink.levels
+
+    @pytest.fixture(scope="class")
+    def oracle(self, fitted, recorded):
+        return fitted.predict_qubit_levels(recorded)
+
+    @pytest.fixture(scope="class")
+    def reference(self, fitted, recorded):
+        return self._serve(fitted, recorded, 256, 256)[0]
+
+    def _check(
+        self, fitted, recorded, oracle, reference, batch_size, chunk_size
+    ):
+        """Serve one partition; hold it to the oracle and the reference."""
+        report, levels = self._serve(fitted, recorded, batch_size, chunk_size)
+        assert report.n_shots == recorded.n_traces
+        # Every batch is batch_size shots but the end-of-stream flush.
+        assert report.n_batches == -(-recorded.n_traces // batch_size)
+        assert levels.shape == oracle.shape
+        assert int(np.count_nonzero(levels != oracle)) == 0
+        # Any partition of the stream serves what the reference serves.
+        # (Drift fields are left out: the monitor folds one EWMA step
+        # per batch, so its score still follows the batch size.)
+        assert report.assignment_counts == reference.assignment_counts
+        assert report.accuracy == reference.accuracy
+        assert report.sink_summary == reference.sink_summary
+
     @pytest.mark.parametrize(
         "batch_size, chunk_size",
         [(1, 100), (16, 16), (256, 100)],
         ids=["b1", "b16-whole-chunks", "b256-spanning-chunks"],
     )
     def test_no_per_qubit_flips(
-        self, fitted, recorded, batch_size, chunk_size
+        self, fitted, recorded, oracle, reference, batch_size, chunk_size
     ):
-        sink = CollectingSink()
-        pipeline = ReadoutPipeline(
-            fitted,
-            recorded.chip,
-            PipelineConfig(batch_size=batch_size),
-            sink=sink,
+        self._check(
+            fitted, recorded, oracle, reference, batch_size, chunk_size
         )
-        report = pipeline.run(
-            CorpusTraceSource(recorded, chunk_size=chunk_size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch_size=st.integers(min_value=1, max_value=300),
+        chunk_size=st.integers(min_value=1, max_value=300),
+    )
+    def test_no_per_qubit_flips_at_any_partition(
+        self, fitted, recorded, oracle, reference, batch_size, chunk_size
+    ):
+        self._check(
+            fitted, recorded, oracle, reference, batch_size, chunk_size
         )
-        assert report.n_shots == recorded.n_traces
-        oracle = fitted.predict_qubit_levels(recorded)
-        assert sink.levels.shape == oracle.shape
-        assert int(np.count_nonzero(sink.levels != oracle)) == 0
 
 
 class TestSharedMemoryReplay:
