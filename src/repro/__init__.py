@@ -29,7 +29,7 @@ Layout
     Streaming readout runtime: trace sources, micro-batched fused
     matched-filter/NN stages (demod folded into the kernels), a calibration
     registry serving fitted artifacts by (device, qubit, profile),
-    backpressure-aware sinks into QEC speculation, and per-stage
+    an inline ERASER+M sink for QEC leakage speculation, and per-stage
     latency/throughput instrumentation against the FPGA cycle budget.
 ``repro.experiments``
     One runner per paper table/figure, with quick/full/paper profiles.

@@ -14,8 +14,8 @@ online-decoding premise implies:
 - :mod:`repro.pipeline.registry` — :class:`CalibrationRegistry` persists
   fitted artifacts (kernels, scalers, NN weights) by
   (device, qubit, profile) so warm runs skip retraining.
-- :mod:`repro.pipeline.sink` — backpressure-aware sinks; the default
-  feeds ERASER+M leakage speculation in :mod:`repro.qec.eraser`.
+- :mod:`repro.pipeline.sink` — result sinks; the default runs inline
+  and feeds ERASER+M leakage speculation in :mod:`repro.qec.eraser`.
 - :mod:`repro.pipeline.metrics` — per-stage p50/p99 latency, throughput,
   and the measured-vs-FPGA cycle-budget check.
 - :mod:`repro.pipeline.runner` — :class:`ReadoutPipeline`, whose

@@ -759,8 +759,7 @@ class MultiFeedlineRunner:
         another; only shards that own a feedline are forked. ``serial``
         always runs (and reports) one worker, whatever is asked.
     config:
-        Per-feedline runtime config (batch size, backpressure, drift
-        detection).
+        Per-feedline runtime config (batch size, drift detection).
     chunk_size:
         Shots per source chunk inside each feedline.
     registry_dir:

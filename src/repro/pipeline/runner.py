@@ -31,7 +31,7 @@ from repro.pipeline.buffers import BufferRing, make_buffer_ring
 from repro.pipeline.drift import DriftMonitor
 from repro.pipeline.metrics import PipelineReport, StageTimings
 from repro.pipeline.registry import CalibrationKey, CalibrationRegistry
-from repro.pipeline.sink import EraserSpeculationSink, QueueingSink, ResultSink
+from repro.pipeline.sink import EraserSpeculationSink, ResultSink
 from repro.pipeline.source import TraceSource
 from repro.pipeline.stages import BatchDiscriminationEngine
 
@@ -59,8 +59,9 @@ class PipelineConfig:
     batch_size:
         Shots per dispatched micro-batch.
     max_pending:
-        Sink queue capacity in batches before backpressure blocks
-        dispatch.
+        Queue capacity in batches for a caller-built
+        :class:`~repro.pipeline.sink.QueueingSink`. The default sink
+        runs inline and has no queue, so no pipeline run reads it.
     drift_detection:
         Monitor streamed assignments and score margins against the
         calibration-time references carried in the served artifact (see
@@ -128,9 +129,10 @@ class ReadoutPipeline:
         Optional result consumer. Every :meth:`run` closes the sink it
         used (that is where the report's sink summary comes from), so a
         caller-provided sink makes the pipeline single-run. When omitted,
-        each run builds its own backpressured ERASER+M speculation sink —
-        the paper's downstream QEC consumer — and the pipeline is
-        reusable across runs.
+        each run builds its own ERASER+M speculation sink — the paper's
+        downstream QEC consumer — and calls it on the thread that runs
+        the batch loop, so a default run starts no thread; the pipeline
+        is reusable across runs.
 
     The engine (with its fused-bank cache) and the buffer ring are built
     at the first :meth:`run` and reused by every later one; the ring is
@@ -156,10 +158,7 @@ class ReadoutPipeline:
     def _make_sink(self) -> ResultSink:
         if self._sink_override is not None:
             return self._sink_override
-        return QueueingSink(
-            EraserSpeculationSink(self.chip.n_qubits),
-            max_pending=self.config.max_pending,
-        )
+        return EraserSpeculationSink(self.chip.n_qubits)
 
     def _make_drift_monitor(self) -> DriftMonitor | None:
         """Per-run drift monitor, when enabled and the artifact can."""
@@ -206,8 +205,8 @@ class ReadoutPipeline:
                 )
                 self._engine = engine
             engine, ring = self._engine, self._ring
-            # Built only after the engine checks out, so a construction
-            # error cannot leak the default sink's consumer thread.
+            # Taken only after the engine checks out: a construction error
+            # then closes no sink, so a caller's sink stays usable.
             sink = self._make_sink()
             for batch in batcher.rebatch(source.chunks(), ring=ring):
                 result = engine.process(
@@ -233,8 +232,9 @@ class ReadoutPipeline:
                 n_shots += batch.n_shots
                 n_batches += 1
         except BaseException:
-            # The stage error is the primary failure; still release the
-            # sink's consumer thread, suppressing any deferred sink error.
+            # The stage or sink error is the primary failure; still close
+            # the sink (a caller's QueueingSink joins its consumer thread
+            # there), suppressing any deferred sink error.
             if sink is not None:
                 try:
                     sink.close()

@@ -1,11 +1,13 @@
 """Result sinks: where per-shot labels go after discrimination.
 
 The paper's downstream consumer is QEC leakage speculation — every shot's
-multi-level labels feed ERASER+M evidence accumulation. Sinks here are
-*backpressure-aware*: :class:`QueueingSink` hands batches to a consumer
+multi-level labels feed ERASER+M evidence accumulation. The pipeline's
+default sink, :class:`EraserSpeculationSink`, runs inline: the thread
+that decides a batch feeds it, so the pipeline's "sink" stage latency is
+the ERASER work itself. :class:`QueueingSink` is opt-in, for a caller's
+sink that blocks (on I/O, for example): it hands batches to a consumer
 thread through a bounded queue, so a slow consumer blocks the dispatch
-loop instead of letting unprocessed labels pile up without limit (the
-pipeline's "sink" stage latency measures exactly that blocking).
+loop instead of letting unprocessed labels pile up without limit.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class CollectingSink(ResultSink):
 
 class QueueingSink(ResultSink):
     """Runs an inner sink on a consumer thread behind a bounded queue.
+
+    Opt-in, for an inner sink that blocks (on I/O, for example): a
+    thread only overlaps waiting with the engine, not Python work.
 
     Parameters
     ----------
@@ -144,7 +149,9 @@ class EraserSpeculationSink(ResultSink):
     Each shot's multi-level labels are treated as one readout cycle of
     direct leakage evidence for :class:`repro.qec.eraser
     .LevelStreamSpeculator`; the summary reports how many LRC requests the
-    stream triggered. Wrap in :class:`QueueingSink` for backpressure.
+    stream triggered. It is the pipeline's default sink and runs inline,
+    on the thread that decides: its work is CPU-bound Python, which a
+    consumer thread could not overlap with the engine under the GIL.
     """
 
     def __init__(

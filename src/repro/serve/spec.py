@@ -11,8 +11,7 @@ derive from it. Its sections:
   corpus paths).
 - :class:`ClusterSpec` — where it runs (feedlines, shard executor and
   workers, qubits per feedline).
-- :class:`BatchingSpec` — how it is batched (micro-batch size,
-  backpressure).
+- :class:`BatchingSpec` — how it is batched (micro-batch size).
 - :class:`CalibrationSpec` — how discriminators are calibrated (profile,
   design, registry root, seed override).
 - :class:`DriftSpec` — simulated device drift injected across the
@@ -299,17 +298,13 @@ class BatchingSpec(_Section):
     ----------
     batch_size:
         Shots per dispatched micro-batch.
-    max_pending:
-        Sink queue capacity in batches before backpressure blocks.
     """
 
     batch_size: int = 64
-    max_pending: int = 8
 
     def _problems(self) -> list[str]:
         problems: list[str] = []
         _check_int(problems, "batch_size", self.batch_size, minimum=1)
-        _check_int(problems, "max_pending", self.max_pending, minimum=1)
         return problems
 
 
@@ -629,7 +624,6 @@ class ServeSpec:
 
         return PipelineConfig(
             batch_size=self.batching.batch_size,
-            max_pending=self.batching.max_pending,
             drift_threshold=self.recalibration.threshold,
             drift_min_shots=self.recalibration.min_shots,
         )

@@ -592,8 +592,9 @@ class TestPipelineEndToEnd:
     def test_engine_construction_error_does_not_leak_sink(
         self, pipeline_mlr, five_qubit_chip
     ):
-        import threading
-
+        # The default sink owns no thread, and a caller's QueueingSink is
+        # started by the caller: a run that fails before its first batch
+        # must leave the thread count where it found it.
         before = threading.active_count()
         pipeline = ReadoutPipeline(pipeline_mlr, five_qubit_chip)
         with pytest.raises(DataError):
@@ -723,6 +724,90 @@ class TestPipelineEndToEnd:
         with pytest.raises(DataError):
             pipeline.run(_Source())
         assert closed == [True], "sink must be closed on the failure path"
+
+
+class TestInlineDefaultSink:
+    """A default run feeds ERASER+M on the thread that runs the batch loop."""
+
+    CONFIG = PipelineConfig(batch_size=40)  # 9 batches of tiny_corpus
+
+    def test_default_sink_runs_on_the_calling_thread(
+        self, tiny_corpus, pipeline_mlr, monkeypatch
+    ):
+        consume = EraserSpeculationSink.consume
+        seen = []
+
+        def recording(sink, levels, joint, batch_id):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return consume(sink, levels, joint, batch_id)
+
+        monkeypatch.setattr(EraserSpeculationSink, "consume", recording)
+        pipeline = ReadoutPipeline(pipeline_mlr, tiny_corpus.chip, self.CONFIG)
+        before = threading.active_count()
+        report = pipeline.run(CorpusTraceSource(tiny_corpus))
+        assert len(seen) == report.n_batches == 9
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert {count for _, count in seen} == {before}, "a run started a thread"
+        assert report.sink_summary["shots_seen"] == tiny_corpus.n_traces
+        assert "max_pending" not in report.sink_summary
+
+    def test_default_sink_error_raises_at_its_batch(
+        self, tiny_corpus, pipeline_mlr, monkeypatch
+    ):
+        fail_at = 3
+        reached, decided = [], []
+        consume = EraserSpeculationSink.consume
+        process = BatchDiscriminationEngine.process
+
+        def failing(sink, levels, joint, batch_id):
+            reached.append(batch_id)
+            if batch_id == fail_at:
+                raise RuntimeError("speculation exploded")
+            return consume(sink, levels, joint, batch_id)
+
+        def counting(engine, *args, **kwargs):
+            decided.append(1)
+            return process(engine, *args, **kwargs)
+
+        monkeypatch.setattr(EraserSpeculationSink, "consume", failing)
+        monkeypatch.setattr(BatchDiscriminationEngine, "process", counting)
+        pipeline = ReadoutPipeline(pipeline_mlr, tiny_corpus.chip, self.CONFIG)
+        with pytest.raises(RuntimeError, match="speculation exploded"):
+            pipeline.run(CorpusTraceSource(tiny_corpus))
+        # Raised by that batch's consume, not deferred to close(): the
+        # loop decided no later batch, and none reached the sink.
+        assert reached == list(range(fail_at + 1))
+        assert len(decided) == fail_at + 1
+        monkeypatch.undo()
+        again = pipeline.run(CorpusTraceSource(tiny_corpus))
+        fresh = ReadoutPipeline(
+            pipeline_mlr, tiny_corpus.chip, self.CONFIG
+        ).run(CorpusTraceSource(tiny_corpus))
+        assert again.n_shots == fresh.n_shots == tiny_corpus.n_traces
+        assert again.assignment_counts == fresh.assignment_counts
+        assert again.sink_summary == fresh.sink_summary
+        assert again.drift_score == fresh.drift_score
+
+    def test_queueing_wrapper_serves_what_the_inline_sink_serves(
+        self, tiny_corpus, pipeline_mlr
+    ):
+        inline = ReadoutPipeline(
+            pipeline_mlr, tiny_corpus.chip, self.CONFIG
+        ).run(CorpusTraceSource(tiny_corpus))
+        queued = ReadoutPipeline(
+            pipeline_mlr,
+            tiny_corpus.chip,
+            self.CONFIG,
+            sink=QueueingSink(
+                EraserSpeculationSink(tiny_corpus.chip.n_qubits), max_pending=2
+            ),
+        ).run(CorpusTraceSource(tiny_corpus))
+        assert queued.assignment_counts == inline.assignment_counts
+        assert queued.accuracy == inline.accuracy
+        assert inline.sink_summary["lrc_requests"] > 0
+        summary = dict(queued.sink_summary)
+        assert summary.pop("max_pending") == 2
+        assert summary == inline.sink_summary
 
 
 class TestPipelineConfigValidation:

@@ -85,7 +85,7 @@ class TestServeSpecRoundTrip:
                 workers=2,
                 qubits_per_feedline=2,
             ),
-            batching=BatchingSpec(batch_size=9, max_pending=2),
+            batching=BatchingSpec(batch_size=9),
             calibration=CalibrationSpec(
                 profile="full",
                 design="herqules",
@@ -164,6 +164,16 @@ class TestServeSpecValidation:
                 "networking: unknown section",
             ):
                 assert fragment in message, fragment
+
+    def test_retired_max_pending_is_an_unknown_field(self):
+        # The default sink runs inline and has no queue to size: a spec
+        # file that still sets the field fails by name.
+        with pytest.raises(
+            ConfigurationError, match="batching.max_pending: unknown field"
+        ):
+            ServeSpec.from_dict(
+                {"batching": {"batch_size": 256, "max_pending": 8}}
+            )
 
     def test_direct_section_construction_reports_all_its_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -307,11 +317,13 @@ class TestServeSpecDerivation:
 
     def test_pipeline_config_mapping(self):
         spec = ServeSpec(
-            batching=BatchingSpec(batch_size=32, max_pending=4),
+            batching=BatchingSpec(batch_size=32),
+            recalibration=RecalibrationSpec(threshold=0.2, min_shots=7),
         )
         config = spec.pipeline_config()
         assert config.batch_size == 32
-        assert config.max_pending == 4
+        assert config.drift_threshold == 0.2
+        assert config.drift_min_shots == 7
 
 
 class TestReadoutServiceWarmReuse:
