@@ -207,10 +207,11 @@ def _cluster_sweep(
 def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
     """Fused zero-copy serving vs the offline oracle, replayed.
 
-    Traffic is pre-generated once and replayed through shared memory
-    (:meth:`MultiFeedlineRunner.run_replay`), so the timed window
-    contains discrimination only — the honest serving number, with the
-    simulator out of the loop. The oracle is offline
+    Traffic is pre-generated once, published to shared memory once
+    (:meth:`MultiFeedlineRunner.publish_replay`) and replayed
+    ``rounds`` times (:meth:`MultiFeedlineRunner.dispatch_replay`), so
+    the timed window contains discrimination only — the honest serving
+    number, with the simulator out of the loop. The oracle is offline
     ``MLRDiscriminator.predict`` on the same corpus with the same
     registry artifact; served assignment counts must match it exactly.
     Both arms keep the fastest of ``rounds`` repeats.
@@ -234,10 +235,16 @@ def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
             registry_dir=registry_dir,
         ) as runner:
             runner.prefit()  # cold fit lands before any timed replay
-            served = max(
-                (runner.run_replay([corpus]) for _ in range(rounds)),
-                key=lambda report: report.shots_per_second,
-            )
+            block = runner.publish_replay(corpus)
+            try:
+                served = max(
+                    (runner.dispatch_replay(block) for _ in range(rounds)),
+                    key=lambda report: report.shots_per_second,
+                )
+            finally:
+                # The worker drops its mapping before the segment goes.
+                runner.close()
+                block.unlink()
             device = runner.feedlines[0].registry_device
         model, _ = fit_or_load_discriminator(
             profile,

@@ -404,6 +404,12 @@ def _run_serve(argv: list[str]) -> int:
     if args.repeat < 1:
         raise ConfigurationError(f"--repeat must be >= 1, got {args.repeat}")
     spec = _apply_drift_flags(ServeSpec.from_file(args.spec), args)
+    # The overrides fold into the spec, so the record's spec is the one
+    # every run served.
+    if args.shots is not None:
+        spec = spec.with_traffic(shots=args.shots)
+    if args.seed is not None:
+        spec = spec.with_traffic(seed=args.seed)
     reports = []
     with ReadoutService.open(spec) as service:
         print(
@@ -411,7 +417,7 @@ def _run_serve(argv: list[str]) -> int:
             f"({service.stats.cold_fits} cold fit(s))"
         )
         for _ in range(args.repeat):
-            reports.append(service.run(shots=args.shots, seed=args.seed))
+            reports.append(service.run())
         stats = service.stats
     print(stats.format_table())
     if args.json is not None:

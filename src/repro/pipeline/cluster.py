@@ -39,10 +39,11 @@ back. Workers run on one of two executors:
 Every feedline's traffic seed is derived deterministically from the
 profile seed and the feedline index, so the same cluster run yields
 bit-identical assignment counts under any executor and any partitioning.
-Heterogeneous clusters place heaviest feedlines first (greedy
-longest-first by qubit count x trace length, each onto the least-loaded
-worker) so no worker idles while another runs a long tail; the aggregate
-report still lists feedlines in declared order.
+Each feedline belongs to one worker for the runner's life: feedlines are
+placed longest-first (qubit count x trace length), each onto the
+least-loaded worker, so no worker idles while another runs a long tail.
+The aggregate report lists feedlines in declared order, with the worker
+that owns each.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import resource_tracker
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro._util import json_finite
 from repro.config import Profile
@@ -131,12 +132,10 @@ class _FeedlineTask:
     the worker runs; the worker does not know what kind of traffic it
     streams. Simulated traffic and shared-memory replay pickle into
     process workers; a one-feedline session's backend ``trace_source``
-    runs on the calling thread. ``chip`` (the declared chip) only weighs
-    the task for placement.
+    runs on the calling thread.
     """
 
     name: str
-    chip: ChipConfig
     version: int
     calibration_chip: ChipConfig
     source: Callable[[], TraceSource]
@@ -156,7 +155,6 @@ class _PrefitTask:
     """
 
     name: str
-    chip: ChipConfig
     version: int = 0
     profile: Profile | None = None
     calibration_chip: ChipConfig | None = None
@@ -285,8 +283,8 @@ class FeedlineWorker:
             try:
                 report = served.pipeline.run(source)
             finally:
-                # A one-run source drops what it holds (a replay view
-                # its mapping); the parent owns any unlink.
+                # A one-run source (simulated or backend traffic) drops
+                # what it holds.
                 source.close()
         report.calibration_cached = cached
         report.details["feedline"] = task.name
@@ -325,26 +323,15 @@ def _run_feedline(
     return task.name, worker.run(task)
 
 
-def _placement_weight(task) -> int:
-    """Relative cost of one feedline task: qubit count x trace length.
+def _placement_weight(spec: FeedlineSpec) -> int:
+    """Relative cost of one feedline: qubit count x trace length.
 
     Every stage of the chain (demod, matched filter, per-qubit heads)
     scales with the number of multiplexed channels and the samples per
     trace — and so does calibration (corpus size, kernel estimation) —
-    so this product tracks task wall time without running it.
+    so this product tracks a feedline's wall time without running it.
     """
-    return task.chip.n_qubits * task.chip.trace_len
-
-
-def _placement_order(tasks: Sequence) -> list:
-    """Greedy longest-first order for heterogeneous feedlines.
-
-    Placing the heaviest feedlines first keeps a heavy one from landing
-    last on an otherwise idle worker and stretching the cluster wall
-    time. Ties keep spec order (stable sort), so homogeneous clusters
-    place and run exactly in declared order.
-    """
-    return sorted(tasks, key=_placement_weight, reverse=True)
+    return spec.chip.n_qubits * spec.chip.trace_len
 
 
 def _assign_workers(
@@ -352,12 +339,15 @@ def _assign_workers(
 ) -> dict[str, int]:
     """Feedline name -> worker index: longest-first onto the least loaded.
 
-    Ties go to the lowest index, so equal feedlines deal out round-robin
-    in declared order.
+    Placing the heaviest feedlines first keeps a heavy one from landing
+    last on an otherwise busy worker and stretching the cluster wall
+    time. The sort is stable and ties go to the lowest index, so equal
+    feedlines deal out round-robin in declared order.
     """
     load = [0] * workers
-    owners: dict[str, int] = {}
-    for spec in _placement_order(feedlines):
+    # Keys in declared order; values filled in placement order.
+    owners = dict.fromkeys((spec.name for spec in feedlines), 0)
+    for spec in sorted(feedlines, key=_placement_weight, reverse=True):
         index = load.index(min(load))
         owners[spec.name] = index
         load[index] += _placement_weight(spec)
@@ -590,9 +580,10 @@ class ClusterReport:
     feedline_reports:
         Per-feedline :class:`PipelineReport`, in feedline order.
     placement:
-        Feedline name -> dispatch slot actually used (0 = submitted
-        first). Records the greedy longest-first order so scheduling
-        decisions are auditable from the report alone.
+        Feedline name -> index of the worker that owns it, fixed for the
+        runner's life (longest-first onto the least-loaded worker; all
+        0 on ``serial``), so the scheduling decision is auditable from
+        the report alone.
     """
 
     executor: str
@@ -864,23 +855,24 @@ class MultiFeedlineRunner:
             )
 
     def _map(self, fn: Callable, tasks: Sequence) -> list:
-        """Run ``fn(worker, task)`` heaviest-first; results in that order.
+        """Run ``fn(worker, task)`` for every task; results in task order.
 
         The one shard path of :meth:`prefit`, :meth:`recalibrate` and
         :meth:`dispatch`: each task runs on the worker that owns its
-        feedline. ``serial`` runs every task on the calling thread;
-        ``process`` sends them to the forked shards, which are started
-        by the first call and reused by later ones. A failed call closes
-        every worker — a dead or failed shard may hold half-updated
-        state — so the next call starts fresh ones.
+        feedline. ``serial`` runs every task on the calling thread, one
+        after another; ``process`` sends each forked shard its own tasks
+        in one message, and the shards run concurrently, so a call's
+        wall is the busiest worker's sum in any order. The shards are
+        started by the first call and reused by later ones. A failed
+        call closes every worker — a dead or failed shard may hold
+        half-updated state — so the next call starts fresh ones.
         """
-        ordered = _placement_order(tasks)
         try:
             self._start()
             if self._serial is not None:
-                return [fn(self._serial, task) for task in ordered]
+                return [fn(self._serial, task) for task in tasks]
             return self._pool.map(
-                fn, [(self._owners[task.name], task) for task in ordered]
+                fn, [(self._owners[task.name], task) for task in tasks]
             )
         except BaseException:
             self.close()
@@ -895,17 +887,15 @@ class MultiFeedlineRunner:
         the workers that serve them: the runs of this cycle resolve
         nothing. On ``process`` the first call forks the shards, which
         is how a serving session's ``warm()`` keeps the fork out of its
-        first run. Heaviest feedlines fit first (same greedy
-        longest-first order as serving); same-key feedlines stay
-        fit-once via the registry's fit locks. Returns the number of
-        cold fits performed.
+        first run. Same-key feedlines stay fit-once via the registry's
+        fit locks. Returns the number of cold fits performed.
         """
         if self.registry_dir is None:
             raise ConfigurationError(
                 "prefit() needs a registry_dir: stored artifacts are the "
                 "hand-off between calibration and serving shards"
             )
-        tasks = [_PrefitTask(spec.name, spec.chip) for spec in self.feedlines]
+        tasks = [_PrefitTask(spec.name) for spec in self.feedlines]
         results = self._map(_prefit_feedline, tasks)
         return sum(0 if cached else 1 for _, cached in results)
 
@@ -980,7 +970,6 @@ class MultiFeedlineRunner:
         tasks = [
             _PrefitTask(
                 name=spec.name,
-                chip=spec.chip,
                 version=next_versions[spec.name],
                 profile=fit_profile,
                 calibration_chip=drift_model.chip_at(
@@ -1087,7 +1076,6 @@ class MultiFeedlineRunner:
         return [
             _FeedlineTask(
                 name=spec.name,
-                chip=spec.chip,
                 version=self._versions[spec.name],
                 calibration_chip=self._calibration_chips[spec.name],
                 source=source,
@@ -1108,11 +1096,7 @@ class MultiFeedlineRunner:
         runs; process shards need it picklable. Every feedline serves
         its current artifact version, demodulated with the device
         snapshot that version was fitted on, on the pipeline its worker
-        keeps for that version.
-
-        Heterogeneous feedlines run heaviest-first (greedy
-        longest-first); each feedline's traffic is fixed before
-        dispatch, so the dispatch order cannot change any result.
+        keeps for that version. Reports come back in declared order.
         """
         tasks = self._tasks(traffic)
         # The timed window covers dispatch and shard execution: a warm
@@ -1122,9 +1106,7 @@ class MultiFeedlineRunner:
         results = self._map(_run_feedline, tasks)
         wall = time.perf_counter() - wall_start
 
-        # Reports keep declared feedline order regardless of placement.
-        by_name = dict(results)
-        reports = {task.name: by_name[task.name] for task in tasks}
+        reports = dict(results)
         total_shots = sum(r.n_shots for r in reports.values())
         return ClusterReport(
             executor=self.executor,
@@ -1135,161 +1117,56 @@ class MultiFeedlineRunner:
             # sub-resolution wall reports 0.0, "not measurable".
             shots_per_second=total_shots / wall if wall > 0 else 0.0,
             feedline_reports=reports,
-            placement={name: slot for slot, (name, _) in enumerate(results)},
+            placement=dict(self._owners),
         )
 
-    def publish_replay(
-        self,
-        corpora: (
-            dict[str, ReadoutCorpus]
-            | Sequence[ReadoutCorpus]
-            | ReadoutCorpus
-        ),
-    ) -> dict[str, SharedTraceBlock]:
-        """Validate replay corpora and publish them to shared memory.
+    def publish_replay(self, corpus: ReadoutCorpus) -> SharedTraceBlock:
+        """Validate a replay corpus and publish it to shared memory.
 
-        The publish half of :meth:`run_replay`. Each *distinct* corpus
-        object is copied once into a
-        :class:`~repro.pipeline.shm.SharedTraceBlock`; every feedline it
-        is broadcast to reads the same segment (readers never write).
+        Every feedline replays the same recorded traffic (the record ->
+        replay serving path): the corpus — a
+        :class:`~repro.data.dataset.ReadoutCorpus` or a loaded
+        :class:`~repro.backends.corpus.RecordedCorpus` — is copied once
+        into a :class:`~repro.pipeline.shm.SharedTraceBlock` that every
+        feedline reads (readers never write). It must match every
+        feedline's qubit count and carry labels: the block ships traces
+        and ground truth together.
 
-        ``corpora`` takes the forms :meth:`run_replay` documents. Returns
-        feedline name -> block. The caller owns the blocks: it passes
-        them to :meth:`dispatch_replay` as often as it likes and calls
-        ``unlink()`` on every value once no dispatch is left (unlink is
-        idempotent, so a shared block may be unlinked once per feedline).
-        Nothing is left published when this raises.
+        The caller owns the block: it passes it to :meth:`dispatch_replay`
+        as often as it likes and calls ``unlink()`` once no dispatch is
+        left. Nothing is left published when this raises.
         """
-        if hasattr(corpora, "feedline") and hasattr(corpora, "n_traces"):
-            # A single corpus object: every feedline replays the same
-            # recorded traffic (the record -> replay serving path).
-            corpora = {spec.name: corpora for spec in self.feedlines}
-        if not isinstance(corpora, dict):
-            if len(corpora) != len(self.feedlines):
-                raise ConfigurationError(
-                    f"{len(corpora)} corpora for {len(self.feedlines)} "
-                    "feedlines"
-                )
-            corpora = {
-                spec.name: corpus
-                for spec, corpus in zip(self.feedlines, corpora)
-            }
-        missing = [
-            spec.name for spec in self.feedlines if spec.name not in corpora
-        ]
-        if missing:
-            raise ConfigurationError(
-                f"replay is missing corpora for feedlines: {missing}"
-            )
-        # Feedline names per distinct corpus object, in declared order.
-        sharing: dict[int, list[str]] = {}
         for spec in self.feedlines:
-            corpus = corpora[spec.name]
             if corpus.chip.n_qubits != spec.chip.n_qubits:
                 raise ConfigurationError(
-                    f"corpus for feedline {spec.name!r} has "
-                    f"{corpus.chip.n_qubits} qubits, spec chip has "
-                    f"{spec.chip.n_qubits}"
+                    f"replay corpus has {corpus.chip.n_qubits} qubits, "
+                    f"feedline {spec.name!r} chip has {spec.chip.n_qubits}"
                 )
-            if getattr(corpus, "prepared_levels", None) is None:
-                raise ConfigurationError(
-                    f"corpus for feedline {spec.name!r} carries no "
-                    "prepared-level labels; shared-memory replay "
-                    "needs a labeled corpus"
-                )
-            sharing.setdefault(id(corpus), []).append(spec.name)
-        blocks: dict[str, SharedTraceBlock] = {}
-        try:
-            for names in sharing.values():
-                # The label names the feedlines reading the segment in
-                # sanitizer lifetime-audit witnesses (REPRO_SANITIZE).
-                block = SharedTraceBlock.from_corpus(
-                    corpora[names[0]], label="+".join(names)
-                )
-                blocks.update(dict.fromkeys(names, block))
-        except BaseException:
-            for block in blocks.values():
-                block.unlink()
-            raise
-        return blocks
+        if corpus.prepared_levels is None:
+            raise ConfigurationError(
+                "replay corpus carries no prepared-level labels; "
+                "shared-memory replay needs a labeled corpus"
+            )
+        # The label names the feedlines reading the segment in
+        # sanitizer lifetime-audit witnesses (REPRO_SANITIZE).
+        return SharedTraceBlock.from_corpus(
+            corpus, label="+".join(spec.name for spec in self.feedlines)
+        )
 
-    def dispatch_replay(
-        self, blocks: Mapping[str, SharedTraceBlock]
-    ) -> ClusterReport:
-        """Replay published segments through the feedline workers.
+    def dispatch_replay(self, block: SharedTraceBlock) -> ClusterReport:
+        """Replay a published segment through the feedline workers.
 
-        A serving session's run: each feedline's traffic is its block's
-        descriptor, and a worker attaches a segment by
-        name at the first run that names it, then keeps the mapping and
-        re-streams its read-only views on every later run, until the
-        runner closes. ``blocks`` maps every feedline name to a live
-        block (as :meth:`publish_replay` returns); they stay published,
-        so a serving session dispatches the same blocks on every run and
-        unlinks them only after :meth:`close`.
+        A serving session's run: every feedline's traffic is the block's
+        descriptor, and a worker attaches the segment by name at the
+        first run that names it, then keeps the mapping and re-streams
+        its read-only views on every later run, until the runner closes.
+        ``block`` is live (as :meth:`publish_replay` returns it) and stays
+        published, so a serving session dispatches the same block on
+        every run and unlinks it only after :meth:`close`.
         """
         return self.dispatch(
             [
-                _SegmentTraffic(
-                    blocks[spec.name].descriptor, spec.chip, self.chunk_size
-                )
+                _SegmentTraffic(block.descriptor, spec.chip, self.chunk_size)
                 for spec in self.feedlines
             ]
         )
-
-    def run_replay(
-        self,
-        corpora: (
-            dict[str, ReadoutCorpus]
-            | Sequence[ReadoutCorpus]
-            | ReadoutCorpus
-        ),
-    ) -> ClusterReport:
-        """Replay pre-built corpora over shared memory; aggregate report.
-
-        One-shot publish -> dispatch -> unlink. Each distinct corpus is
-        published once as a shared-memory
-        :class:`~repro.pipeline.shm.SharedTraceBlock`, so a corpus
-        broadcast to every feedline occupies one segment, not one per
-        feedline. Shard workers — in-process or forked — attach by
-        descriptor and stream zero-copy views, so dispatch ships
-        kilobytes of coordinates instead of pickling the trace arrays.
-        This is also the honest serving benchmark: the traffic already
-        exists, so the measured window contains discrimination only, not
-        simulator time. A serving session
-        (:class:`repro.serve.ReadoutService`) instead calls the two
-        halves itself: :meth:`publish_replay` once at warm-up,
-        :meth:`dispatch_replay` on every run, and unlinks at close.
-
-        Parameters
-        ----------
-        corpora:
-            One :class:`~repro.data.dataset.ReadoutCorpus` per feedline,
-            as a name-keyed dict or a sequence in declared feedline
-            order — or a *single* corpus (a ``ReadoutCorpus`` or a
-            loaded :class:`~repro.backends.corpus.RecordedCorpus`),
-            broadcast to every feedline. Every corpus must match its
-            feedline's chip geometry and carry labels (the shared block
-            ships traces and ground truth together).
-
-        Segments are unlinked before returning, success or not, and no
-        worker maps them any more: each attaches its segment for this
-        one run only, and the workers are started before the publish, so
-        no fork inherits the parent's mapping either.
-        """
-        self._start()
-        blocks = self.publish_replay(corpora)
-        try:
-            return self.dispatch(
-                [
-                    partial(
-                        SharedMemoryTraceSource,
-                        blocks[spec.name].descriptor,
-                        spec.chip,
-                        chunk_size=self.chunk_size,
-                    )
-                    for spec in self.feedlines
-                ]
-            )
-        finally:
-            for block in blocks.values():
-                block.unlink()

@@ -4,18 +4,18 @@ Dispatching a pre-built trace corpus to a worker process used to mean
 pickling the full ``(n_shots, trace_len)`` complex array into the task
 payload — megabytes serialized, copied through a pipe, and deserialized
 per feedline. This module moves the hand-off to POSIX shared memory:
-the parent publishes each distinct corpus's arrays once as a
-:class:`SharedTraceBlock` (feedlines replaying the same corpus share
+the parent publishes a corpus's arrays once as a
+:class:`SharedTraceBlock` (every feedline replaying the corpus shares
 it), ships only the tiny picklable :class:`SharedTraceDescriptor`
 (segment name + dtypes + shapes), and workers attach by name and stream
 zero-copy chunk views straight out of the mapping via
 :class:`SharedMemoryTraceSource`.
 
 Lifecycle contract: the creating process owns the segment and must call
-:meth:`SharedTraceBlock.unlink` when every consumer is done (a one-shot
-``run_replay`` does this in a ``finally``, a serving session at
-``close()``); attached readers only ever :meth:`close
-<SharedMemoryTraceSource.close>` their mapping.
+:meth:`SharedTraceBlock.unlink` when every consumer is done (a serving
+session does this at ``close()``, after its workers are stopped);
+attached readers only ever :meth:`close <SharedMemoryTraceSource.close>`
+their mapping.
 """
 
 from __future__ import annotations

@@ -307,8 +307,8 @@ class ReadoutService:
         self._runner: "MultiFeedlineRunner | None" = None
         self._backend = None
         # Multi-feedline replay: the corpus published to shared memory
-        # at warm-up, feedline name -> block (unlinked at close).
-        self._replay_blocks: "dict[str, SharedTraceBlock]" = {}
+        # at warm-up, read by every feedline (unlinked at close).
+        self._replay_block: "SharedTraceBlock | None" = None
         self._tmp_registry: tempfile.TemporaryDirectory | None = None
         # Drift state (reset each warm cycle): the session shot clock
         # drift accumulates against, and recalibration pacing.
@@ -505,7 +505,7 @@ class ReadoutService:
             corpus = load_corpus(spec.traffic.corpus_path)
             for feedline in feedlines:
                 corpus.require_geometry(feedline.chip)
-            self._replay_blocks = runner.publish_replay(corpus)
+            self._replay_block = runner.publish_replay(corpus)
         return cold_fits
 
     def run(
@@ -558,8 +558,8 @@ class ReadoutService:
                     self._backend.trace_source, n_shots, seed=traffic_seed
                 )
                 cluster = self._runner.dispatch([traffic])
-            elif self._replay_blocks:
-                cluster = self._runner.dispatch_replay(self._replay_blocks)
+            elif self._replay_block is not None:
+                cluster = self._runner.dispatch_replay(self._replay_block)
             else:
                 cluster = self._runner.run(
                     n_shots,
@@ -640,7 +640,9 @@ class ReadoutService:
         shard workers stay warm, no run is dropped, and the freshly
         fitted artifacts land as the next version in the registry
         before the served version pointer moves (see
-        :meth:`CalibrationRegistry.supersede` semantics).
+        :meth:`~repro.pipeline.cluster.MultiFeedlineRunner.recalibrate`,
+        which picks the next version and fits it through the registry's
+        ``get_or_fit``).
         """
         if not self._recalibration_due(report):
             return False
@@ -660,15 +662,15 @@ class ReadoutService:
         return True
 
     def close(self) -> None:
-        """Stop the shard workers; release replay segments and registry.
+        """Stop the shard workers; release the replay segment and registry.
 
         Ends the warm cycle: the workers drop their pipelines and replay
         mappings and the process shards exit (a busy one is terminated
-        after a short grace), before the segments are unlinked.
+        after a short grace), before the segment is unlinked.
         Idempotent; cumulative :attr:`stats` survive, and the next
         :meth:`run` re-warms.
         """
-        blocks, self._replay_blocks = self._replay_blocks, {}
+        block, self._replay_block = self._replay_block, None
         try:
             if self._runner is not None:
                 self._runner.close()
@@ -687,7 +689,7 @@ class ReadoutService:
             # unlink that fails leaves a closed session, not a half-closed
             # one, and a teardown step that raises cannot strand the
             # segment this method alone still references.
-            for block in blocks.values():
+            if block is not None:
                 block.unlink()
 
     def __enter__(self) -> "ReadoutService":

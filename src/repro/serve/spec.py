@@ -198,46 +198,24 @@ class TrafficSpec(_Section):
         _check_str(problems, "record_path", self.record_path, optional=True)
         _check_str(problems, "socket_path", self.socket_path, optional=True)
         if isinstance(self.backend, str) and self.backend:
-            from repro.backends.registry import BACKEND_NAMES
-
-            if self.backend not in BACKEND_NAMES:
-                known = ", ".join(BACKEND_NAMES)
-                problems.append(
-                    f"backend must be one of: {known}; got {self.backend!r}"
-                )
-            else:
-                problems.extend(self._backend_problems())
+            problems.extend(self._backend_problems())
         return problems
 
-    def _backend_problems(self) -> list[str]:
-        """Cross-field requirements of a valid backend selection."""
-        problems: list[str] = []
-        if self.backend == "replay":
-            if self.corpus_path is None:
-                problems.append(
-                    "corpus_path is required by the replay backend"
-                )
-            if self.record_path is not None:
-                problems.append(
-                    "record_path cannot be combined with the replay "
-                    "backend: a replayed stream is already a recording"
-                )
-        elif self.corpus_path is not None:
-            problems.append(
-                "corpus_path is only meaningful with the replay backend, "
-                f"got backend={self.backend!r}"
-            )
-        if self.backend == "socket":
-            if self.socket_path is None:
-                problems.append(
-                    "socket_path is required by the socket backend"
-                )
-        elif self.socket_path is not None:
-            problems.append(
-                "socket_path is only meaningful with the socket backend, "
-                f"got backend={self.backend!r}"
-            )
-        return problems
+    def _backend_problems(self, drifting: bool = False) -> list[str]:
+        """The backend cross-field rules this traffic breaks.
+
+        See :func:`repro.backends.registry.backend_problems`;
+        ``drifting`` says whether the session injects drift.
+        """
+        from repro.backends.registry import backend_problems
+
+        return backend_problems(
+            self.backend,
+            corpus_path=self.corpus_path,
+            record_path=self.record_path,
+            socket_path=self.socket_path,
+            drifting=drifting,
+        )
 
 
 @dataclass(frozen=True)
@@ -507,13 +485,13 @@ class ServeSpec:
 
     def _cross_section_problems(self) -> list[str]:
         """Constraints spanning sections (each section is already valid)."""
-        problems: list[str] = []
+        # The traffic section already keeps every rule that drift does
+        # not enter, so only the drift rule can be left here.
+        problems = [
+            f"drift: {problem}"
+            for problem in self.traffic._backend_problems(self.drift.active)
+        ]
         backend = self.traffic.backend
-        if self.drift.active and backend != "simulator":
-            problems.append(
-                "drift: drift injection requires traffic.backend "
-                f"'simulator', got {backend!r}"
-            )
         if self.cluster.feedlines > 1:
             if backend in ("dummy", "socket"):
                 problems.append(

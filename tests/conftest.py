@@ -71,6 +71,20 @@ def serve_one_feedline(
     return report.feedline_reports["feedline-0"]
 
 
+def replay_once(runner, corpus):
+    """Publish ``corpus`` to every feedline of ``runner``, serve it once.
+
+    The runner closes before the segment is unlinked, so no worker still
+    maps it. Returns the run's ``ClusterReport``.
+    """
+    block = runner.publish_replay(corpus)
+    try:
+        return runner.dispatch_replay(block)
+    finally:
+        runner.close()
+        block.unlink()
+
+
 @pytest.fixture(scope="session")
 def two_qubit_chip() -> ChipConfig:
     return make_two_qubit_chip()

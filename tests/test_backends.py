@@ -64,6 +64,7 @@ from repro.serve import (
     TrafficSpec,
     serve_once,
 )
+from tests.conftest import replay_once
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -514,7 +515,7 @@ class TestExecutorReplayParity:
     @pytest.fixture(scope="class")
     def broadcast_corpus(self, feedline_chips, tmp_path_factory):
         # Recorded on the feedline-0 chip; geometry-compatible with
-        # every feedline, so run_replay broadcasts it to all of them.
+        # every feedline, so publish_replay broadcasts it to all of them.
         path = tmp_path_factory.mktemp("parity") / "corpus"
         inner = SimulatorBackend(feedline_chips[0], chunk_size=20)
         with RecordingBackend(inner, path) as backend:
@@ -546,7 +547,7 @@ class TestExecutorReplayParity:
                 config=PipelineConfig(batch_size=32),
                 registry_dir=warm_registry,
             ) as runner:
-                report = runner.run_replay(broadcast_corpus)
+                report = replay_once(runner, broadcast_corpus)
             assert report.n_shots == 2 * broadcast_corpus.n_shots
             counts = {
                 name: fl.assignment_counts
@@ -849,7 +850,7 @@ class TestWarmReplaySession:
                 chunk_size=20,
                 registry_dir=registry_dir,
             ) as runner:
-                one_shot = counts_by_feedline(runner.run_replay(corpus))
+                one_shot = counts_by_feedline(replay_once(runner, corpus))
             assert runs == [one_shot] * 3, executor
             assert one_shot == oracle, executor
 
@@ -919,41 +920,6 @@ class TestWarmReplaySession:
         assert not set(workers) & set(multiprocessing.active_children())
         assert shm_names() - before == set()
 
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_one_shot_replay_leaves_no_worker_mapping(
-        self, executor, feedline_chips, corpus_path, registry_dir,
-        monkeypatch,
-    ):
-        segments = []
-        publish = SharedTraceBlock.__init__
-
-        def recording_publish(self, *args, **kwargs):
-            publish(self, *args, **kwargs)
-            segments.append(self.descriptor.name)
-
-        monkeypatch.setattr(SharedTraceBlock, "__init__", recording_publish)
-        corpus = load_corpus(corpus_path)
-        with MultiFeedlineRunner(
-            feedline_chips,
-            tiny_profile(),
-            executor=executor,
-            workers=2,
-            # Batches of one whole chunk reach the engine as views of
-            # the segment, lent to each pipeline's kept ring.
-            config=PipelineConfig(batch_size=20),
-            chunk_size=20,
-            registry_dir=registry_dir,
-        ) as runner:
-            # The first call starts the workers, the second reuses them.
-            runner.run_replay(corpus)
-            runner.run_replay(corpus)
-            pids = [os.getpid()]
-            if executor == "process":
-                pids += [w.pid for w in runner._pool._processes]
-            assert len(segments) == 2
-            for pid in pids:
-                assert [mappings(pid, name) for name in segments] == [0, 0]
-
     def test_close_unlinks_segment_when_teardown_raises(
         self, corpus_path, registry_dir, monkeypatch
     ):
@@ -976,21 +942,6 @@ class TestWarmReplaySession:
             service.close()
         # close() held the only reference to the segment.
         assert shm_names() - before == set()
-
-    def test_one_shot_replay_publishes_once_per_distinct_corpus(
-        self, feedline_chips, corpus_path, registry_dir, publications
-    ):
-        corpus = load_corpus(corpus_path)
-        with MultiFeedlineRunner(
-            feedline_chips,
-            tiny_profile(),
-            executor="serial",
-            registry_dir=registry_dir,
-        ) as runner:
-            runner.run_replay(corpus)
-            assert publications == [self.BROADCAST]
-            runner.run_replay([corpus, load_corpus(corpus_path)])
-        assert publications == [self.BROADCAST, "feedline-0", "feedline-1"]
 
     @pytest.mark.parametrize("feedlines", [1, 2])
     def test_drift_clock_counts_per_feedline_shots_delivered(

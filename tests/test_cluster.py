@@ -122,8 +122,9 @@ class TestShardExecutors:
 
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_map_preserves_task_order(self, name):
-        # Results come back in dispatch order on either path: heaviest
-        # first, equal weights in declared order.
+        # Results come back in declared order on either path, each task
+        # run by the worker that owns its feedline (``_task_name``
+        # checks), whatever the placement weights.
         light = make_feedline_chip(0, n_qubits=1, trace_len=80)
         heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
         specs = [
@@ -136,7 +137,7 @@ class TestShardExecutors:
         ) as runner:
             tasks = runner._tasks(runner._simulated_traffic(10, None))
             assert runner._map(_task_name, tasks) == [
-                "heavy", "light", "light-too"
+                "light", "heavy", "light-too"
             ]
 
     def test_unknown_executor_raises(self):
@@ -287,57 +288,57 @@ class TestClusterDeterminism:
 
 
 class TestHeterogeneousPlacement:
-    """Greedy longest-first dispatch for unequal feedlines."""
-
-    @staticmethod
-    def _runner(specs, **kwargs):
-        return MultiFeedlineRunner(
-            specs, tiny_profile(), executor="serial", **kwargs
-        )
+    """Greedy longest-first placement of unequal feedlines on workers."""
 
     def test_heaviest_feedline_dispatches_first(self):
-        from repro.pipeline.cluster import _placement_order
+        from repro.pipeline.cluster import _assign_workers
 
         light = make_feedline_chip(0, n_qubits=1, trace_len=80)
         heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
-        runner = self._runner(
-            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)]
+        owners = _assign_workers(
+            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)], 2
         )
-        tasks = runner._tasks(runner._simulated_traffic(10, None))
-        assert [t.name for t in _placement_order(tasks)] == ["heavy", "light"]
+        # Keys keep declared order; the heaviest takes worker 0.
+        assert list(owners.items()) == [("light", 1), ("heavy", 0)]
 
     def test_weight_is_qubits_times_trace_length(self):
-        from repro.pipeline.cluster import _placement_order
+        from repro.pipeline.cluster import _assign_workers
 
         # 2 qubits x 100 samples outweighs 1 qubit x 150 samples.
         wide = make_feedline_chip(0, n_qubits=2, trace_len=100)
         long = make_feedline_chip(1, n_qubits=1, trace_len=150)
-        runner = self._runner(
-            [FeedlineSpec("long", long), FeedlineSpec("wide", wide)]
+        owners = _assign_workers(
+            [FeedlineSpec("long", long), FeedlineSpec("wide", wide)], 2
         )
-        tasks = runner._tasks(runner._simulated_traffic(10, None))
-        assert [t.name for t in _placement_order(tasks)] == ["wide", "long"]
+        assert owners == {"wide": 0, "long": 1}
 
-    def test_equal_weights_keep_declared_order(self, feedline_chips):
-        from repro.pipeline.cluster import _placement_order
+    def test_equal_weights_keep_declared_order(self):
+        from repro.pipeline.cluster import _assign_workers
 
-        runner = self._runner(list(feedline_chips))
-        tasks = runner._tasks(runner._simulated_traffic(10, None))
-        assert [t.name for t in _placement_order(tasks)] == [
-            t.name for t in tasks
-        ]
+        chips = multi_feedline_chips(4, n_qubits=2, trace_len=120)
+        specs = [FeedlineSpec(f"f{i}", chip) for i, chip in enumerate(chips)]
+        # Equal feedlines deal out round-robin in declared order.
+        assert _assign_workers(specs, 2) == {
+            "f0": 0, "f1": 1, "f2": 0, "f3": 1
+        }
+        assert _assign_workers(specs, 1) == dict.fromkeys(
+            ["f0", "f1", "f2", "f3"], 0
+        )
 
     def test_seeds_stay_pinned_to_declared_index(self):
-        from repro.pipeline.cluster import _placement_order
-
         light = make_feedline_chip(0, n_qubits=1, trace_len=80)
         heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
-        runner = self._runner(
-            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)]
+        # Built, not started: a process runner forks at its first call.
+        runner = MultiFeedlineRunner(
+            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)],
+            tiny_profile(),
+            executor="process",
+            workers=2,
         )
+        assert runner._owners == {"light": 1, "heavy": 0}
         tasks = runner._tasks(runner._simulated_traffic(10, seed=100))
-        by_name = {t.name: t.source().seed for t in _placement_order(tasks)}
-        # Declared order assigns seeds; dispatch order must not.
+        by_name = {t.name: t.source().seed for t in tasks}
+        # Declared order assigns seeds; placement must not.
         assert by_name == {"light": 100, "heavy": 101}
 
     def test_reports_keep_declared_order_despite_placement(self, tmp_path):

@@ -682,6 +682,32 @@ class TestServeCli:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["service"]["total_shots"] == 40
+        # The record's spec is the spec every run served.
+        assert payload["spec"]["traffic"]["shots"] == 40
+        assert [run["n_shots"] for run in payload["runs"]] == [40]
+
+    def test_serve_seed_override(self, capsys, tmp_path, spec_file):
+        seeded = ServeSpec.from_file(spec_file).with_traffic(seed=7)
+        seeded_file = str(seeded.to_file(tmp_path / "seeded.json"))
+        flagged, filed = tmp_path / "flag.json", tmp_path / "file.json"
+        assert cli.main(
+            ["serve", "--spec", spec_file, "--seed", "7",
+             "--json", str(flagged)]
+        ) == 0
+        assert cli.main(
+            ["serve", "--spec", seeded_file, "--json", str(filed)]
+        ) == 0
+        by_flag, by_file = (
+            json.loads(path.read_text()) for path in (flagged, filed)
+        )
+        # The record's spec is the spec served: the flag and a spec file
+        # with the same seed write the same spec and serve the same
+        # traffic.
+        assert by_flag["spec"] == by_file["spec"] == seeded.to_dict()
+        assert (
+            by_flag["runs"][0]["assignment_counts"]
+            == by_file["runs"][0]["assignment_counts"]
+        )
 
     def test_serve_requires_spec_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -966,22 +992,30 @@ class TestCrossProcessFitLock:
 
 class TestClusterReportPlacement:
     def test_report_records_feedline_placement(self, tmp_path):
-        spec = ServeSpec(
-            traffic=TrafficSpec(shots=20, chunk_size=10),
-            cluster=ClusterSpec(
-                feedlines=2, executor="serial", qubits_per_feedline=2
-            ),
-            batching=BatchingSpec(batch_size=10),
-            calibration=CalibrationSpec(
-                registry_dir=str(tmp_path / "registry")
-            ),
-        )
-        with ReadoutService(spec, profile=tiny_profile()) as service:
-            report = service.run()
-        assert set(report.placement) == {"feedline-0", "feedline-1"}
-        assert sorted(report.placement.values()) == [0, 1]
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["placement"] == report.placement
+        # Placement is each feedline's owning worker: one worker runs
+        # every feedline on serial, two process workers take one each.
+        expected = {"serial": [0, 0], "process": [0, 1]}
+        for executor, owners in expected.items():
+            spec = ServeSpec(
+                traffic=TrafficSpec(shots=20, chunk_size=10),
+                cluster=ClusterSpec(
+                    feedlines=2,
+                    executor=executor,
+                    workers=2,
+                    qubits_per_feedline=2,
+                ),
+                batching=BatchingSpec(batch_size=10),
+                calibration=CalibrationSpec(
+                    registry_dir=str(tmp_path / "registry")
+                ),
+            )
+            with ReadoutService(spec, profile=tiny_profile()) as service:
+                report = service.run()
+                assert report.placement == service._runner._owners
+            assert list(report.placement) == ["feedline-0", "feedline-1"]
+            assert list(report.placement.values()) == owners, executor
+            payload = json.loads(json.dumps(report.to_dict()))
+            assert payload["placement"] == report.placement
 
 
 class TestServiceStatsDriftColumns:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import RecordingBackend, SimulatorBackend, load_corpus
+from repro.backends.corpus import RecordedCorpus
 from repro.config import Profile
 from repro.data import ReadoutCorpus, generate_corpus
 from repro.data.basis import digits_to_state
@@ -41,6 +42,7 @@ from repro.pipeline import (
     SharedTraceBlock,
     ShotChunk,
 )
+from tests.conftest import replay_once
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -917,18 +919,16 @@ class TestSharedMemoryReplay:
 
 
 class TestClusterReplay:
-    """run_replay must agree with in-process replay on every executor."""
+    """Shared-memory replay must agree across executors."""
 
     @pytest.fixture(scope="class")
     def feedline_chips(self):
         return multi_feedline_chips(2, n_qubits=2, trace_len=120)
 
     @pytest.fixture(scope="class")
-    def replay_corpora(self, feedline_chips):
-        return [
-            generate_corpus(chip, shots_per_state=8, seed=811 + i)
-            for i, chip in enumerate(feedline_chips)
-        ]
+    def replay_corpus(self, feedline_chips):
+        # Generated on feedline 0's chip and broadcast to both feedlines.
+        return generate_corpus(feedline_chips[0], shots_per_state=8, seed=811)
 
     @pytest.fixture(scope="class")
     def warm_registry(self, tmp_path_factory, feedline_chips):
@@ -942,28 +942,36 @@ class TestClusterReplay:
             runner.prefit()
         return registry_dir
 
+    @staticmethod
+    def _runner(feedline_chips, registry_dir, executor="serial"):
+        return MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor=executor,
+            workers=2,
+            config=PipelineConfig(batch_size=32),
+            registry_dir=registry_dir,
+        )
+
+    @staticmethod
+    def _segments() -> set:
+        return set(Path("/dev/shm").glob("psm_*"))
+
     def test_replay_matches_direct_run_across_executors(
-        self, feedline_chips, replay_corpora, warm_registry, fitted
+        self, feedline_chips, replay_corpus, warm_registry, fitted
     ):
         del fitted  # unused; keeps fixture ordering obvious
         reference = None
         for executor in EXECUTOR_NAMES:
-            with MultiFeedlineRunner(
-                feedline_chips,
-                tiny_profile(),
-                executor=executor,
-                workers=2,
-                config=PipelineConfig(batch_size=32),
-                registry_dir=warm_registry,
+            with self._runner(
+                feedline_chips, warm_registry, executor
             ) as runner:
-                report = runner.run_replay(replay_corpora)
+                report = replay_once(runner, replay_corpus)
             counts = {
                 name: fl.assignment_counts
                 for name, fl in report.feedline_reports.items()
             }
-            assert report.n_shots == sum(
-                c.n_traces for c in replay_corpora
-            )
+            assert report.n_shots == 2 * replay_corpus.n_traces
             for fl in report.feedline_reports.values():
                 assert fl.accuracy is not None
             if reference is None:
@@ -971,30 +979,59 @@ class TestClusterReplay:
             else:
                 assert counts == reference
 
-    def test_replay_accepts_name_keyed_corpora(
-        self, feedline_chips, replay_corpora, warm_registry
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_publish_replay_publishes_one_segment(
+        self, executor, feedline_chips, replay_corpus, warm_registry
     ):
-        with MultiFeedlineRunner(
-            feedline_chips,
-            tiny_profile(),
-            executor="serial",
-            registry_dir=warm_registry,
-        ) as runner:
-            by_name = {
-                spec.name: corpus
-                for spec, corpus in zip(runner.feedlines, replay_corpora)
-            }
-            report = runner.run_replay(by_name)
-        assert report.n_shots == sum(c.n_traces for c in replay_corpora)
+        before = self._segments()
+        with self._runner(feedline_chips, warm_registry, executor) as runner:
+            block = runner.publish_replay(replay_corpus)
+            try:
+                assert isinstance(block, SharedTraceBlock)
+                assert block.label == "feedline-0+feedline-1"
+                segment = Path("/dev/shm") / block.descriptor.name
+                assert self._segments() - before == {segment}
+                # Every run re-streams the one published segment.
+                first, second = (
+                    runner.dispatch_replay(block) for _ in range(2)
+                )
+                assert self._segments() - before == {segment}
+            finally:
+                runner.close()
+                block.unlink()
+        assert self._segments() == before
+        for name, report in first.feedline_reports.items():
+            assert report.n_shots == replay_corpus.n_traces
+            assert (
+                second.feedline_reports[name].assignment_counts
+                == report.assignment_counts
+            )
 
-    def test_replay_count_mismatch_rejected(
-        self, feedline_chips, replay_corpora, warm_registry
+    @pytest.mark.parametrize(
+        "fault,match",
+        [
+            ("qubits", "replay corpus has 3 qubits"),
+            ("labels", "carries no prepared-level labels"),
+        ],
+        ids=["qubits", "labels"],
+    )
+    def test_publish_replay_rejects_bad_corpus(
+        self, fault, match, feedline_chips, replay_corpus
     ):
-        with MultiFeedlineRunner(
-            feedline_chips,
-            tiny_profile(),
-            executor="serial",
-            registry_dir=warm_registry,
-        ) as runner:
-            with pytest.raises(ConfigurationError):
-                runner.run_replay(replay_corpora[:1])
+        if fault == "qubits":
+            (chip,) = multi_feedline_chips(1, n_qubits=3, trace_len=120)
+            corpus = generate_corpus(chip, shots_per_state=1, seed=5)
+        else:
+            corpus = RecordedCorpus(
+                Path("unlabeled"),
+                {},
+                replay_corpus.chip,
+                replay_corpus.feedline.copy(),
+                None,
+                [replay_corpus.n_traces],
+            )
+        before = self._segments()
+        with self._runner(feedline_chips, None) as runner:
+            with pytest.raises(ConfigurationError, match=match):
+                runner.publish_replay(corpus)
+        assert self._segments() == before
