@@ -28,24 +28,30 @@ __all__ = ["MLRDiscriminator"]
 def _top2_levels_and_margins(
     logits: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-max levels and top-2 softmax margins over the last axis.
+    """First-max levels and top-2 softmax margins over the level axis.
 
-    A running max and second max over the few level columns (cheaper
-    than numpy reductions over so short an axis); strict ``>`` keeps
-    ``np.argmax``'s first level on ties. ``p_top - p_second`` is
+    ``logits`` is level-major, ``(..., n_levels, n)`` with ``n_levels
+    >= 2``, so each level is one contiguous row per head; it is
+    overwritten. A running max and second max over the few level rows
+    (cheaper than numpy reductions over so short an axis); strict ``>``
+    keeps ``np.argmax``'s first level on ties. ``p_top - p_second`` is
     ``(1 - exp(second - top)) / sum_j exp(l_j - top)``, in the logits'
     dtype.
     """
-    columns = [logits[..., j] for j in range(logits.shape[-1])]
-    top = columns[0]
-    second = np.full(top.shape, -np.inf, dtype=logits.dtype)
-    levels = np.zeros(top.shape, dtype=np.int64)
-    for level, column in enumerate(columns[1:], start=1):
-        levels[column > top] = level
-        second = np.maximum(second, np.minimum(column, top))
-        top = np.maximum(top, column)
-    norm = sum(np.exp(column - top) for column in columns)
-    return levels, (1.0 - np.exp(second - top)) / norm
+    first, *rows = [logits[..., j, :] for j in range(logits.shape[-2])]
+    levels = (rows[0] > first).astype(np.int64)
+    top = np.maximum(first, rows[0])
+    second = np.minimum(first, rows[0])
+    for level, row in enumerate(rows[1:], start=2):
+        np.putmask(levels, row > top, level)
+        np.maximum(second, np.minimum(row, top), out=second)
+        np.maximum(top, row, out=top)
+    logits -= top[..., None, :]
+    norm = np.exp(logits, out=logits).sum(axis=-2)
+    second -= top
+    margins = np.subtract(1.0, np.exp(second, out=second), out=second)
+    margins /= norm
+    return levels, margins
 
 
 @register(
@@ -178,38 +184,53 @@ class MLRDiscriminator(Discriminator):
             self.models.append(model)
         self._stack_heads()
         self._fitted = True
-        self._record_reference(x, corpus.n_levels)
+        self._record_reference(features, corpus.n_levels)
         return self
 
     def _stack_heads(self) -> None:
-        """Merge the heads into ``(weights, bias, activation)`` layers.
+        """Merge the scaler and the heads into ``(weights, bias,
+        activation)`` layers that read raw matched-filter scores.
 
-        Layer 1 becomes one GEMM: head ``q`` fills column block ``q`` on
-        the rows of the features it reads (block-diagonal without
-        ``neighbor_features``). Deeper layers become ``(n_heads, h_in,
-        h_out)`` stacks for one batched ``matmul``. Built once, as
-        float32 copies of the float64 networks (which offline
-        ``predict`` keeps using), for heads that share one architecture
-        (as fit builds).
+        The fitted standardization is folded into layer 1 — ``W1 / σ``
+        row-wise and ``b1 − (μ/σ)·W1`` — so serving runs no scale pass.
+        The stack is feature-major: layer 1 of all heads is one
+        ``(n_heads · h1, n_features)`` matrix, head ``q`` filling row
+        block ``q`` on the columns of the features it reads
+        (block-diagonal without ``neighbor_features``), with an
+        ``(n_heads · h1, 1)`` bias; deeper layers are ``(n_heads,
+        h_out, h_in)`` stacks with ``(n_heads, h_out, 1)`` biases for
+        one batched ``matmul``. Folded in float64 and cast to float32
+        once, at fit, artifact load and scaler recalibration; the
+        float64 scaler and networks (which offline ``predict`` keeps
+        using) are untouched. Heads must share one architecture (as
+        fit builds).
         """
         heads = [model.network.layers for model in self.models]
         width = heads[0][0].n_out
         features = np.arange(len(heads) * self.extractor.filters_per_qubit)
-        first = np.zeros((features.size, len(heads) * width))
+        mean, scale = self.scaler.mean_, self.scaler.scale_
+        first = np.zeros((len(heads) * width, features.size))
+        bias = np.empty((len(heads) * width, 1))
         for q, layers in enumerate(heads):
-            rows = self._head_features(features[None], q)[0]
-            first[rows, q * width : (q + 1) * width] = layers[0].weights
-        bias = np.concatenate([layers[0].bias for layers in heads])
+            cols = self._head_features(features[None], q)[0]
+            block = slice(q * width, (q + 1) * width)
+            weights = layers[0].weights / scale[cols, None]
+            first[block, cols] = weights.T
+            bias[block, 0] = layers[0].bias - mean[cols] @ weights
         stack = [(first, bias, heads[0][0].activation.forward)] + [
             (
-                np.stack([layers[depth].weights for layers in heads]),
-                np.stack([layers[depth].bias for layers in heads])[:, None],
+                np.stack([layers[depth].weights.T for layers in heads]),
+                np.stack([layers[depth].bias for layers in heads])[..., None],
                 heads[0][depth].activation.forward,
             )
             for depth in range(1, len(heads[0]))
         ]
         self._head_stack = [
-            (weights.astype(np.float32), bias.astype(np.float32), activation)
+            (
+                np.ascontiguousarray(weights, dtype=np.float32),
+                bias.astype(np.float32),
+                activation,
+            )
             for weights, bias, activation in stack
         ]
 
@@ -218,23 +239,29 @@ class MLRDiscriminator(Discriminator):
     ) -> tuple[np.ndarray, float]:
         """Per-qubit argmax levels and the mean top-2 probability margin.
 
-        ``x`` is the scaled feature matrix. The one implementation both
-        fit-time reference recording and the streaming engine use —
-        drift scoring compares the two, so they must never diverge. All
-        heads run at once through the float32 stack built at fit or
-        artifact load, in float32 (float32 ``x`` is used uncopied, other
-        input is cast once); a level is the first maximal logit, as in
-        :meth:`MLPClassifier.predict`. Only the margin mean accumulates
-        in float64.
+        ``x`` is the raw ``(n_shots, n_features)`` matched-filter score
+        matrix: the scaler is folded into the stack's layer 1. The one
+        implementation both fit-time reference recording and the
+        streaming engine use — drift scoring compares the two, so they
+        must never diverge. All heads run at once through the float32
+        stack built at fit or artifact load, feature-major (``W1 @
+        x.T``, so activations are ``(n_heads, h, n_shots)`` and the
+        logits level-major), in float32 (float32 ``x`` is used
+        uncopied, other input is cast once); a level is the first
+        maximal logit, as in :meth:`MLPClassifier.predict`. Only the
+        margin mean accumulates in float64.
         """
         self._require_fitted()
         x = as_2d_float(x, dtype=np.float32)
         (weights, bias, activation), *deeper = self._head_stack
-        # Layer 1's (n, n_heads * h) output, viewed as (n_heads, n, h).
-        h = activation(x @ weights + bias)
-        h = h.reshape(x.shape[0], len(self.models), -1).transpose(1, 0, 2)
+        h = weights @ x.T
+        h += bias
+        # Layer 1's (n_heads * h1, n) output, viewed as (n_heads, h1, n).
+        h = activation(h).reshape(len(self.models), -1, x.shape[0])
         for weights, bias, activation in deeper:
-            h = activation(np.matmul(h, weights) + bias)
+            h = np.matmul(weights, h)
+            h += bias
+            h = activation(h)
         levels, margins = _top2_levels_and_margins(h)
         return levels.T, float(margins.sum(dtype=np.float64)) / margins.size
 
@@ -279,6 +306,8 @@ class MLRDiscriminator(Discriminator):
         readout window truncates the matched-filter kernels, which shifts
         the score scales; refitting only the (closed-form) normalization on
         the shortened training features requires no gradient steps.
+        The clone's serving stack is rebuilt, since the scaler is folded
+        into its layer 1.
         """
         import copy
 
@@ -288,6 +317,7 @@ class MLRDiscriminator(Discriminator):
         clone.scaler.fit(
             self.extractor.transform(corpus, self._resolve_indices(corpus, indices))
         )
+        clone._stack_heads()
         return clone
 
     def _artifact_meta(self) -> dict:

@@ -87,11 +87,12 @@ class StandardScaler:
     def transform_inplace(self, x: np.ndarray) -> np.ndarray:
         """Standardize a float feature block in place; returns it.
 
-        The zero-copy serving path: the caller owns a reusable float
-        buffer the raw features were written into, and the
-        standardization mutates it rather than allocating a fresh array
-        per batch. ``x`` must already be 2-D float (no coercion — a
-        coerced copy would defeat the point).
+        For a caller that owns a reusable float buffer the raw features
+        were written into: the standardization mutates it rather than
+        allocating a fresh array. ``x`` must already be 2-D float (no
+        coercion — a coerced copy would defeat the point). Serving does
+        not call it: :class:`~repro.discriminators.mlr.MLRDiscriminator`
+        folds its scaler into the heads' first layer.
         """
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler is not fitted")
@@ -108,15 +109,6 @@ class StandardScaler:
         x -= self.mean_
         x /= self.scale_
         return x
-
-    def astype(self, dtype) -> "StandardScaler":
-        """A fitted copy whose statistics are cast to ``dtype``."""
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError("StandardScaler is not fitted")
-        scaler = StandardScaler()
-        scaler.mean_ = self.mean_.astype(dtype)
-        scaler.scale_ = self.scale_.astype(dtype)
-        return scaler
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit on ``x`` and return its standardized copy."""

@@ -745,9 +745,11 @@ class MultiFeedlineRunner:
     workers:
         Process shards; defaults to one per feedline, capped at the CPU
         count (forked shards timesharing one core thrash the cache
-        across address spaces). Feedlines go longest-first onto the
-        least-loaded shard, and a shard runs its feedlines one after
-        another; only shards that own a feedline are forked. ``serial``
+        across address spaces). A count above the feedline count is
+        capped at it: a shard without a feedline would never run, so
+        :attr:`workers` and every report count the shards that are
+        forked. Feedlines go longest-first onto the least-loaded shard,
+        and a shard runs its feedlines one after another. ``serial``
         always runs (and reports) one worker, whatever is asked.
     config:
         Per-feedline runtime config (batch size, drift detection).
@@ -799,7 +801,7 @@ class MultiFeedlineRunner:
             workers = 1  # one caller thread runs every feedline
         elif workers is None:
             workers = min(len(specs), available_cpus())
-        self.workers = int(workers)
+        self.workers = min(int(workers), len(specs))
         self.config = config or PipelineConfig()
         self.chunk_size = int(chunk_size)
         self.registry_dir = (
@@ -850,9 +852,7 @@ class MultiFeedlineRunner:
             if self._serial is None:
                 self._serial = self._worker(0)
         elif self._pool is None:
-            self._pool = ProcessShardExecutor(
-                min(self.workers, len(self.feedlines)), self._worker
-            )
+            self._pool = ProcessShardExecutor(self.workers, self._worker)
 
     def _map(self, fn: Callable, tasks: Sequence) -> list:
         """Run ``fn(worker, task)`` for every task; results in task order.

@@ -25,15 +25,19 @@ and turns them into one scalar ``drift_score``:
 The monitor is per-feedline state owned by one pipeline run (the
 feedline is the unit of calibration, so it is also the unit of drift),
 costs one ``bincount`` per batch, and never touches the discrimination
-path — detection can never change an assignment.
+path — detection can never change an assignment. Marginals are one
+matvec against a 0/1 projection built once per ``(n_levels,
+n_qubits)``, so a run's set-up and summary cost a few numpy calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from repro.data.basis import state_to_digits
 from repro.exceptions import ConfigurationError
 
 __all__ = ["DriftMonitor"]
@@ -42,6 +46,26 @@ __all__ = ["DriftMonitor"]
 #: states the reference never produced cannot blow the divergence up to
 #: infinity on a single stray assignment.
 _SMOOTHING = 1e-4
+
+
+@functools.lru_cache(maxsize=16)
+def _marginal_projection(n_levels: int, n_qubits: int) -> np.ndarray:
+    """0/1 ``(n_levels**n_qubits, n_qubits * n_levels)`` projection.
+
+    Row ``s`` has a one in column ``q * n_levels + d`` for each qubit
+    ``q`` whose level in joint state ``s`` is ``d`` (the
+    :func:`repro.data.basis.digits_to_state` convention: qubit 0 is the
+    most-significant digit), so ``joint_dist @ projection`` lists every
+    qubit's marginal. Read-only: one instance serves every monitor.
+    """
+    states = np.arange(n_levels**n_qubits)
+    digits = state_to_digits(states, n_qubits, n_levels)
+    projection = np.zeros((states.size, n_qubits * n_levels))
+    projection[
+        states[:, None], np.arange(n_qubits) * n_levels + digits
+    ] = 1.0
+    projection.flags.writeable = False
+    return projection
 
 
 class DriftMonitor:
@@ -112,10 +136,11 @@ class DriftMonitor:
         self.reference = reference / total
         self.n_levels = int(n_levels)
         self.n_qubits = int(n_qubits)
+        self._projection = _marginal_projection(self.n_levels, self.n_qubits)
         # The reference side of every divergence, smoothed once.
-        self._reference_marginals = [
-            self._smoothed(q) for q in self._marginals(self.reference)
-        ]
+        self._reference_marginals = self._smoothed(
+            self._marginals(self.reference)
+        )
         self.reference_margin = (
             None if reference_margin is None else float(reference_margin)
         )
@@ -169,17 +194,15 @@ class DriftMonitor:
         Joint labels follow the :func:`repro.data.basis.digits_to_state`
         convention (qubit 0 is the most-significant digit).
         """
-        grid = joint_dist.reshape((self.n_levels,) * self.n_qubits)
-        return np.stack([
-            grid.sum(axis=tuple(a for a in range(self.n_qubits) if a != q))
-            for q in range(self.n_qubits)
-        ])
+        return (joint_dist @ self._projection).reshape(
+            self.n_qubits, self.n_levels
+        )
 
     @staticmethod
-    def _smoothed(marginal: np.ndarray) -> np.ndarray:
-        """Laplace-smoothed, renormalized level distribution."""
-        marginal = marginal + _SMOOTHING
-        return marginal / marginal.sum()
+    def _smoothed(marginals: np.ndarray) -> np.ndarray:
+        """Laplace-smoothed, renormalized level distributions (rows)."""
+        marginals = marginals + _SMOOTHING
+        return marginals / marginals.sum(axis=1, keepdims=True)
 
     def _divergence(self) -> float:
         """Smoothed symmetric KL vs the reference, worst qubit marginal.
@@ -192,15 +215,11 @@ class DriftMonitor:
         """
         if self._ewma_dist is None:
             return 0.0
-        worst = 0.0
-        for p, q in zip(
-            self._marginals(self._ewma_dist), self._reference_marginals
-        ):
-            p = self._smoothed(p)
-            forward = float(np.sum(p * np.log(p / q)))
-            backward = float(np.sum(q * np.log(q / p)))
-            worst = max(worst, 0.5 * (forward + backward))
-        return worst
+        p = self._smoothed(self._marginals(self._ewma_dist))
+        q = self._reference_marginals
+        # KL(p||q) + KL(q||p) = sum (p - q) log(p / q), per qubit.
+        symmetric = 0.5 * ((p - q) * np.log(p / q)).sum(axis=1)
+        return float(symmetric.max())
 
     def _margin_erosion(self) -> float:
         """Fractional loss of head confidence vs calibration time."""

@@ -31,6 +31,23 @@ __all__ = ["LatencyStats", "StageTimings", "PipelineReport"]
 DEFAULT_LATENCY_WINDOW = 4096
 
 
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` (linear method) of sorted samples.
+
+    Interpolates between the two order statistics around ``q / 100 *
+    (n - 1)`` the way numpy's ``_lerp`` does, from the upper neighbour
+    when the weight reaches one half, so the result matches numpy's.
+    """
+    position = q / 100.0 * (len(ordered) - 1)
+    below = int(position)
+    above = min(below + 1, len(ordered) - 1)
+    weight = position - below
+    low, high = ordered[below], ordered[above]
+    if weight >= 0.5:
+        return high - (high - low) * (1.0 - weight)
+    return low + (high - low) * weight
+
+
 class LatencyStats:
     """Streaming collection of per-batch latency samples (seconds).
 
@@ -91,9 +108,11 @@ class LatencyStats:
         read as "no data", never as 0 ms (which would make it look
         infinitely fast in reports).
         """
+        if not 0.0 <= q <= 100.0:
+            raise ConfigurationError(f"q must be in [0, 100], got {q}")
         if not self._samples:
             return float("nan")
-        return float(np.percentile(np.asarray(self._samples), q))
+        return _percentile(sorted(self._samples), q)
 
     @property
     def p50_ms(self) -> float:
@@ -116,17 +135,18 @@ class LatencyStats:
 
         Percentiles over an empty stage are NaN (see :meth:`percentile`);
         :func:`json_finite` maps them to ``None`` so the digest stays
-        strict-JSON serializable. Both percentiles come from one pass
-        over the window.
+        strict-JSON serializable. Both percentiles come from one sort of
+        the window.
         """
         if self._samples:
-            p50, p99 = np.percentile(np.asarray(self._samples), [50.0, 99.0])
+            ordered = sorted(self._samples)
+            p50, p99 = _percentile(ordered, 50.0), _percentile(ordered, 99.0)
         else:
             p50 = p99 = float("nan")
         return {
             "batches": self.count,
-            "p50_ms": json_finite(float(p50) * 1e3),
-            "p99_ms": json_finite(float(p99) * 1e3),
+            "p50_ms": json_finite(p50 * 1e3),
+            "p99_ms": json_finite(p99 * 1e3),
             "mean_per_shot_us": json_finite(self.mean_per_shot_us),
             "total_seconds": self.total_seconds,
         }

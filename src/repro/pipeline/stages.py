@@ -6,15 +6,17 @@ raw trace, so :meth:`~repro.discriminators.features
 weight bank per readout window. :class:`BatchDiscriminationEngine`
 scores every channel of a micro-batch with one float32 GEMM over the
 batch's complex64 ``(re, im)`` view — usually the source chunk's own
-memory — straight into a reused float32 feature buffer, standardizes it
-in place with float32 statistics, then runs all per-qubit heads as one
-float32 stack. Serving has this one precision, the digitizer's.
+memory — straight into a reused float32 feature buffer, then runs all
+per-qubit heads as one float32 stack on those raw scores: the fitted
+scaler is folded into the stack's layer 1, so there is no
+standardization pass. Serving has this one precision, the digitizer's.
 
 The engine serves a fitted :class:`~repro.discriminators.mlr
 .MLRDiscriminator` unchanged. Its offline ``predict`` still runs the
-per-channel demod → decimate → matched-filter chain and each head on
-its own, in float64, which makes it the independent parity oracle the
-engine is tested against (zero per-qubit flips on recorded corpora).
+per-channel demod → decimate → matched-filter chain, the scaler and
+each head on its own, in float64, which makes it the independent
+parity oracle the engine is tested against (zero per-qubit flips on
+recorded corpora).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class BatchResult:
         Joint state labels (n_shots,), base ``n_levels``.
     stage_seconds:
         Wall time per stage for this batch: the fused GEMM under
-        ``matched_filter``; scaler, heads and label packing under
+        ``matched_filter``; heads and label packing under
         ``discriminate``.
     mean_margin:
         Mean top-2 probability margin over every (shot, qubit) head
@@ -70,14 +72,13 @@ class BatchDiscriminationEngine:
     Parameters
     ----------
     discriminator:
-        A fitted :class:`MLRDiscriminator` whose kernels/scaler/heads are
-        served unchanged.
+        A fitted :class:`MLRDiscriminator` whose kernels and head stack
+        (scaler folded in) are served unchanged.
     chip:
         The device the stream comes from (provides IFs and sample times).
 
-    The fused weight bank is cached per raw trace length and the
-    scaler's float32 statistics are cast once here, so a warm serving
-    loop recomputes none of it per batch.
+    The fused weight bank is cached per raw trace length, so a warm
+    serving loop recomputes none of it per batch.
     """
 
     def __init__(
@@ -98,9 +99,6 @@ class BatchDiscriminationEngine:
         self.discriminator = discriminator
         self.chip = chip
         self.n_features = chip.n_qubits * extractor.filters_per_qubit
-        # Float32 features less float64 statistics would run numpy's
-        # slower mixed-dtype loop.
-        self.scaler = discriminator.scaler.astype(np.float32)  # repro: allow(no-hidden-copy) once per engine, not per batch
         # Per-trace-length cache (typically one entry; truncated-window
         # serving adds one per distinct window).
         self._fused_banks: dict[int, FusedKernelBank] = {}
@@ -113,8 +111,7 @@ class BatchDiscriminationEngine:
         ``out_features`` — optional preallocated ``(n_shots,
         n_features)`` float32 buffer (a :class:`~repro.pipeline.buffers
         .BufferRing` feature block) the fused GEMM writes raw scores
-        into and standardizes in place; without one the scores get a
-        fresh array.
+        into; without one the scores get a fresh array.
         """
         feedline = np.atleast_2d(np.asarray(feedline))
         trace_len = feedline.shape[1]
@@ -127,7 +124,6 @@ class BatchDiscriminationEngine:
         t0 = time.perf_counter()
         x = bank.scores(feedline, out=out_features)
         t1 = time.perf_counter()
-        x = self.scaler.transform_inplace(x)
         # The shared helper keeps serving margins computed exactly like
         # the calibration-time reference margin drift scoring compares
         # against (and its argmax matches offline ``predict``).

@@ -647,6 +647,25 @@ class TestClusterReportAggregation:
         assert report.to_dict()["workers"] == 1
         assert "serial executor, 1 workers" in report.format_table()
 
+    def test_process_reports_the_shards_it_forks(
+        self, feedline_chips, warm_registry
+    ):
+        # Two feedlines fill two shards; the other two asked for would
+        # own no feedline, so they are neither forked nor reported.
+        with MultiFeedlineRunner(
+            feedline_chips,
+            tiny_profile(),
+            executor="process",
+            workers=4,
+            config=PipelineConfig(batch_size=10),
+            registry_dir=warm_registry,
+        ) as runner:
+            report = runner.run(10)
+            forked = len(runner._pool._processes)
+        assert runner.workers == report.workers == forked == 2
+        assert report.to_dict()["workers"] == 2
+        assert report.placement == {"feedline-0": 0, "feedline-1": 1}
+
 
 class TestRegistryShardingIsolation:
     def test_concurrent_get_or_fit_same_key_fits_once(

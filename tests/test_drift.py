@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import Profile
 from repro.exceptions import ConfigurationError
@@ -222,6 +224,61 @@ class TestDriftMonitor:
         assert monitor.alarm is False, "not enough evidence yet"
         monitor.observe(np.zeros(400, dtype=np.int64))
         assert monitor.alarm is True
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_qubits=st.integers(min_value=1, max_value=5),
+        n_levels=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_projection_marginals_match_reshape_sums(
+        self, n_qubits, n_levels, seed
+    ):
+        """One matvec against the cached 0/1 projection lists each
+        qubit's marginal as summing the joint grid over every other
+        qubit's axis does, and the divergence matches the per-qubit
+        loop over those marginals."""
+        rng = np.random.default_rng(seed)
+        size = n_levels**n_qubits
+
+        def distribution():
+            dist = rng.random(size) * (rng.random(size) < 0.6)
+            dist[rng.integers(size)] += 1.0
+            return dist / dist.sum()
+
+        def reshape_sums(dist):
+            grid = dist.reshape((n_levels,) * n_qubits)
+            return np.stack([
+                grid.sum(axis=tuple(a for a in range(n_qubits) if a != q))
+                for q in range(n_qubits)
+            ])
+
+        def smoothed(marginal):
+            marginal = marginal + 1e-4
+            return marginal / marginal.sum()
+
+        reference = distribution()
+        monitor = DriftMonitor(reference, n_levels=n_levels, min_shots=0)
+        assert monitor._projection is DriftMonitor(
+            distribution(), n_levels=n_levels
+        )._projection
+        np.testing.assert_allclose(
+            monitor._marginals(monitor.reference),
+            reshape_sums(monitor.reference),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+        monitor.observe(rng.integers(0, size, 64))
+        worst = 0.0
+        for p, q in zip(
+            reshape_sums(monitor._ewma_dist), reshape_sums(monitor.reference)
+        ):
+            p, q = smoothed(p), smoothed(q)
+            symmetric = np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p))
+            worst = max(worst, 0.5 * float(symmetric))
+        assert monitor.summary()["assignment_divergence"] == pytest.approx(
+            worst, rel=1e-9, abs=1e-15
+        )
 
     def test_summary_is_json_able(self):
         monitor = DriftMonitor(np.full(9, 1 / 9), min_shots=0)

@@ -311,10 +311,13 @@ class TestFusedEngineInvariance:
 
 
 class TestStackedHeads:
-    """The serving head stack against the per-head networks it merges.
+    """The serving head stack against the scaler and per-head networks
+    it merges.
 
-    Reference: each head's own ``MLPClassifier.predict_proba`` on its
-    feature block, then ``np.argmax`` and the sort-based top-2 margin.
+    The stack takes raw matched-filter scores (the scaler is folded into
+    its layer 1). Reference: the float64 scaler, then each head's own
+    ``MLPClassifier.predict_proba`` on its feature block, then
+    ``np.argmax`` and the sort-based top-2 margin.
     """
 
     @pytest.fixture(scope="class", params=[True, False],
@@ -339,10 +342,9 @@ class TestStackedHeads:
         return np.stack(levels, axis=1), float(np.mean(margins))
 
     @staticmethod
-    def _scaled(disc, corpus, n_shots):
-        return disc.scaler.transform(
-            disc.extractor.transform(corpus, np.arange(n_shots))
-        )
+    def _raw_and_scaled(disc, corpus, n_shots):
+        raw = disc.extractor.transform(corpus, np.arange(n_shots))
+        return raw, disc.scaler.transform(raw)
 
     @staticmethod
     def _margin_tolerance(disc, x):
@@ -380,8 +382,8 @@ class TestStackedHeads:
     def test_matches_per_head_argmax_and_margin(
         self, disc, tiny_corpus, n_shots
     ):
-        x = self._scaled(disc, tiny_corpus, n_shots)
-        levels, margin = disc.head_levels_and_margin(x)
+        raw, x = self._raw_and_scaled(disc, tiny_corpus, n_shots)
+        levels, margin = disc.head_levels_and_margin(raw)
         expected_levels, expected_margin = self._per_head(disc, x)
         assert levels.shape == (n_shots, tiny_corpus.n_qubits)
         assert levels.dtype == np.int64
@@ -399,8 +401,8 @@ class TestStackedHeads:
             last.weights[:, 1] = last.weights[:, 0]
             last.bias[1] = last.bias[0]
         tied._stack_heads()
-        x = self._scaled(tied, tiny_corpus, 256)
-        levels, margin = tied.head_levels_and_margin(x)
+        raw, x = self._raw_and_scaled(tied, tiny_corpus, 256)
+        levels, margin = tied.head_levels_and_margin(raw)
         expected_levels, expected_margin = self._per_head(tied, x)
         np.testing.assert_array_equal(levels, expected_levels)
         assert np.any(levels == 0) and not np.any(levels == 1)
@@ -415,7 +417,8 @@ class TestStackedHeads:
             [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0],
              [0.0, -1.0, 5.0], [2.0, 0.5, 1.0]]
         )
-        levels, margins = _top2_levels_and_margins(logits)
+        # Level-major (n_levels, n_shots); the epilogue overwrites it.
+        levels, margins = _top2_levels_and_margins(logits.T.copy())
         np.testing.assert_array_equal(levels, np.argmax(logits, axis=1))
         proba = np.exp(logits - logits.max(axis=1, keepdims=True))
         proba /= proba.sum(axis=1, keepdims=True)
@@ -424,13 +427,81 @@ class TestStackedHeads:
             margins, top2[:, 1] - top2[:, 0], rtol=0, atol=1e-15
         )
 
+    @staticmethod
+    def _float64_top2(logits):
+        """``np.argmax`` and the sort-based top-2 softmax margin, in
+        float64, over the level axis of level-major logits."""
+        wide = logits.astype(np.float64)
+        proba = np.exp(wide - wide.max(axis=-2, keepdims=True))
+        proba /= proba.sum(axis=-2, keepdims=True)
+        top2 = np.sort(proba, axis=-2)[..., -2:, :]
+        return np.argmax(wide, axis=-2), top2[..., 1, :] - top2[..., 0, :]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_heads=st.integers(min_value=1, max_value=6),
+        n_levels=st.integers(min_value=2, max_value=5),
+        n_shots=st.integers(min_value=1, max_value=300),
+        spread=st.sampled_from([1e-3, 1.0, 8.0, 40.0]),
+        tie_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_epilogue_property(
+        self, n_heads, n_levels, n_shots, spread, tie_rate, seed
+    ):
+        """Float32 level-major logits with forced exact ties: levels are
+        ``np.argmax``'s (first max), margins within the float32
+        evaluation bound ``8 * n_levels * eps32`` of float64."""
+        from repro.discriminators.mlr import _top2_levels_and_margins
+
+        rng = np.random.default_rng(seed)
+        shape = (n_heads, n_levels, n_shots)
+        logits = (rng.standard_normal(shape) * spread).astype(np.float32)
+        heads, shots = np.nonzero(rng.random((n_heads, n_shots)) < tie_rate)
+        # Copy the top logit (or a random level's) onto another level,
+        # and flatten every level of a quarter of the tied decisions.
+        source = np.where(
+            rng.random(heads.size) < 0.5,
+            logits.argmax(axis=1)[heads, shots],
+            rng.integers(0, n_levels, heads.size),
+        )
+        target = rng.integers(0, n_levels, heads.size)
+        logits[heads, target, shots] = logits[heads, source, shots]
+        flat = rng.random(heads.size) < 0.25
+        logits[heads[flat], :, shots[flat]] = logits[
+            heads[flat], :1, shots[flat]
+        ]
+        expected_levels, expected_margins = self._float64_top2(logits)
+
+        levels, margins = _top2_levels_and_margins(logits.copy())
+        np.testing.assert_array_equal(levels, expected_levels)
+        assert margins.dtype == np.float32
+        bound = 8 * n_levels * np.finfo(np.float32).eps
+        assert np.abs(margins - expected_margins).max() <= bound
+
+    def test_recalibrated_clone_serves_through_its_own_scaler(
+        self, disc, tiny_corpus
+    ):
+        """The refit scaler is folded into the clone's own stack: served
+        decisions on the shortened window are the clone's offline ones,
+        not what the parent's stack would make of the new scores."""
+        train, _ = stratified_split(tiny_corpus.labels, 0.5, seed=31)
+        short = tiny_corpus.truncated(120)
+        clone = disc.with_recalibrated_scaler(short, train)
+        result = BatchDiscriminationEngine(clone, short.chip).process(
+            short.feedline
+        )
+        oracle = clone.predict_qubit_levels(short)
+        assert int(np.count_nonzero(result.levels != oracle)) == 0
+        np.testing.assert_array_equal(result.joint, clone.predict(short))
+
     def test_artifact_round_trip_rebuilds_the_stack(self, disc, tiny_corpus):
         loaded = type(disc)._from_artifacts(
             disc._artifact_meta(), disc._artifact_arrays()
         )
-        x = self._scaled(disc, tiny_corpus, 64)
-        got_levels, got_margin = loaded.head_levels_and_margin(x)
-        levels, margin = disc.head_levels_and_margin(x)
+        raw, _ = self._raw_and_scaled(disc, tiny_corpus, 64)
+        got_levels, got_margin = loaded.head_levels_and_margin(raw)
+        levels, margin = disc.head_levels_and_margin(raw)
         np.testing.assert_array_equal(got_levels, levels)
         assert got_margin == margin
 
@@ -535,6 +606,22 @@ class TestBoundedLatencyStats:
         # Percentiles reflect the bounded recent window only.
         assert stats.percentile(0.0) == pytest.approx(0.001 * (n - 15))
         assert stats.percentile(100.0) == pytest.approx(0.001 * n)
+
+    @pytest.mark.parametrize("window", [1, 2, 16, 4096])
+    def test_percentiles_match_numpy(self, window):
+        """Summary and ``percentile`` interpolate as ``np.percentile``
+        does over the window, ties included."""
+        rng = np.random.default_rng(window)
+        samples = np.round(rng.lognormal(-7.0, 1.0, window + 37), 5)
+        stats = LatencyStats(window=window)
+        for seconds in samples:
+            stats.record(float(seconds))
+        recent = samples[-window:]
+        summary = stats.summary()
+        for q, key in ((50.0, "p50_ms"), (99.0, "p99_ms")):
+            expected = np.percentile(recent, q)
+            assert summary[key] == pytest.approx(expected * 1e3, rel=1e-12)
+            assert stats.percentile(q) == pytest.approx(expected, rel=1e-12)
 
     def test_memory_is_bounded(self):
         stats = LatencyStats(window=8)
