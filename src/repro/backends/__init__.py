@@ -30,10 +30,12 @@ from repro.backends.base import AcquisitionTraceSource, InstrumentBackend
 from repro.backends.corpus import (
     CORPUS_FORMAT,
     CORPUS_FORMAT_VERSION,
+    CorpusLayout,
     CorpusWriter,
     RecordedCorpus,
     chip_sha,
     load_corpus,
+    read_corpus_layout,
 )
 from repro.backends.dummy import DummyBackend
 from repro.backends.recording import RecordingBackend, ReplayBackend
@@ -51,7 +53,9 @@ __all__ = [
     "SocketBackend",
     "serve_corpus_over_socket",
     "CorpusWriter",
+    "CorpusLayout",
     "RecordedCorpus",
+    "read_corpus_layout",
     "load_corpus",
     "chip_sha",
     "CORPUS_FORMAT",

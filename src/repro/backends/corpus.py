@@ -14,9 +14,16 @@ safe*: the format version, the full chip config plus its SHA-1 (the same
 digest the calibration registry keys on, so a replayed corpus can never
 silently feed a discriminator calibrated for another chip), the
 recording seed and source description (backend name, drift section), and
-a SHA-256 per chunk file. :func:`load_corpus` verifies all of it and
-raises a precise :class:`~repro.exceptions.ConfigurationError` naming
-the offending file on any mismatch.
+a SHA-256 per chunk file.
+
+Loading reads every trace byte once. :func:`read_corpus_layout` checks
+the manifest and stats each chunk file against the bytes its declared
+rows need, so nothing is sized from rows that are not on disk; then
+:func:`load_corpus` reads each file in one pass — ``.npy`` header
+parsed and checked against the manifest, rows read straight into their
+destination, header and rows hashed by one SHA-256 (the file's
+whole-file digest). Any mismatch, checksummed or not, raises a precise
+:class:`~repro.exceptions.ConfigurationError` naming the offending file.
 
 Replayed arrays are read-only (``flags.writeable = False``): a corpus is
 shared evidence, and no downstream stage may silently corrupt it.
@@ -26,13 +33,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Iterator, Sequence
+from tokenize import TokenError
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.physics.device import ChipConfig
+from repro.pipeline.shm import SharedTraceBlock
 from repro.pipeline.source import ShotChunk
 
 __all__ = [
@@ -41,7 +51,9 @@ __all__ = [
     "MANIFEST_NAME",
     "chip_sha",
     "CorpusWriter",
+    "CorpusLayout",
     "RecordedCorpus",
+    "read_corpus_layout",
     "load_corpus",
 ]
 
@@ -194,15 +206,16 @@ class CorpusWriter:
         return self.path
 
 
-class RecordedCorpus:
-    """A loaded, integrity-checked corpus, ready for replay.
+class CorpusLayout:
+    """A corpus directory as its manifest describes it, before any chunk is read.
 
-    All trace data lives in two read-only contiguous arrays
-    (:attr:`feedline`, :attr:`prepared_levels`) — the shapes
-    :class:`~repro.pipeline.shm.SharedTraceBlock.from_corpus` publishes
-    for process-shard replay — and :meth:`chunks` yields the *original*
-    chunk boundaries as zero-copy views into them, so in-process replay
-    is bit-identical to the recorded stream.
+    Built by :func:`read_corpus_layout`: the manifest parses, its chip
+    rebuilds to the recorded SHA, and every chunk file it names is on
+    disk with more bytes than its declared rows need. It says what
+    :func:`load_corpus` will deliver (chip, shot count, trace length,
+    labels, dtypes), so a caller can size and check a destination
+    before any trace byte is read. :class:`RecordedCorpus` is a layout
+    with its chunks loaded.
     """
 
     def __init__(
@@ -210,23 +223,16 @@ class RecordedCorpus:
         path: Path,
         manifest: dict,
         chip: ChipConfig,
-        feedline: np.ndarray,
-        prepared_levels: np.ndarray | None,
         chunk_shots: Sequence[int],
     ) -> None:
         self.path = path
         self.manifest = manifest
         self.chip = chip
-        feedline.flags.writeable = False
-        self.feedline = feedline
-        if prepared_levels is not None:
-            prepared_levels.flags.writeable = False
-        self.prepared_levels = prepared_levels
         self.chunk_shots = tuple(int(n) for n in chunk_shots)
 
     @property
     def n_shots(self) -> int:
-        return self.feedline.shape[0]
+        return sum(self.chunk_shots)
 
     #: Alias matching :class:`~repro.data.dataset.ReadoutCorpus`, so a
     #: recorded corpus drops into every replay API a ReadoutCorpus fits.
@@ -236,11 +242,23 @@ class RecordedCorpus:
 
     @property
     def trace_len(self) -> int:
-        return self.feedline.shape[1]
+        return int(self.manifest["trace_len"])
+
+    @property
+    def n_qubits(self) -> int:
+        return int(self.manifest["n_qubits"])
 
     @property
     def labeled(self) -> bool:
-        return self.prepared_levels is not None
+        return bool(self.manifest["labeled"])
+
+    @property
+    def feedline_dtype(self) -> np.dtype:
+        return np.dtype(self.manifest["feedline_dtype"])
+
+    @property
+    def levels_dtype(self) -> np.dtype:
+        return np.dtype(self.manifest["levels_dtype"])
 
     @property
     def chip_sha(self) -> str:
@@ -263,23 +281,6 @@ class RecordedCorpus:
             "trace_len": self.trace_len,
             "n_qubits": self.chip.n_qubits,
         }
-
-    def chunks(self) -> Iterator[ShotChunk]:
-        """Replay the recorded chunk stream as read-only views."""
-        start = 0
-        for chunk_id, size in enumerate(self.chunk_shots):
-            stop = start + size
-            levels = (
-                None
-                if self.prepared_levels is None
-                else self.prepared_levels[start:stop]
-            )
-            yield ShotChunk(
-                feedline=self.feedline[start:stop],
-                prepared_levels=levels,
-                chunk_id=chunk_id,
-            )
-            start = stop
 
     def require_chip(self, chip: ChipConfig) -> None:
         """Demand the serving chip be *exactly* the recorded one."""
@@ -311,6 +312,51 @@ class RecordedCorpus:
                 f"corpus {self.path / MANIFEST_NAME} does not fit the "
                 "serving chip: " + "; ".join(problems)
             )
+
+
+class RecordedCorpus(CorpusLayout):
+    """A loaded, integrity-checked corpus, ready for replay.
+
+    Its layout plus all trace data, in two read-only contiguous arrays
+    (:attr:`feedline`, :attr:`prepared_levels`) — the shapes a
+    :class:`~repro.pipeline.shm.SharedTraceBlock` publishes for
+    process-shard replay — and :meth:`chunks` yields the *original*
+    chunk boundaries as zero-copy views into them, so in-process replay
+    is bit-identical to the recorded stream.
+    """
+
+    def __init__(
+        self,
+        path: Path,
+        manifest: dict,
+        chip: ChipConfig,
+        feedline: np.ndarray,
+        prepared_levels: np.ndarray | None,
+        chunk_shots: Sequence[int],
+    ) -> None:
+        super().__init__(path, manifest, chip, chunk_shots)
+        feedline.flags.writeable = False
+        self.feedline = feedline
+        if prepared_levels is not None:
+            prepared_levels.flags.writeable = False
+        self.prepared_levels = prepared_levels
+
+    def chunks(self) -> Iterator[ShotChunk]:
+        """Replay the recorded chunk stream as read-only views."""
+        start = 0
+        for chunk_id, size in enumerate(self.chunk_shots):
+            stop = start + size
+            levels = (
+                None
+                if self.prepared_levels is None
+                else self.prepared_levels[start:stop]
+            )
+            yield ShotChunk(
+                feedline=self.feedline[start:stop],
+                prepared_levels=levels,
+                chunk_id=chunk_id,
+            )
+            start = stop
 
 
 def _manifest_error(path: Path, detail: str) -> ConfigurationError:
@@ -360,50 +406,34 @@ def _load_manifest(manifest_path: Path) -> dict:
     return manifest
 
 
-def _load_chunk_array(
-    path: Path,
-    spec: dict,
-    manifest_path: Path,
-    *,
-    dtype: str,
-    shape: tuple[int, int],
-    verify: bool,
-) -> np.ndarray:
-    """One chunk file: checksum first, then load and shape-check."""
-    file_path = path / spec["file"]
-    if not file_path.is_file():
-        raise ConfigurationError(
-            f"corpus chunk file missing: {file_path} (named by "
-            f"{manifest_path})"
-        )
-    if verify:
-        actual = _sha256_file(file_path)
-        if actual != spec["sha256"]:
-            raise ConfigurationError(
-                f"corpus chunk {file_path} fails its checksum: manifest "
-                f"records sha256 {spec['sha256'][:12]}…, file hashes to "
-                f"{actual[:12]}…"
-            )
-    array = np.load(file_path)
-    if array.dtype != np.dtype(dtype) or array.shape != shape:
-        raise ConfigurationError(
-            f"corpus chunk {file_path} is {array.dtype}{array.shape}, "
-            f"manifest declares {dtype}{shape}"
-        )
-    return array
+class _ChunkFile(NamedTuple):
+    """One chunk file the manifest names, and where its bytes land.
 
-
-def load_corpus(path: str | Path, *, verify: bool = True) -> RecordedCorpus:
-    """Load and integrity-check a corpus directory.
-
-    Every chunk file is checksummed against the manifest (disable with
-    ``verify=False`` for trusted benchmarking reloads) and shape-checked
-    against the declared geometry; the chip config is rebuilt and its
-    SHA revalidated. Any violation raises a
-    :class:`~repro.exceptions.ConfigurationError` naming the offending
-    file.
+    ``offset`` is the byte offset of its rows in a corpus laid out as
+    every feedline row, then every level row — the layout of both a
+    loaded corpus's buffer and a :class:`SharedTraceBlock` segment.
     """
-    path = Path(path)
+
+    path: Path
+    sha256: str
+    dtype: np.dtype
+    shape: tuple[int, int]
+    offset: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.shape[0] * self.shape[1] * self.dtype.itemsize
+
+
+def _chunk_error(file: _ChunkFile, detail: str) -> ConfigurationError:
+    return ConfigurationError(f"corpus chunk {file.path} {detail}")
+
+
+def _read_layout(path: Path) -> tuple[CorpusLayout, list[_ChunkFile]]:
+    """The checked layout and its chunk files, feedline files first.
+
+    Reads the manifest and stats every chunk file; reads no chunk.
+    """
     manifest_path = path / MANIFEST_NAME
     manifest = _load_manifest(manifest_path)
     try:
@@ -418,53 +448,204 @@ def load_corpus(path: str | Path, *, verify: bool = True) -> RecordedCorpus:
             f"chip_sha {manifest['chip_sha'][:12]}… does not match the "
             "manifest's own chip section — the manifest was altered",
         )
-    labeled = bool(manifest["labeled"])
-    trace_len = int(manifest["trace_len"])
-    n_qubits = int(manifest["n_qubits"])
-    feedline_parts: list[np.ndarray] = []
-    levels_parts: list[np.ndarray] = []
-    chunk_shots: list[int] = []
-    for spec in manifest["chunks"]:
-        size = int(spec["n_shots"])
-        feedline_parts.append(
-            _load_chunk_array(
-                path, spec["feedline"], manifest_path,
-                dtype=manifest["feedline_dtype"],
-                shape=(size, trace_len),
-                verify=verify,
-            )
-        )
-        if labeled:
-            if "levels" not in spec:
+    try:
+        declared = int(manifest["n_shots"])
+        chunk_shots = [int(spec["n_shots"]) for spec in manifest["chunks"]]
+        layout = CorpusLayout(path, manifest, chip, chunk_shots)
+        parts = [("feedline", layout.feedline_dtype, layout.trace_len)]
+        if layout.labeled:
+            parts.append(("levels", layout.levels_dtype, layout.n_qubits))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _manifest_error(
+            manifest_path, f"geometry does not parse ({exc!r})"
+        ) from exc
+    if min(chunk_shots) < 0:
+        raise _manifest_error(manifest_path, "a chunk declares n_shots < 0")
+    files: list[_ChunkFile] = []
+    offset = 0
+    for part, dtype, width in parts:
+        for spec, size in zip(manifest["chunks"], chunk_shots):
+            try:
+                name, sha256 = spec[part]["file"], spec[part]["sha256"]
+            except (KeyError, TypeError) as exc:
                 raise _manifest_error(
                     manifest_path,
-                    f"chunk {spec.get('index')} is missing its levels "
-                    "entry in a labeled corpus",
+                    f"chunk {spec.get('index')} is missing its {part} "
+                    f"file or sha256 ({exc!r})",
+                ) from exc
+            file = _ChunkFile(path / name, sha256, dtype, (size, width), offset)
+            try:
+                on_disk = file.path.stat().st_size
+            except OSError:
+                raise ConfigurationError(
+                    f"corpus chunk file missing: {file.path} (named by "
+                    f"{manifest_path})"
+                ) from None
+            # Checked before anything is sized from the manifest: a
+            # declared row count the file cannot hold never becomes an
+            # allocation.
+            if on_disk <= file.nbytes:
+                raise _chunk_error(
+                    file,
+                    f"is truncated: {on_disk} bytes on disk, its declared "
+                    f"{dtype}{file.shape} rows alone are {file.nbytes}",
                 )
-            levels_parts.append(
-                _load_chunk_array(
-                    path, spec["levels"], manifest_path,
-                    dtype=manifest["levels_dtype"],
-                    shape=(size, n_qubits),
-                    verify=verify,
-                )
-            )
-        chunk_shots.append(size)
-    feedline = np.concatenate(feedline_parts, axis=0)
-    if feedline.shape[0] != int(manifest["n_shots"]):
+            files.append(file)
+            offset += file.nbytes
+    if layout.n_shots != declared:
         raise _manifest_error(
             manifest_path,
-            f"chunks hold {feedline.shape[0]} shots, n_shots declares "
-            f"{manifest['n_shots']}",
+            f"chunks hold {layout.n_shots} shots, n_shots declares "
+            f"{declared}",
         )
+    return layout, files
+
+
+def read_corpus_layout(path: str | Path) -> CorpusLayout:
+    """Check a corpus directory's manifest and chunk files; read no chunk.
+
+    The manifest must parse, its chip section must rebuild to the
+    recorded SHA, and every chunk file must exist with more bytes than
+    its declared rows. Any violation raises a
+    :class:`~repro.exceptions.ConfigurationError` naming the manifest or
+    the chunk file.
+    """
+    return _read_layout(Path(path))[0]
+
+
+#: ``.npy`` header parsers by format version (``np.save`` writes 1.0,
+#: and 2.0 only for a header over 64 KiB).
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_chunk(file: _ChunkFile, out: np.ndarray, verify: bool) -> None:
+    """Read one chunk file's rows into ``out`` (its bytes) in one pass.
+
+    The ``.npy`` header is parsed and checked against the manifest
+    (dtype, shape, C order), the file size against header plus rows,
+    and the rows are read straight into ``out``. With ``verify`` the
+    header bytes and that same buffer feed one SHA-256: the manifest's
+    whole-file digest.
+    """
+    try:
+        fh = open(file.path, "rb")
+    except OSError as exc:
+        raise _chunk_error(file, f"cannot be opened ({exc})") from exc
+    with fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _HEADER_READERS:
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = _HEADER_READERS[version](fh)
+        except (ValueError, SyntaxError, TokenError) as exc:
+            raise _chunk_error(
+                file, f"has no readable .npy header ({exc})"
+            ) from exc
+        if dtype != file.dtype or shape != file.shape or fortran_order:
+            order = " in Fortran order" if fortran_order else ""
+            raise _chunk_error(
+                file,
+                f"is {dtype}{shape}{order}, manifest declares "
+                f"{file.dtype}{file.shape}",
+            )
+        header_len = fh.tell()
+        data_len = os.fstat(fh.fileno()).st_size - header_len
+        if data_len != file.nbytes:
+            raise _chunk_error(
+                file,
+                f"holds {data_len} bytes after its header, "
+                f"{file.dtype}{file.shape} is {file.nbytes} "
+                f"({'truncated' if data_len < file.nbytes else 'trailing bytes'})",
+            )
+        if verify:
+            fh.seek(0)
+            digest = hashlib.sha256(fh.read(header_len))
+        if fh.readinto(out) != file.nbytes:
+            raise _chunk_error(file, "was truncated while it was read")
+    if verify:
+        digest.update(out)
+        actual = digest.hexdigest()
+        if actual != file.sha256:
+            raise _chunk_error(
+                file,
+                f"fails its checksum: manifest records sha256 "
+                f"{file.sha256[:12]}…, file hashes to {actual[:12]}…",
+            )
+
+
+def load_corpus(
+    path: str | Path,
+    *,
+    verify: bool = True,
+    into: SharedTraceBlock | None = None,
+) -> RecordedCorpus | None:
+    """Load and integrity-check a corpus directory, reading each file once.
+
+    The layout is checked first (:func:`read_corpus_layout`), so nothing
+    is allocated for rows that are not on disk. Then each chunk file is
+    read in one pass: its ``.npy`` header is checked against the
+    manifest (dtype, shape, C order, and header plus rows is the file
+    size), its rows go straight to their destination, and with
+    ``verify`` (disable for trusted benchmarking reloads) the header
+    and those same bytes are checksummed against the manifest. Every
+    violation, verified or not, raises a
+    :class:`~repro.exceptions.ConfigurationError` naming the offending
+    file; a corpus altered only in its data bytes fails its checksum.
+
+    ``into`` delivers the chunks into a
+    :class:`~repro.pipeline.shm.SharedTraceBlock` sized for this corpus
+    instead (feedline rows, then level rows): each chunk is read into a
+    reused chunk-sized staging buffer and written through the segment's
+    file descriptor, no whole-corpus array is ever built, and ``None``
+    is returned. The block must match the layout's shot count,
+    geometry and dtypes, and the corpus must be labeled.
+    """
+    layout, files = _read_layout(Path(path))
+    if into is not None:
+        held = into.descriptor
+        if not layout.labeled or (
+            held.n_shots, held.trace_len, held.n_qubits,
+            held.feedline_dtype, held.levels_dtype,
+        ) != (
+            layout.n_shots, layout.trace_len, layout.n_qubits,
+            layout.feedline_dtype.str, layout.levels_dtype.str,
+        ):
+            raise ConfigurationError(
+                f"corpus {layout.path} ({layout.n_shots} shots, labeled: "
+                f"{layout.labeled}) does not fit shared segment {held}"
+            )
+        staging = np.empty(max(file.nbytes for file in files), np.uint8)
+        for file in files:
+            rows = staging[: file.nbytes]
+            _read_chunk(file, rows, verify)
+            into.write(file.offset, rows)
+        return None
+    data = np.empty(sum(file.nbytes for file in files), np.uint8)
+    for file in files:
+        _read_chunk(file, data[file.offset : file.offset + file.nbytes], verify)
+    n_shots = layout.n_shots
+    feedline_nbytes = n_shots * layout.trace_len * layout.feedline_dtype.itemsize
+    feedline = (
+        data[:feedline_nbytes]
+        .view(layout.feedline_dtype)
+        .reshape(n_shots, layout.trace_len)
+    )
     prepared_levels = (
-        np.concatenate(levels_parts, axis=0) if labeled else None
+        data[feedline_nbytes:]
+        .view(layout.levels_dtype)
+        .reshape(n_shots, layout.n_qubits)
+        if layout.labeled
+        else None
     )
     return RecordedCorpus(
-        path=path,
-        manifest=manifest,
-        chip=chip,
+        path=layout.path,
+        manifest=layout.manifest,
+        chip=layout.chip,
         feedline=feedline,
         prepared_levels=prepared_levels,
-        chunk_shots=chunk_shots,
+        chunk_shots=layout.chunk_shots,
     )
+

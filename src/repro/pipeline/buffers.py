@@ -10,10 +10,12 @@ possible emission, plus one float32 feature block for lent batches.
 chunk downstream as a read-only view of that chunk, lent to the ring
 (:meth:`BufferRing.lend`), so it is never copied; only a batch
 spanning chunks is assembled into a slot's feedline buffer. Either way
-the engine writes raw scores into the ring-owned feature block
-:meth:`BufferRing.paired_features` returns and standardizes them in
-place, so a steady-state serving loop performs no per-batch array
-allocation at all.
+the engine writes raw matched-filter scores into the ring-owned
+feature block :meth:`BufferRing.paired_features` returns, and the head
+stack reads them as they are (its layer 1 has the scaler folded in), so
+neither traces nor features are allocated per batch. The head stack
+itself still allocates its layer outputs and epilogue rows on every
+batch.
 
 Ownership contract: a slot is valid from :meth:`BufferRing.acquire`
 until the ring wraps back around to it (``slots`` acquisitions later),

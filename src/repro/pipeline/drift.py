@@ -24,8 +24,10 @@ and turns them into one scalar ``drift_score``:
 
 The monitor is per-feedline state owned by one pipeline run (the
 feedline is the unit of calibration, so it is also the unit of drift),
-costs one ``bincount`` per batch, and never touches the discrimination
-path — detection can never change an assignment. Marginals are one
+folds each batch's ``bincount`` — the one the run takes for its
+assignment counts — into an EWMA blended in place, and never touches
+the discrimination path —
+detection can never change an assignment. Marginals are one
 matvec against a 0/1 projection built once per ``(n_levels,
 n_qubits)``, so a run's set-up and summary cost a few numpy calls.
 """
@@ -148,6 +150,8 @@ class DriftMonitor:
         self.alpha = float(alpha)
         self.min_shots = int(min_shots)
         self._ewma_dist: np.ndarray | None = None
+        # Scratch for each batch's normalized histogram.
+        self._batch_dist = np.empty_like(self.reference)
         self._ewma_margin: float | None = None
         self._n_shots = 0
         self._n_batches = 0
@@ -157,26 +161,43 @@ class DriftMonitor:
         """Shots observed so far."""
         return self._n_shots
 
-    def observe(self, joint: np.ndarray, mean_margin: float | None = None) -> None:
-        """Fold one discriminated micro-batch into the monitor state."""
-        joint = np.asarray(joint)
-        if joint.size == 0:
-            return
-        counts = np.bincount(
-            joint.ravel(), minlength=self.reference.size
-        ).astype(np.float64)
+    def observe(
+        self,
+        joint: np.ndarray,
+        mean_margin: float | None = None,
+        *,
+        counts: np.ndarray | None = None,
+    ) -> None:
+        """Fold one discriminated micro-batch into the monitor state.
+
+        ``counts`` is the batch's ``bincount`` over the reference's
+        joint states when the caller already took it (a pipeline run
+        does, for its assignment counts); otherwise it is taken from
+        ``joint`` here. The EWMA blends in place,
+        ``e *= 1 - alpha; e += alpha * p``: the same IEEE sums as
+        ``alpha * p + (1 - alpha) * e``, so the state is bit-identical
+        to blending fresh arrays.
+        """
+        if counts is None:
+            joint = np.asarray(joint)
+            if joint.size == 0:
+                return
+            counts = np.bincount(joint.ravel(), minlength=self.reference.size)
         if counts.size != self.reference.size:
             raise ConfigurationError(
                 f"joint labels exceed the reference's {self.reference.size} "
                 "states"
             )
-        batch_dist = counts / counts.sum()
+        n_shots = int(counts.sum())
+        if n_shots == 0:
+            return
         if self._ewma_dist is None:
-            self._ewma_dist = batch_dist
+            self._ewma_dist = counts / n_shots
         else:
-            self._ewma_dist = (
-                self.alpha * batch_dist + (1.0 - self.alpha) * self._ewma_dist
-            )
+            batch = np.divide(counts, n_shots, out=self._batch_dist)
+            batch *= self.alpha
+            self._ewma_dist *= 1.0 - self.alpha
+            self._ewma_dist += batch
         if mean_margin is not None and np.isfinite(mean_margin):
             if self._ewma_margin is None:
                 self._ewma_margin = float(mean_margin)
@@ -185,7 +206,7 @@ class DriftMonitor:
                     self.alpha * float(mean_margin)
                     + (1.0 - self.alpha) * self._ewma_margin
                 )
-        self._n_shots += int(joint.shape[0])
+        self._n_shots += n_shots
         self._n_batches += 1
 
     def _marginals(self, joint_dist: np.ndarray) -> np.ndarray:

@@ -220,11 +220,16 @@ class ReadoutPipeline:
                 sink.consume(result.levels, result.joint, batch.chunk_id)
                 timings.record("sink", time.perf_counter() - t0, batch.n_shots)
 
-                assignment_counts += np.bincount(
+                # One histogram per batch: the run's counts and the
+                # drift monitor's EWMA both fold it.
+                counts = np.bincount(
                     result.joint, minlength=assignment_counts.size
                 )
+                assignment_counts += counts
                 if monitor is not None:
-                    monitor.observe(result.joint, result.mean_margin)
+                    monitor.observe(
+                        result.joint, result.mean_margin, counts=counts
+                    )
                 truth = batch.joint_labels(self.chip.n_levels)
                 if truth is not None:
                     n_correct += int(np.sum(result.joint == truth))

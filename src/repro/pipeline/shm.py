@@ -4,9 +4,10 @@ Dispatching a pre-built trace corpus to a worker process used to mean
 pickling the full ``(n_shots, trace_len)`` complex array into the task
 payload — megabytes serialized, copied through a pipe, and deserialized
 per feedline. This module moves the hand-off to POSIX shared memory:
-the parent publishes a corpus's arrays once as a
-:class:`SharedTraceBlock` (every feedline replaying the corpus shares
-it), ships only the tiny picklable :class:`SharedTraceDescriptor`
+the parent publishes a corpus once as a :class:`SharedTraceBlock`
+(every feedline replaying the corpus shares it) — from its arrays, or
+from a recorded corpus's chunk files with no array in between — ships
+only the tiny picklable :class:`SharedTraceDescriptor`
 (segment name + dtypes + shapes), and workers attach by name and stream
 zero-copy chunk views straight out of the mapping via
 :class:`SharedMemoryTraceSource`.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -143,9 +144,15 @@ class SharedTraceBlock:
         Optional human-readable owner tag (e.g. the feedline name);
         sanitizer-armed runs include it in lifetime-audit witnesses.
 
-    The arrays are copied into the segment once at construction; workers
-    attach by :attr:`descriptor` and read views. Call :meth:`unlink`
-    (idempotent) when all consumers are done.
+    The arrays are copied into the segment once at construction;
+    workers attach by :attr:`descriptor` and read views. A corpus that
+    is not in memory goes in through :meth:`from_writer` instead: the
+    segment is sized from a geometry and filled by a writer callback
+    (``load_corpus(path, into=block)`` writes a recorded corpus straight
+    from its chunk files), so no whole-corpus array is ever built. Both
+    share one creation path, which unlinks the segment if filling it
+    raises. Call :meth:`unlink` (idempotent) when all consumers are
+    done.
     """
 
     def __init__(
@@ -165,26 +172,20 @@ class SharedTraceBlock:
             raise ShapeError(
                 "prepared_levels must be (n_shots, n_qubits) matching feedline"
             )
-        self._shm = shared_memory.SharedMemory(
-            create=True,
-            size=feedline.nbytes + prepared_levels.nbytes,
-        )
-        self.descriptor = SharedTraceDescriptor(
-            name=self._shm.name,
+
+        def fill(block: SharedTraceBlock) -> None:
+            block.write(0, feedline)
+            block.write(feedline.nbytes, prepared_levels)
+
+        self._create(
+            fill,
             n_shots=feedline.shape[0],
             trace_len=feedline.shape[1],
             n_qubits=prepared_levels.shape[1],
-            feedline_dtype=feedline.dtype.str,
-            levels_dtype=prepared_levels.dtype.str,
+            feedline_dtype=feedline.dtype,
+            levels_dtype=prepared_levels.dtype,
+            label=label,
         )
-        self.label = label
-        shmaudit.note_create(self._shm.name, self._shm.size, label=label)
-        try:
-            _write_at(self._shm, 0, feedline)
-            _write_at(self._shm, feedline.nbytes, prepared_levels)
-        except BaseException:
-            self.unlink()
-            raise
 
     @classmethod
     def from_corpus(
@@ -192,6 +193,82 @@ class SharedTraceBlock:
     ) -> "SharedTraceBlock":
         """Publish an existing corpus's arrays."""
         return cls(corpus.feedline, corpus.prepared_levels, label=label)
+
+    @classmethod
+    def from_writer(
+        cls,
+        fill: "Callable[[SharedTraceBlock], None]",
+        *,
+        n_shots: int,
+        trace_len: int,
+        n_qubits: int,
+        feedline_dtype: np.dtype,
+        levels_dtype: np.dtype,
+        label: str | None = None,
+    ) -> "SharedTraceBlock":
+        """Publish a segment of this geometry that ``fill(block)`` writes.
+
+        ``fill`` writes the segment's bytes through :meth:`write`
+        (feedline rows from offset 0, level rows from
+        ``descriptor.feedline_nbytes``); if it raises, the segment is
+        unlinked and the error propagates.
+        """
+        block = cls.__new__(cls)
+        block._create(
+            fill,
+            n_shots=n_shots,
+            trace_len=trace_len,
+            n_qubits=n_qubits,
+            feedline_dtype=feedline_dtype,
+            levels_dtype=levels_dtype,
+            label=label,
+        )
+        return block
+
+    def _create(
+        self,
+        fill: "Callable[[SharedTraceBlock], None]",
+        *,
+        n_shots: int,
+        trace_len: int,
+        n_qubits: int,
+        feedline_dtype: np.dtype,
+        levels_dtype: np.dtype,
+        label: str | None,
+    ) -> None:
+        """Create the segment, describe it, and fill it or unlink it."""
+        feedline_dtype = np.dtype(feedline_dtype)
+        levels_dtype = np.dtype(levels_dtype)
+        row_nbytes = (
+            trace_len * feedline_dtype.itemsize
+            + n_qubits * levels_dtype.itemsize
+        )
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=n_shots * row_nbytes
+        )
+        self.label = label
+        shmaudit.note_create(self._shm.name, self._shm.size, label=label)
+        try:
+            self.descriptor = SharedTraceDescriptor(
+                name=self._shm.name,
+                n_shots=n_shots,
+                trace_len=trace_len,
+                n_qubits=n_qubits,
+                feedline_dtype=feedline_dtype.str,
+                levels_dtype=levels_dtype.str,
+            )
+            fill(self)
+        except BaseException:
+            self.unlink()
+            raise
+
+    def write(self, offset: int, data: np.ndarray) -> None:
+        """Write a contiguous array's bytes at byte ``offset``.
+
+        Through the segment's file descriptor (see :func:`_write_at`);
+        the parent never faults the segment's pages into its mapping.
+        """
+        _write_at(self._shm, offset, data)
 
     def unlink(self) -> None:
         """Release the segment (idempotent; creator-side only)."""

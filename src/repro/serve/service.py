@@ -275,11 +275,11 @@ class ReadoutService:
     pre-fits or loads every discriminator in the feedline workers that
     will serve it (forking the process shards), and opens the
     one-feedline backend or publishes a multi-feedline replay corpus to
-    shared memory; :meth:`run` streams traffic through the runner's one
-    dispatch, on the pipelines the workers keep; :meth:`close` stops
-    the workers and releases the backend, the replay segment and any
-    session-private registry. The service is reusable after ``close`` —
-    the next ``run`` re-warms.
+    shared memory straight from its chunk files; :meth:`run` streams
+    traffic through the runner's one dispatch, on the pipelines the
+    workers keep; :meth:`close` stops the workers and releases the
+    backend, the replay segment and any session-private registry. The
+    service is reusable after ``close`` — the next ``run`` re-warms.
     """
 
     def __init__(
@@ -411,9 +411,20 @@ class ReadoutService:
         the models for the whole warm cycle; on ``process`` that first
         call forks the shard workers, before any replay segment is
         published, so subsequent :meth:`run` calls measure pure serving.
-        When the spec names no ``registry_dir``, the session owns a
-        private temporary registry, discarded on :meth:`close` — even
-        then, repeated runs within the session never refit.
+        A multi-feedline replay session then publishes its corpus: the
+        manifest is checked against every feedline and sizes one
+        shared-memory segment, and
+        :func:`~repro.backends.corpus.load_corpus` writes each chunk
+        file into it once, verifying its checksum on the way, so the
+        parent never holds the corpus as an array. When the spec names
+        no ``registry_dir``, the session owns a private temporary
+        registry, discarded on :meth:`close` — even then, repeated runs
+        within the session never refit.
+
+        A failed warm-up (a corrupt or truncated corpus chunk raises
+        :class:`~repro.exceptions.ConfigurationError` naming it) closes
+        the session: no shard worker or segment outlives it, and the
+        next :meth:`warm` or :meth:`run` starts afresh.
         """
         if self._warmed:
             return self
@@ -494,18 +505,34 @@ class ReadoutService:
                 socket_path=spec.traffic.socket_path,
             ).open()
         elif spec.traffic.backend == "replay":
-            # Load and integrity-check the corpus once at warm-up, then
-            # publish it to one shared-memory segment that every
+            # Publish the corpus to one shared-memory segment that every
             # feedline's shard reads on every run() until close(). The
-            # loaded arrays are dropped: the segment is the session's
-            # only copy. Sibling feedline chips differ by design spread,
-            # so the check is geometric, not SHA-strict.
-            from repro.backends import load_corpus
+            # manifest sizes the segment and is checked against every
+            # feedline before any trace byte lands (sibling feedline
+            # chips differ by design spread, so the check is geometric,
+            # not SHA-strict); load_corpus then writes each chunk file
+            # straight into it, so the segment is the parent's only copy.
+            # A failed load unlinks the segment.
+            from repro.backends import load_corpus, read_corpus_layout
+            from repro.pipeline.shm import SharedTraceBlock
 
-            corpus = load_corpus(spec.traffic.corpus_path)
+            layout = read_corpus_layout(spec.traffic.corpus_path)
             for feedline in feedlines:
-                corpus.require_geometry(feedline.chip)
-            self._replay_block = runner.publish_replay(corpus)
+                layout.require_geometry(feedline.chip)
+            if not layout.labeled:
+                raise ConfigurationError(
+                    f"replay corpus {layout.path} carries no prepared-level "
+                    "labels; shared-memory replay needs a labeled corpus"
+                )
+            self._replay_block = SharedTraceBlock.from_writer(
+                lambda block: load_corpus(layout.path, into=block),
+                n_shots=layout.n_shots,
+                trace_len=layout.trace_len,
+                n_qubits=layout.n_qubits,
+                feedline_dtype=layout.feedline_dtype,
+                levels_dtype=layout.levels_dtype,
+                label="+".join(feedline.name for feedline in feedlines),
+            )
         return cold_fits
 
     def run(

@@ -36,6 +36,7 @@ from repro.backends import (
     chip_sha,
     create_backend,
     load_corpus,
+    read_corpus_layout,
     serve_corpus_over_socket,
 )
 from repro.backends.corpus import MANIFEST_NAME, CorpusWriter
@@ -53,7 +54,7 @@ from repro.pipeline import (
     PipelineConfig,
     fit_or_load_discriminator,
 )
-from repro.pipeline.shm import SharedTraceBlock
+from repro.pipeline.shm import SharedMemoryTraceSource, SharedTraceBlock
 from repro.pipeline.source import SimulatorTraceSource
 from repro.serve import (
     BatchingSpec,
@@ -339,6 +340,98 @@ class TestCorpusIntegrity:
         np.save(path / victim, tampered * np.complex64(2.0))
         corpus = load_corpus(path, verify=False)
         assert corpus.n_shots == 60
+
+
+def _malform(path: Path, fault: str) -> None:
+    """Damage one ``.npy`` chunk file the way ``fault`` names."""
+    array = np.load(path)
+    raw = path.read_bytes()
+    if fault == "truncated":
+        path.write_bytes(raw[:-8])
+    elif fault == "trailing-bytes":
+        path.write_bytes(raw + bytes(16))
+    elif fault == "garbled-header":
+        # Unbalanced brackets where the header dict was: numpy's parser
+        # gives up with a tokenizer error, not a ValueError.
+        path.write_bytes(raw[:10] + b"(" * 40 + raw[50:])
+    elif fault == "header-dtype":
+        np.save(path, array.astype(np.complex128))
+    elif fault == "header-shape":
+        np.save(path, array[:-1])
+    elif fault == "fortran-order":
+        np.save(path, np.asfortranarray(array))
+    else:
+        raise AssertionError(fault)
+
+
+class TestMalformedChunks:
+    """Every malformed chunk is a typed error naming it, verified or not."""
+
+    VICTIM = "chunk-00001.feedline.npy"
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "trusted"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "truncated",
+            "trailing-bytes",
+            "garbled-header",
+            "header-dtype",
+            "header-shape",
+            "fortran-order",
+        ],
+    )
+    def test_raises_configuration_error_naming_the_chunk(
+        self, recorded, tmp_path, fault, verify
+    ):
+        path = copy_corpus(recorded, tmp_path)
+        _malform(path / self.VICTIM, fault)
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_corpus(path, verify=verify)
+        assert str(path / self.VICTIM) in str(excinfo.value)
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "trusted"])
+    def test_inflated_row_count_fails_before_any_allocation(
+        self, recorded, tmp_path, verify
+    ):
+        path = copy_corpus(recorded, tmp_path)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        victim = manifest["chunks"][1]
+        manifest["n_shots"] += 2**40 - victim["n_shots"]
+        victim["n_shots"] = 2**40
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_corpus(path, verify=verify)
+        assert str(path / self.VICTIM) in str(excinfo.value)
+        with pytest.raises(ConfigurationError, match=self.VICTIM):
+            read_corpus_layout(path)
+
+    def test_every_replayed_chunk_equals_np_load_of_its_file(
+        self, recorded
+    ):
+        path, _ = recorded
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        for verify in (True, False):
+            chunks = list(load_corpus(path, verify=verify).chunks())
+            assert len(chunks) == len(manifest["chunks"])
+            for chunk, entry in zip(chunks, manifest["chunks"]):
+                for array, part in (
+                    (chunk.feedline, "feedline"),
+                    (chunk.prepared_levels, "levels"),
+                ):
+                    expected = np.load(path / entry[part]["file"])
+                    assert array.dtype == expected.dtype
+                    assert np.array_equal(array, expected)
+
+    def test_layout_reads_the_manifest_not_the_chunks(self, recorded):
+        path, _ = recorded
+        layout = read_corpus_layout(path)
+        corpus = load_corpus(path)
+        assert layout.summary() == corpus.summary()
+        assert (layout.n_shots, layout.trace_len, layout.n_qubits) == (
+            corpus.feedline.shape + corpus.prepared_levels.shape[1:]
+        )
+        assert layout.chunk_shots == corpus.chunk_shots
 
 
 class TestReadOnlyViews:
@@ -721,17 +814,84 @@ def oracle_counts(model, corpus, chip) -> list[int]:
     ).tolist()
 
 
+@pytest.mark.skipif(not SHM_DIR.is_dir(), reason="no /dev/shm to count")
+class TestCorpusIntoSegment:
+    """``load_corpus(path, into=block)`` writes a segment, no array."""
+
+    @staticmethod
+    def publish(path) -> SharedTraceBlock:
+        layout = read_corpus_layout(path)
+        return SharedTraceBlock.from_writer(
+            lambda block: load_corpus(path, into=block),
+            n_shots=layout.n_shots,
+            trace_len=layout.trace_len,
+            n_qubits=layout.n_qubits,
+            feedline_dtype=layout.feedline_dtype,
+            levels_dtype=layout.levels_dtype,
+        )
+
+    def test_segment_holds_every_chunk_file(self, recorded, chip):
+        path, _ = recorded
+        block = self.publish(path)
+        try:
+            source = SharedMemoryTraceSource(block.descriptor, chip)
+            try:
+                manifest = json.loads((path / MANIFEST_NAME).read_text())
+                start = 0
+                for entry in manifest["chunks"]:
+                    stop = start + entry["n_shots"]
+                    for array, part in (
+                        (source.feedline, "feedline"),
+                        (source.prepared_levels, "levels"),
+                    ):
+                        assert np.array_equal(
+                            array[start:stop],
+                            np.load(path / entry[part]["file"]),
+                        )
+                    start = stop
+                assert start == source.n_shots
+            finally:
+                source.close()
+        finally:
+            block.unlink()
+
+    def test_failed_fill_unlinks_the_segment(self, recorded, tmp_path):
+        path = copy_corpus(recorded, tmp_path)
+        _malform(path / TestMalformedChunks.VICTIM, "trailing-bytes")
+        before = shm_names()
+        with pytest.raises(ConfigurationError, match="trailing bytes"):
+            self.publish(path)
+        assert shm_names() - before == set()
+
+    def test_segment_of_another_size_is_refused(self, recorded):
+        path, _ = recorded
+        corpus = load_corpus(path)
+        block = SharedTraceBlock(
+            corpus.feedline[:-1], corpus.prepared_levels[:-1]
+        )
+        try:
+            with pytest.raises(ConfigurationError, match="does not fit"):
+                load_corpus(path, into=block)
+        finally:
+            block.unlink()
+
+
 @pytest.fixture()
 def publications(monkeypatch):
-    """Labels of every ``SharedTraceBlock`` published during the test."""
+    """Labels of every ``SharedTraceBlock`` published during the test.
+
+    Counted where both ways in create a segment: a block published from
+    arrays and one written straight from a corpus's chunk files count
+    alike.
+    """
     labels = []
-    publish = SharedTraceBlock.__init__
+    create = SharedTraceBlock._create
 
-    def counting_publish(self, feedline, prepared_levels, label=None):
+    def counting_create(self, fill, *, label, **geometry):
         labels.append(label)
-        publish(self, feedline, prepared_levels, label=label)
+        create(self, fill, label=label, **geometry)
 
-    monkeypatch.setattr(SharedTraceBlock, "__init__", counting_publish)
+    monkeypatch.setattr(SharedTraceBlock, "_create", counting_create)
     return labels
 
 
@@ -819,6 +979,49 @@ class TestWarmReplaySession:
                 service.run()
                 assert shm_names() - before == live
             assert publications == [self.BROADCAST], "a run published"
+        finally:
+            service.close()
+        assert shm_names() - before == set()
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_checksum_flipped_chunk_fails_warm_and_leaves_nothing(
+        self, corpus_path, registry_dir, executor, tmp_path, monkeypatch
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path, corpus)
+        victim = corpus / "chunk-00001.feedline.npy"
+        pristine = victim.read_bytes()
+        victim.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 0xFF]))
+        before = shm_names()
+        children = set(multiprocessing.active_children())
+        at_load = {}
+        load = repro.backends.load_corpus
+
+        def spying_load(*args, **kwargs):
+            at_load["segments"] = shm_names() - before
+            at_load["shards"] = set(multiprocessing.active_children()) - children
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(repro.backends, "load_corpus", spying_load)
+        service = ReadoutService(
+            self.spec(corpus, registry_dir, executor), profile=tiny_profile()
+        )
+        try:
+            with pytest.raises(ConfigurationError, match="checksum") as excinfo:
+                service.warm()
+            assert str(victim) in str(excinfo.value)
+            # The fault struck with the segment created and the shards
+            # forked...
+            assert len(at_load["segments"]) == 1
+            assert len(at_load["shards"]) == (executor == "process") * 2
+            # ...and the failed warm-up left neither behind.
+            assert shm_names() - before == set()
+            assert not any(shard.is_alive() for shard in at_load["shards"])
+            assert set(multiprocessing.active_children()) <= children
+            victim.write_bytes(pristine)
+            service.warm()
+            report = service.run()
+            assert report.n_shots == 2 * load_corpus(corpus).n_shots
         finally:
             service.close()
         assert shm_names() - before == set()

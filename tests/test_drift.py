@@ -280,6 +280,54 @@ class TestDriftMonitor:
             worst, rel=1e-9, abs=1e-15
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_qubits=st.integers(min_value=1, max_value=4),
+        n_levels=st.integers(min_value=2, max_value=3),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        n_shots=st.integers(min_value=1, max_value=600),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_counts_fold_is_bit_identical_to_fresh_blends(
+        self, n_qubits, n_levels, alpha, n_shots, seed
+    ):
+        """Folding each batch's histogram in place leaves the EWMA bit
+        for bit where blending fresh arrays, ``alpha * p + (1 - alpha)
+        * e``, does: over random label streams cut at random points,
+        with the histogram taken by ``observe`` or handed to it."""
+        rng = np.random.default_rng(seed)
+        size = n_levels**n_qubits
+        reference = rng.random(size) + 0.01
+        skew = rng.random(size) ** 3
+        stream = rng.choice(size, n_shots, p=skew / skew.sum())
+        n_cuts = int(rng.integers(0, min(n_shots, 40)))
+        cuts = np.sort(rng.choice(np.arange(1, n_shots), n_cuts, replace=False))
+        batches = np.split(stream, cuts)
+        margins = rng.random(len(batches))
+        by_labels, by_counts = (
+            DriftMonitor(reference, alpha=alpha, n_levels=n_levels, min_shots=0)
+            for _ in range(2)
+        )
+        ewma = margin = None
+        for batch, batch_margin in zip(batches, margins):
+            by_labels.observe(batch, batch_margin)
+            by_counts.observe(
+                batch, batch_margin, counts=np.bincount(batch, minlength=size)
+            )
+            counts = np.bincount(batch, minlength=size).astype(np.float64)
+            p = counts / counts.sum()
+            ewma = p if ewma is None else alpha * p + (1.0 - alpha) * ewma
+            margin = (
+                batch_margin
+                if margin is None
+                else alpha * batch_margin + (1.0 - alpha) * margin
+            )
+        for monitor in (by_labels, by_counts):
+            assert monitor._ewma_dist.tobytes() == ewma.tobytes()
+            assert monitor._ewma_margin == margin
+            assert monitor.n_shots == n_shots
+        assert by_labels.summary() == by_counts.summary()
+
     def test_summary_is_json_able(self):
         monitor = DriftMonitor(np.full(9, 1 / 9), min_shots=0)
         monitor.observe(np.arange(9))
