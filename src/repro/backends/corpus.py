@@ -80,12 +80,28 @@ def chip_sha(chip: ChipConfig) -> str:
     return hashlib.sha1(payload).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+class _HashingFile:
+    """Write-only file wrapper feeding every byte written to one sha256."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self._fh.write(data)
+
+
+def _save_hashed(path: Path, array: np.ndarray) -> str:
+    """Write ``array`` as ``np.save`` does; return the file's sha256.
+
+    The ``.npy`` header and rows are hashed as they are written, so
+    recording never reads a chunk file back.
+    """
+    with open(path, "wb") as fh:
+        out = _HashingFile(fh)
+        np.lib.format.write_array(out, array, allow_pickle=False)
+    return out.digest.hexdigest()
 
 
 class CorpusWriter:
@@ -156,20 +172,18 @@ class CorpusWriter:
         )
         entry = {"index": index, "n_shots": int(chunk.n_shots)}
         feed_name = f"chunk-{index:05d}.feedline.npy"
-        np.save(self.path / feed_name, feedline)
         entry["feedline"] = {
             "file": feed_name,
-            "sha256": _sha256_file(self.path / feed_name),
+            "sha256": _save_hashed(self.path / feed_name, feedline),
         }
         if labeled:
             levels = np.ascontiguousarray(
                 chunk.prepared_levels, dtype=np.dtype(_LEVELS_DTYPE)
             )
             levels_name = f"chunk-{index:05d}.levels.npy"
-            np.save(self.path / levels_name, levels)
             entry["levels"] = {
                 "file": levels_name,
-                "sha256": _sha256_file(self.path / levels_name),
+                "sha256": _save_hashed(self.path / levels_name, levels),
             }
         self._entries.append(entry)
         self._n_shots += int(chunk.n_shots)

@@ -9,6 +9,8 @@ string reads left to right, e.g. ``"20110"`` for qubit 0 leaked.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -17,6 +19,7 @@ __all__ = [
     "n_basis_states",
     "state_to_digits",
     "digits_to_state",
+    "place_values",
     "state_label",
     "all_states",
     "marginal_labels",
@@ -50,19 +53,35 @@ def state_to_digits(
         raise ConfigurationError(
             f"state index out of range [0, {n_levels ** n_qudits})"
         )
+    return (arr[..., None] // place_values(n_qudits, n_levels)) % n_levels
+
+
+@functools.lru_cache(maxsize=32)
+def place_values(n_qudits: int, n_levels: int) -> np.ndarray:
+    """Read-only int64 digit weights ``(k**(n-1), ..., k, 1)``.
+
+    ``levels @ place_values(n, k)`` packs in-range ``(..., n)`` levels
+    into joint state indices in one product; cached per ``(n, k)``, so
+    a serving loop builds the vector once.
+    """
+    _validate(n_qudits, n_levels)
     powers = n_levels ** np.arange(n_qudits - 1, -1, -1, dtype=np.int64)
-    return (arr[..., None] // powers) % n_levels
+    powers.flags.writeable = False
+    return powers
 
 
 def digits_to_state(digits: np.ndarray, n_levels: int) -> np.ndarray:
-    """Combine per-qudit levels (last axis) into joint state indices."""
+    """Combine per-qudit levels (last axis) into joint state indices.
+
+    Checks every level lies in ``[0, n_levels)``; levels in range by
+    construction can skip that pass with ``digits @ place_values(...)``.
+    """
     arr = np.asarray(digits, dtype=np.int64)
     if arr.shape[-1] < 1:
         raise ConfigurationError("digits must have at least one qudit")
     if arr.size and (arr.min() < 0 or arr.max() >= n_levels):
         raise ConfigurationError(f"digits must lie in [0, {n_levels})")
-    powers = n_levels ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return arr @ powers
+    return arr @ place_values(arr.shape[-1], n_levels)
 
 
 def state_label(state: int, n_qudits: int, n_levels: int) -> str:

@@ -24,6 +24,8 @@ from repro.ml.nn import Adam, MLPClassifier, train_classifier
 
 __all__ = ["MLRDiscriminator"]
 
+_FLOAT32 = np.dtype(np.float32)
+
 
 def _top2_levels_and_margins(
     logits: np.ndarray,
@@ -32,22 +34,23 @@ def _top2_levels_and_margins(
 
     ``logits`` is level-major, ``(..., n_levels, n)`` with ``n_levels
     >= 2``, so each level is one contiguous row per head; it is
-    overwritten. A running max and second max over the few level rows
-    (cheaper than numpy reductions over so short an axis); strict ``>``
-    keeps ``np.argmax``'s first level on ties. ``p_top - p_second`` is
+    overwritten. Levels are one ``argmax`` (its first maximum on ties,
+    as in :meth:`MLPClassifier.predict`); the top two logits are a
+    running max and second max over the few level rows (cheaper than
+    numpy reductions over so short an axis). ``p_top - p_second`` is
     ``(1 - exp(second - top)) / sum_j exp(l_j - top)``, in the logits'
     dtype.
     """
-    first, *rows = [logits[..., j, :] for j in range(logits.shape[-2])]
-    levels = (rows[0] > first).astype(np.int64)
-    top = np.maximum(first, rows[0])
-    second = np.minimum(first, rows[0])
-    for level, row in enumerate(rows[1:], start=2):
-        np.putmask(levels, row > top, level)
+    levels = logits.argmax(axis=-2)
+    first, following = logits[..., 0, :], logits[..., 1, :]
+    top = np.maximum(first, following)
+    second = np.minimum(first, following)
+    for level in range(2, logits.shape[-2]):
+        row = logits[..., level, :]
         np.maximum(second, np.minimum(row, top), out=second)
         np.maximum(top, row, out=top)
     logits -= top[..., None, :]
-    norm = np.exp(logits, out=logits).sum(axis=-2)
+    norm = np.add.reduce(np.exp(logits, out=logits), axis=-2)
     second -= top
     margins = np.subtract(1.0, np.exp(second, out=second), out=second)
     margins /= norm
@@ -128,7 +131,7 @@ class MLRDiscriminator(Discriminator):
             min_error_traces=min_error_traces,
         )
         self.models: list[MLPClassifier] | None = None
-        self._head_stack: list | None = None
+        self._head_stack: tuple | None = None
         self.scaler: StandardScaler | None = None
         # Calibration-time references for online drift detection: the
         # joint-assignment distribution and mean top-2 probability margin
@@ -188,8 +191,8 @@ class MLRDiscriminator(Discriminator):
         return self
 
     def _stack_heads(self) -> None:
-        """Merge the scaler and the heads into ``(weights, bias,
-        activation)`` layers that read raw matched-filter scores.
+        """Merge the scaler and the heads into ``(weights, bias)``
+        layers that read raw matched-filter scores.
 
         The fitted standardization is folded into layer 1 — ``W1 / σ``
         row-wise and ``b1 − (μ/σ)·W1`` — so serving runs no scale pass.
@@ -199,13 +202,29 @@ class MLRDiscriminator(Discriminator):
         (block-diagonal without ``neighbor_features``), with an
         ``(n_heads · h1, 1)`` bias; deeper layers are ``(n_heads,
         h_out, h_in)`` stacks with ``(n_heads, h_out, 1)`` biases for
-        one batched ``matmul``. Folded in float64 and cast to float32
-        once, at fit, artifact load and scaler recalibration; the
-        float64 scaler and networks (which offline ``predict`` keeps
-        using) are untouched. Heads must share one architecture (as
-        fit builds).
+        one batched ``matmul``. Hidden layers must be ReLU and the
+        output identity, as fit builds, so serving runs its ReLUs in
+        place; heads must share one architecture. Folded in float64 and
+        cast to float32 once, at fit, artifact load and scaler
+        recalibration; the float64 scaler and networks (which offline
+        ``predict`` keeps using) are untouched.
+
+        Biases stay a separate ``+=`` after each GEMM. Folding them in
+        as a constant unit per head (a zero-weight, bias-1 hidden row
+        whose ReLU is 1, times a bias column in the next layer) saves no
+        call, and at one shot numpy's matrix-vector path sums that
+        column in another order: margins moved in the last bits.
         """
         heads = [model.network.layers for model in self.models]
+        activations = [
+            [layer.activation.name for layer in layers] for layers in heads
+        ]
+        served = ["relu"] * (len(heads[0]) - 1) + ["identity"]
+        if any(names != served for names in activations):
+            raise ConfigurationError(
+                "the serving stack needs ReLU hidden layers and an identity "
+                f"output on every head, got {activations}"
+            )
         width = heads[0][0].n_out
         features = np.arange(len(heads) * self.extractor.filters_per_qubit)
         mean, scale = self.scaler.mean_, self.scaler.scale_
@@ -217,22 +236,23 @@ class MLRDiscriminator(Discriminator):
             weights = layers[0].weights / scale[cols, None]
             first[block, cols] = weights.T
             bias[block, 0] = layers[0].bias - mean[cols] @ weights
-        stack = [(first, bias, heads[0][0].activation.forward)] + [
+        stack = [(first, bias)] + [
             (
                 np.stack([layers[depth].weights.T for layers in heads]),
                 np.stack([layers[depth].bias for layers in heads])[..., None],
-                heads[0][depth].activation.forward,
             )
             for depth in range(1, len(heads[0]))
         ]
-        self._head_stack = [
-            (
-                np.ascontiguousarray(weights, dtype=np.float32),
-                bias.astype(np.float32),
-                activation,
-            )
-            for weights, bias, activation in stack
-        ]
+        self._head_stack = (
+            (len(heads), width),
+            tuple(
+                (
+                    np.ascontiguousarray(weights, dtype=np.float32),
+                    bias.astype(np.float32),
+                )
+                for weights, bias in stack
+            ),
+        )
 
     def head_levels_and_margin(
         self, x: np.ndarray
@@ -246,24 +266,40 @@ class MLRDiscriminator(Discriminator):
         must never diverge. All heads run at once through the float32
         stack built at fit or artifact load, feature-major (``W1 @
         x.T``, so activations are ``(n_heads, h, n_shots)`` and the
-        logits level-major), in float32 (float32 ``x`` is used
-        uncopied, other input is cast once); a level is the first
-        maximal logit, as in :meth:`MLPClassifier.predict`. Only the
-        margin mean accumulates in float64.
+        logits level-major), in float32; ReLUs run in place and a level
+        is the first maximal logit, as in :meth:`MLPClassifier.predict`.
+        Only the margin mean accumulates in float64.
+
+        A non-empty 2-D float32 ndarray — the engine's feature block —
+        is used as it is, with no call spent on checking it; any other
+        input is validated and cast to float32 once.
         """
-        self._require_fitted()
-        x = as_2d_float(x, dtype=np.float32)
-        (weights, bias, activation), *deeper = self._head_stack
+        stack = self._head_stack
+        if stack is None:
+            self._require_fitted()
+        if (
+            x.__class__ is not np.ndarray
+            or x.dtype != _FLOAT32
+            or x.ndim != 2
+            or not x.shape[0]
+        ):
+            x = as_2d_float(x, dtype=np.float32)
+        (n_heads, width), ((weights, bias), *deeper, last) = stack
         h = weights @ x.T
         h += bias
+        np.maximum(h, 0, out=h)
         # Layer 1's (n_heads * h1, n) output, viewed as (n_heads, h1, n).
-        h = activation(h).reshape(len(self.models), -1, x.shape[0])
-        for weights, bias, activation in deeper:
+        h = h.reshape(n_heads, width, x.shape[0])
+        for weights, bias in deeper:
             h = np.matmul(weights, h)
             h += bias
-            h = activation(h)
-        levels, margins = _top2_levels_and_margins(h)
-        return levels.T, float(margins.sum(dtype=np.float64)) / margins.size
+            np.maximum(h, 0, out=h)
+        weights, bias = last
+        logits = np.matmul(weights, h)
+        logits += bias
+        levels, margins = _top2_levels_and_margins(logits)
+        mean = np.add.reduce(margins, axis=None, dtype=np.float64)
+        return levels.T, float(mean) / margins.size
 
     def _record_reference(self, x: np.ndarray, n_levels: int) -> None:
         """Snapshot the drift-detection references on the training set."""

@@ -36,6 +36,8 @@ __all__ = [
 
 _VARIANCE_MODES = ("sum", "difference", "unit")
 
+_COMPLEX64 = np.dtype(np.complex64)
+
 
 def _class_stats(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean (complex) and total variance (real) of a trace class."""
@@ -205,23 +207,27 @@ class FusedKernelBank:
         float block the scores are written into (the zero-copy serving
         path); a fresh float32 array is returned when omitted. Scores
         are float32 either way: a complex64 window is read in place,
-        anything else is cast to complex64 once.
+        anything else is cast to complex64 once. The checks read
+        attributes only, so a 2-D complex64 batch and a matching ``out``
+        cost one ``view`` and the GEMM.
         """
-        feedline = np.atleast_2d(np.asarray(feedline))
-        if feedline.shape[1] < self.n_samples:
+        if feedline.__class__ is not np.ndarray or feedline.ndim != 2:
+            feedline = np.atleast_2d(np.asarray(feedline))
+        n_filters, n_samples = self.weights.shape
+        if feedline.shape[1] < n_samples:
             raise ShapeError(
                 f"trace length {feedline.shape[1]} shorter than fused "
-                f"window {self.n_samples}"
+                f"window {n_samples}"
             )
-        window = feedline[:, : self.n_samples]
+        window = feedline[:, :n_samples]
         unit_stride = window.strides[-1] == window.itemsize
-        if window.dtype != np.complex64 or not unit_stride:
+        if window.dtype != _COMPLEX64 or not unit_stride:
             window = window.astype(np.complex64, order="C")  # repro: allow(no-hidden-copy) only complex64 with unit element stride has a float32 (re, im) pair view; chunks and ring slots are complex64
         pairs = window.view(np.float32)
         if out is None:
             return pairs @ self.real_weights
-        expected = (feedline.shape[0], self.n_filters)
-        if out.shape != expected or not np.issubdtype(out.dtype, np.floating):
+        expected = (feedline.shape[0], n_filters)
+        if out.shape != expected or out.dtype.kind != "f":
             raise ShapeError(
                 f"out must be a float array of shape {expected}, got "
                 f"{out.dtype} with shape {out.shape}"

@@ -53,15 +53,16 @@ class MicroBatcher:
 
         A batch that lies inside one incoming chunk is that chunk's
         rows, handed off uncopied as a read-only view (the chunk may be
-        a replay corpus later runs read again). Only a batch spanning
-        chunks is copied: with a :class:`~repro.pipeline.buffers
-        .BufferRing`, into a reused complex64 ring slot (sealed at
-        hand-off), otherwise into a fresh ``np.concatenate``. Each
-        uncopied batch is lent to the ring (:meth:`~repro.pipeline
-        .buffers.BufferRing.lend`), so every batch has a ring-owned
-        feature block — the consumer must finish with a batch before the
-        ring reuses its buffers (one-in-flight for the default two-slot
-        ring).
+        a replay corpus later runs read again); a chunk that is exactly
+        one batch, arriving with nothing buffered, skips the segment
+        buffer altogether. Only a batch spanning chunks is copied: with
+        a :class:`~repro.pipeline.buffers.BufferRing`, into a reused
+        complex64 ring slot (sealed at hand-off), otherwise into a
+        fresh ``np.concatenate``. Each uncopied batch is lent to the
+        ring (:meth:`~repro.pipeline.buffers.BufferRing.lend`), so every
+        batch has a ring-owned feature block — the consumer must finish
+        with a batch before the ring reuses its buffers (one-in-flight
+        for the default two-slot ring).
         """
         # Buffered (feedline, levels-or-None) segments, in arrival
         # order. Deque: a chunk stream much finer than the batch size
@@ -128,10 +129,27 @@ class MicroBatcher:
             batch_id += 1
             return batch
 
+        batch_size = self.batch_size
         for chunk in chunks:
-            segments.append((chunk.feedline, chunk.prepared_levels))
-            buffered += chunk.n_shots
-            while buffered >= self.batch_size:
-                yield emit(self.batch_size)
+            feedline = chunk.feedline
+            if not buffered and feedline.shape[0] == batch_size:
+                # Exactly one batch with nothing buffered: hand it off
+                # as it is, as a read-only view (the chunk's own flag
+                # is left alone), lent to the ring.
+                feedline = feedline[:]
+                feedline.flags.writeable = False
+                if ring is not None:
+                    ring.lend(feedline)
+                yield ShotChunk(
+                    feedline=feedline,
+                    prepared_levels=chunk.prepared_levels,
+                    chunk_id=batch_id,
+                )
+                batch_id += 1
+                continue
+            segments.append((feedline, chunk.prepared_levels))
+            buffered += feedline.shape[0]
+            while buffered >= batch_size:
+                yield emit(batch_size)
         if buffered:
             yield emit(buffered)

@@ -14,8 +14,10 @@ the engine writes raw matched-filter scores into the ring-owned
 feature block :meth:`BufferRing.paired_features` returns, and the head
 stack reads them as they are (its layer 1 has the scaler folded in), so
 neither traces nor features are allocated per batch. The head stack
-itself still allocates its layer outputs and epilogue rows on every
-batch.
+itself still allocates per batch: one GEMM output per layer (biases
+and ReLUs are applied in place), the logits, and the epilogue's level,
+top, second, norm and margin rows. At small batches those are a few
+hundred bytes each; the calls, not the allocations, are the cost.
 
 Ownership contract: a slot is valid from :meth:`BufferRing.acquire`
 until the ring wraps back around to it (``slots`` acquisitions later),

@@ -188,7 +188,7 @@ class DriftMonitor:
                 f"joint labels exceed the reference's {self.reference.size} "
                 "states"
             )
-        n_shots = int(counts.sum())
+        n_shots = int(np.add.reduce(counts))
         if n_shots == 0:
             return
         if self._ewma_dist is None:
@@ -198,7 +198,7 @@ class DriftMonitor:
             batch *= self.alpha
             self._ewma_dist *= 1.0 - self.alpha
             self._ewma_dist += batch
-        if mean_margin is not None and np.isfinite(mean_margin):
+        if mean_margin is not None and math.isfinite(mean_margin):
             if self._ewma_margin is None:
                 self._ewma_margin = float(mean_margin)
             else:

@@ -209,16 +209,17 @@ class ReadoutPipeline:
             # then closes no sink, so a caller's sink stays usable.
             sink = self._make_sink()
             for batch in batcher.rebatch(source.chunks(), ring=ring):
+                feedline = batch.feedline
+                n = feedline.shape[0]
                 result = engine.process(
-                    batch.feedline,
-                    out_features=ring.paired_features(batch.feedline),
+                    feedline, out_features=ring.paired_features(feedline)
                 )
                 for stage, seconds in result.stage_seconds.items():
-                    timings.record(stage, seconds, batch.n_shots)
+                    timings.record(stage, seconds, n)
 
                 t0 = time.perf_counter()
                 sink.consume(result.levels, result.joint, batch.chunk_id)
-                timings.record("sink", time.perf_counter() - t0, batch.n_shots)
+                timings.record("sink", time.perf_counter() - t0, n)
 
                 # One histogram per batch: the run's counts and the
                 # drift monitor's EWMA both fold it.
@@ -232,9 +233,9 @@ class ReadoutPipeline:
                     )
                 truth = batch.joint_labels(self.chip.n_levels)
                 if truth is not None:
-                    n_correct += int(np.sum(result.joint == truth))
-                    n_labeled += batch.n_shots
-                n_shots += batch.n_shots
+                    n_correct += int(np.add.reduce(result.joint == truth))
+                    n_labeled += n
+                n_shots += n
                 n_batches += 1
         except BaseException:
             # The stage or sink error is the primary failure; still close

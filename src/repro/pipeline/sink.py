@@ -4,10 +4,13 @@ The paper's downstream consumer is QEC leakage speculation — every shot's
 multi-level labels feed ERASER+M evidence accumulation. The pipeline's
 default sink, :class:`EraserSpeculationSink`, runs inline: the thread
 that decides a batch feeds it, so the pipeline's "sink" stage latency is
-the ERASER work itself. :class:`QueueingSink` is opt-in, for a caller's
-sink that blocks (on I/O, for example): it hands batches to a consumer
-thread through a bounded queue, so a slow consumer blocks the dispatch
-loop instead of letting unprocessed labels pile up without limit.
+the ERASER work itself. It keeps only the speculator's counters, so it
+feeds the speculator through the path that builds no per-shot flags.
+:class:`QueueingSink` is opt-in, for a caller's sink that blocks (on
+I/O, for example): it hands batches to a consumer thread through a
+C-level :class:`queue.SimpleQueue`, bounded by a semaphore, so a slow
+consumer blocks the dispatch loop instead of letting unprocessed labels
+pile up without limit.
 """
 
 from __future__ import annotations
@@ -77,6 +80,13 @@ class QueueingSink(ResultSink):
     Opt-in, for an inner sink that blocks (on I/O, for example): a
     thread only overlaps waiting with the engine, not Python work.
 
+    Batches go through a :class:`queue.SimpleQueue`, whose ``put`` and
+    ``get`` are C calls, and a :class:`threading.BoundedSemaphore` of
+    ``max_pending`` slots bounds it: :meth:`consume` takes a slot, the
+    consumer thread gives it back as it takes the batch off the queue.
+    The close sentinel takes no slot, so :meth:`close` never blocks on
+    a full queue.
+
     Parameters
     ----------
     inner:
@@ -94,7 +104,8 @@ class QueueingSink(ResultSink):
             raise ConfigurationError(f"max_pending must be >= 1, got {max_pending}")
         self.inner = inner
         self.max_pending = int(max_pending)
-        self._queue: queue.Queue = queue.Queue(maxsize=self.max_pending)
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._slots = threading.BoundedSemaphore(self.max_pending)
         self._error: BaseException | None = None
         self._summary: dict | None = None
         self._closed = False
@@ -104,16 +115,14 @@ class QueueingSink(ResultSink):
     def _drain(self) -> None:
         while True:
             item = self._queue.get()
-            try:
-                if item is self._SENTINEL:
-                    return
-                levels, joint, batch_id = item
-                if self._error is None:
-                    self.inner.consume(levels, joint, batch_id)
-            except BaseException as exc:  # repro: allow(broad-except) captured and re-raised by close()
-                self._error = exc
-            finally:
-                self._queue.task_done()
+            if item is self._SENTINEL:
+                return
+            self._slots.release()
+            if self._error is None:
+                try:
+                    self.inner.consume(*item)
+                except BaseException as exc:  # repro: allow(broad-except) captured and re-raised by close()
+                    self._error = exc
 
     @property
     def pending(self) -> int:
@@ -123,6 +132,7 @@ class QueueingSink(ResultSink):
     def consume(self, levels: np.ndarray, joint: np.ndarray, batch_id: int) -> None:
         if self._closed:
             raise ConfigurationError("sink is closed")
+        self._slots.acquire()
         self._queue.put((levels, joint, batch_id))
 
     def close(self) -> dict:
@@ -160,7 +170,7 @@ class EraserSpeculationSink(ResultSink):
         self.speculator = LevelStreamSpeculator(n_qubits, config)
 
     def consume(self, levels: np.ndarray, joint: np.ndarray, batch_id: int) -> None:
-        self.speculator.update(levels)
+        self.speculator._advance(levels)
 
     def close(self) -> dict:
         return self.speculator.summary()

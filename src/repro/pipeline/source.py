@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from repro._util import check_random_state
-from repro.data.basis import digits_to_state
+from repro.data.basis import place_values
 from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.physics.device import ChipConfig
@@ -68,12 +68,23 @@ class ShotChunk:
         return self.feedline.shape[0]
 
     def joint_labels(self, n_levels: int) -> np.ndarray | None:
-        """Ground-truth joint state indices, if labels are available."""
-        if self.prepared_levels is None:
+        """Ground-truth joint state indices, if labels are available.
+
+        One range pass (recorded labels are input, so it stays) and one
+        product with the cached :func:`~repro.data.basis.place_values`;
+        int64 whatever the labels' integer dtype.
+        """
+        levels = self.prepared_levels
+        if levels is None:
             return None
-        return digits_to_state(
-            self.prepared_levels.astype(np.int64), n_levels
-        )
+        if levels.size and (
+            np.minimum.reduce(levels, axis=None) < 0
+            or np.maximum.reduce(levels, axis=None) >= n_levels
+        ):
+            raise ConfigurationError(
+                f"prepared levels must lie in [0, {n_levels})"
+            )
+        return levels @ place_values(levels.shape[-1], n_levels)
 
 
 class TraceSource(ABC):

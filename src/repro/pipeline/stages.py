@@ -11,6 +11,16 @@ per-qubit heads as one float32 stack on those raw scores: the fitted
 scaler is folded into the stack's layer 1, so there is no
 standardization pass. Serving has this one precision, the digitizer's.
 
+A batch costs a fixed number of calls whatever its size, and at small
+batches the calls are the cost, so what holds by construction is
+checked once, where it is made: the model's stack at engine
+construction, each fused bank once per trace length. The public entry
+points the engine calls (:meth:`FusedKernelBank.scores`,
+:meth:`MLRDiscriminator.head_levels_and_margin`) keep their checks,
+which spend no call on a conforming batch. Joint labels are one
+product with the cached :func:`repro.data.basis.place_values`, with
+no range pass: the heads' levels are in range by construction.
+
 The engine serves a fitted :class:`~repro.discriminators.mlr
 .MLRDiscriminator` unchanged. Its offline ``predict`` still runs the
 per-channel demod → decimate → matched-filter chain, the scaler and
@@ -26,7 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.basis import digits_to_state
+# ``digits_to_state`` stays importable here: perfbench's layer tracer
+# wraps ``stages.digits_to_state`` (its ``digits`` span, which reads 0
+# now that the engine packs labels with ``place_values``).
+from repro.data.basis import digits_to_state, place_values
 from repro.discriminators.mlr import MLRDiscriminator
 from repro.dsp.matched_filter import FusedKernelBank
 from repro.exceptions import DataError, NotFittedError
@@ -99,6 +112,7 @@ class BatchDiscriminationEngine:
         self.discriminator = discriminator
         self.chip = chip
         self.n_features = chip.n_qubits * extractor.filters_per_qubit
+        self._place_values = place_values(chip.n_qubits, chip.n_levels)
         # Per-trace-length cache (typically one entry; truncated-window
         # serving adds one per distinct window).
         self._fused_banks: dict[int, FusedKernelBank] = {}
@@ -113,13 +127,15 @@ class BatchDiscriminationEngine:
         .BufferRing` feature block) the fused GEMM writes raw scores
         into; without one the scores get a fresh array.
         """
-        feedline = np.atleast_2d(np.asarray(feedline))
-        trace_len = feedline.shape[1]
-        disc = self.discriminator
-        bank = self._fused_banks.get(trace_len)
-        if bank is None:
-            bank = disc.extractor.fused_kernel_bank(self.chip, trace_len)
-            self._fused_banks[trace_len] = bank
+        if feedline.__class__ is not np.ndarray or feedline.ndim != 2:
+            feedline = np.atleast_2d(np.asarray(feedline))
+        try:
+            bank = self._fused_banks[feedline.shape[1]]
+        except KeyError:
+            bank = self.discriminator.extractor.fused_kernel_bank(
+                self.chip, feedline.shape[1]
+            )
+            self._fused_banks[feedline.shape[1]] = bank
 
         t0 = time.perf_counter()
         x = bank.scores(feedline, out=out_features)
@@ -127,8 +143,8 @@ class BatchDiscriminationEngine:
         # The shared helper keeps serving margins computed exactly like
         # the calibration-time reference margin drift scoring compares
         # against (and its argmax matches offline ``predict``).
-        levels, mean_margin = disc.head_levels_and_margin(x)
-        joint = digits_to_state(levels, self.chip.n_levels)
+        levels, mean_margin = self.discriminator.head_levels_and_margin(x)
+        joint = levels @ self._place_values
         t2 = time.perf_counter()
 
         return BatchResult(

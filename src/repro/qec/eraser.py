@@ -178,16 +178,29 @@ class LevelStreamSpeculator:
         (LRC request) fired on that cycle.
         """
         levels = np.asarray(levels)
+        fired_rows, fired_qubits = self._advance(levels)
+        flags = np.zeros(levels.shape, dtype=bool)
+        if fired_rows:
+            flags[fired_rows, fired_qubits] = True
+        return flags
+
+    def _advance(self, levels: np.ndarray) -> tuple[list[int], list[int]]:
+        """Fold one ``(n_shots, n_qubits)`` level array into the state.
+
+        Returns the ``(rows, qubits)`` where an LRC request fired, in
+        the order they fired. :meth:`update` turns them into the
+        per-shot flags array; the pipeline's sink, which keeps only the
+        counters, calls this directly and builds no flags.
+        """
         if levels.ndim != 2 or levels.shape[1] != self.n_qubits:
             raise ConfigurationError(
                 f"levels must be (n_shots, {self.n_qubits}), got {levels.shape}"
             )
-        flags = np.zeros(levels.shape, dtype=bool)
         window = self.config.window
         needed = self.config.direct_evidence_cycles
         first_cycle = self.shots_seen
         # (qubit, row) of every |2> readout, qubit-major and rows ascending.
-        qubits, rows = np.nonzero((levels == 2).T)
+        qubits, rows = (levels == 2).T.nonzero()
         fired_qubits: list[int] = []
         fired_rows: list[int] = []
         for q, row in zip(qubits.tolist(), rows.tolist()):
@@ -202,13 +215,12 @@ class LevelStreamSpeculator:
                 fired_qubits.append(q)
                 fired_rows.append(row)
         if fired_rows:
-            flags[fired_rows, fired_qubits] = True
             self.flags_per_qubit += np.bincount(
                 fired_qubits, minlength=self.n_qubits
             )
         self.leaked_per_qubit += np.bincount(qubits, minlength=self.n_qubits)
         self.shots_seen += levels.shape[0]
-        return flags
+        return fired_rows, fired_qubits
 
     def summary(self) -> dict:
         """Aggregate counters for the pipeline report."""

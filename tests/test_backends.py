@@ -5,6 +5,8 @@ integration (replay sessions, recording tees, executor parity)."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -207,6 +209,30 @@ class TestCorpusRecordReplay:
             for part in ("feedline", "levels"):
                 assert (path / entry[part]["file"]).is_file()
                 assert len(entry[part]["sha256"]) == 64
+
+    def test_recorded_digests_hash_the_bytes_written(self, recorded):
+        """Recording hashes each chunk as it writes it and never reads it
+        back: every manifest digest is the sha256 of its whole file, and
+        every file holds exactly the bytes ``np.save`` writes for the
+        recorded arrays (what the writer did before it hashed inline)."""
+        path, chunks = recorded
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        assert len(manifest["chunks"]) == len(chunks)
+        for entry, chunk in zip(manifest["chunks"], chunks):
+            arrays = {
+                "feedline": np.ascontiguousarray(
+                    chunk.feedline, dtype=np.complex64
+                ),
+                "levels": np.ascontiguousarray(
+                    chunk.prepared_levels, dtype=np.int8
+                ),
+            }
+            for part, array in arrays.items():
+                data = (path / entry[part]["file"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == entry[part]["sha256"]
+                expected = io.BytesIO()
+                np.save(expected, array)
+                assert data == expected.getvalue()
 
     def test_loaded_corpus_replays_recorded_stream(self, recorded, chip):
         path, chunks = recorded

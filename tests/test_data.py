@@ -14,7 +14,7 @@ from repro.data import (
     state_label,
     state_to_digits,
 )
-from repro.data.basis import all_states, marginal_labels
+from repro.data.basis import all_states, marginal_labels, place_values
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -81,6 +81,15 @@ class TestBasis:
                 digits_to_state(digits, n_levels)
             with pytest.raises(ConfigurationError):
                 digits_to_state(digits[7], n_levels)
+
+    def test_place_values_are_cached_and_read_only(self):
+        powers = place_values(5, 3)
+        assert powers.tolist() == [81, 27, 9, 3, 1]
+        assert powers.dtype == np.int64
+        assert place_values(5, 3) is powers
+        assert not powers.flags.writeable
+        with pytest.raises(ConfigurationError):
+            place_values(2, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.pipeline.sink import EraserSpeculationSink
 from repro.qec.eraser import EraserConfig, LevelStreamSpeculator
 
 
@@ -90,6 +91,36 @@ def test_matches_per_row_reference(window, needed, density):
         np.testing.assert_array_equal(fast.update(batch), reference.update(batch))
     assert fast.summary() == reference.summary()
     np.testing.assert_array_equal(fast.leaked_per_qubit, reference.leaked_per_qubit)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.33, 0.9])
+@pytest.mark.parametrize("window,needed", _POLICIES)
+def test_sink_path_matches_update(window, needed, density):
+    """The pipeline sink feeds the speculator without building flags; it
+    must leave the state ``update`` leaves, fire where ``update``'s flags
+    say, and summarize the same, on any policy, density and split."""
+    config = EraserConfig(
+        window=window, activity_threshold=1, direct_evidence_cycles=needed
+    )
+    rng = np.random.default_rng(2000 * window + 20 * needed + int(100 * density))
+    n_shots, n_qubits = 300, 4
+    levels = _levels(rng, n_shots, n_qubits, density)
+    sink = EraserSpeculationSink(n_qubits, config)
+    reference = LevelStreamSpeculator(n_qubits, config)
+    probe = LevelStreamSpeculator(n_qubits, config)
+    for batch_id, (start, stop) in enumerate(_splits(rng, n_shots)):
+        batch = levels[start:stop]
+        sink.consume(batch, batch[:, 0], batch_id)
+        flags = reference.update(batch)
+        rows, qubits = probe._advance(batch)
+        assert sorted(zip(rows, qubits)) == sorted(
+            zip(*np.nonzero(flags))
+        )
+    assert sink.close() == reference.summary() == probe.summary()
+    for counter in ("leaked_per_qubit", "flags_per_qubit"):
+        np.testing.assert_array_equal(
+            getattr(sink.speculator, counter), getattr(reference, counter)
+        )
 
 
 def test_split_invariance_one_shot_batches():

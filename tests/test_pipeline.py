@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.config import Profile
-from repro.data import generate_corpus
+from repro.data import digits_to_state, generate_corpus
+from repro.data.basis import place_values
 from repro.discriminators import MLRDiscriminator
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.fpga.latency import check_cycle_budget, decision_budget_ns
@@ -101,6 +102,33 @@ class TestSources:
             [c.joint_labels(tiny_corpus.n_levels) for c in source.chunks()]
         )
         assert sorted(labels.tolist()) == sorted(tiny_corpus.labels.tolist())
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 5])
+    def test_joint_labels_pack_like_digits_to_state(self, n_levels, n_qubits):
+        """Recorded labels (int8 on disk) and the engine's int64 levels
+        pack to the same joint states ``digits_to_state`` gives."""
+        rng = np.random.default_rng(10 * n_levels + n_qubits)
+        levels = rng.integers(0, n_levels, (200, n_qubits))
+        expected = digits_to_state(levels, n_levels)
+        for dtype in (np.int8, np.int64):
+            chunk = ShotChunk(
+                np.zeros((200, 4), np.complex64), levels.astype(dtype), 0
+            )
+            joint = chunk.joint_labels(n_levels)
+            assert joint.dtype == np.int64
+            np.testing.assert_array_equal(joint, expected)
+        np.testing.assert_array_equal(
+            levels.T.copy().T @ place_values(n_qubits, n_levels), expected
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_recorded_labels_raise(self, bad):
+        levels = np.zeros((4, 2), dtype=np.int8)
+        levels[2, 1] = bad
+        chunk = ShotChunk(np.zeros((4, 3), np.complex64), levels, 0)
+        with pytest.raises(ConfigurationError, match="prepared levels"):
+            chunk.joint_labels(3)
 
     def test_shot_chunk_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -479,6 +507,30 @@ class _FailingSink(ResultSink):
         raise RuntimeError("downstream exploded")
 
 
+class _GatedSink(ResultSink):
+    """Holds each batch until ``gate`` opens; ``started`` marks the first."""
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.started = threading.Event()
+        self.batches = []
+
+    def consume(self, levels, joint, batch_id):
+        self.started.set()
+        self.gate.wait(timeout=10)
+        self.batches.append(batch_id)
+
+    def close(self):
+        return {"batches": len(self.batches)}
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
 class TestSinks:
     def test_collecting_sink_accumulates(self):
         sink = CollectingSink()
@@ -521,6 +573,50 @@ class TestSinks:
         sink.consume(np.zeros((1, 1), int), np.zeros(1, int), 0)
         with pytest.raises(RuntimeError, match="downstream exploded"):
             sink.close()
+
+    def test_queueing_sink_close_is_idempotent(self):
+        sink = QueueingSink(CollectingSink(), max_pending=2)
+        sink.consume(np.zeros((2, 2), int), np.zeros(2, int), 0)
+        summary = sink.close()
+        assert summary == {"shots_seen": 2, "max_pending": 2}
+        assert sink.close() is summary
+        with pytest.raises(ConfigurationError, match="closed"):
+            sink.consume(np.zeros((1, 2), int), np.zeros(1, int), 1)
+
+    def test_queueing_sink_keeps_draining_after_an_error(self):
+        """A failed inner sink never stalls the producer: every queued
+        batch still frees its slot, and each close re-raises."""
+        sink = QueueingSink(_FailingSink(), max_pending=1)
+        for i in range(6):
+            sink.consume(np.zeros((1, 1), int), np.zeros(1, int), i)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="downstream exploded"):
+                sink.close()
+
+    def test_queueing_sink_close_takes_no_slot(self):
+        """close() on a full queue does not wait for a slot: its sentinel
+        bypasses the bound, and close returns once the consumer drains."""
+        gate = threading.Event()
+        inner = _GatedSink(gate)
+        sink = QueueingSink(inner, max_pending=1)
+        assert sink.max_pending == 1
+        sink.consume(np.zeros((1, 1), int), np.zeros(1, int), 0)
+        assert inner.started.wait(timeout=5)  # the consumer holds batch 0
+        sink.consume(np.zeros((1, 1), int), np.zeros(1, int), 1)
+        assert sink.pending == sink.max_pending == 1  # the queue is full
+        summaries = []
+        closer = threading.Thread(target=lambda: summaries.append(sink.close()))
+        closer.start()
+        try:
+            # The sentinel is queued past the bound while batch 1 waits.
+            _wait_for(lambda: sink.pending == 2)
+            assert closer.is_alive()  # joining the gated consumer
+        finally:
+            gate.set()
+            closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert summaries == [{"batches": 2, "max_pending": 1}]
+        assert inner.batches == [0, 1]
 
     def test_eraser_sink_summary(self):
         sink = EraserSpeculationSink(

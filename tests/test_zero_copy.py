@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import sys
 import time
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from repro.dsp.filters import boxcar_decimate
 from repro.dsp.matched_filter import FusedKernelBank, fuse_demod_decimation
 from repro.exceptions import ConfigurationError, DataError, ShapeError
 from repro.ml import stratified_split
+from repro.ml.nn.activations import get_activation
 from repro.physics.device import multi_feedline_chips
 from repro.pipeline import shm as shm_module
 from repro.pipeline import (
@@ -495,6 +497,58 @@ class TestStackedHeads:
         assert int(np.count_nonzero(result.levels != oracle)) == 0
         np.testing.assert_array_equal(result.joint, clone.predict(short))
 
+    @staticmethod
+    def _allocating_pass(disc, x):
+        """The served pass as it was before ReLUs ran in place and levels
+        came from one ``argmax``: a fresh array per activation and the
+        running first-max rule (``>`` and ``putmask``), on the same
+        float32 stack."""
+        (n_heads, width), layers = disc._head_stack
+        (weights, bias), *deeper = layers
+        h = weights @ x.T
+        h += bias
+        h = np.maximum(h, 0.0).reshape(n_heads, width, x.shape[0])
+        for depth, (weights, bias) in enumerate(deeper, start=2):
+            h = np.matmul(weights, h)
+            h += bias
+            if depth < len(layers):
+                h = np.maximum(h, 0.0)
+        first, *rows = [h[..., j, :] for j in range(h.shape[-2])]
+        levels = (rows[0] > first).astype(np.int64)
+        top = np.maximum(first, rows[0])
+        second = np.minimum(first, rows[0])
+        for level, row in enumerate(rows[1:], start=2):
+            np.putmask(levels, row > top, level)
+            np.maximum(second, np.minimum(row, top), out=second)
+            np.maximum(top, row, out=top)
+        h -= top[..., None, :]
+        norm = np.exp(h, out=h).sum(axis=-2)
+        second -= top
+        margins = np.subtract(1.0, np.exp(second, out=second), out=second)
+        margins /= norm
+        return levels.T, float(margins.sum(dtype=np.float64)) / margins.size
+
+    @pytest.mark.parametrize("n_shots", [1, 16, 256])
+    def test_serves_the_allocating_pass_bit_for_bit(
+        self, disc, tiny_corpus, n_shots
+    ):
+        """In-place ReLUs and the one-``argmax`` levels change no bit:
+        levels and the mean margin equal the allocating pass exactly (at
+        one shot numpy takes its matrix-vector path)."""
+        raw, _ = self._raw_and_scaled(disc, tiny_corpus, 300)
+        for start in range(0, 300 - n_shots + 1, max(n_shots, 37)):
+            x = np.ascontiguousarray(raw[start : start + n_shots], np.float32)
+            levels, margin = disc.head_levels_and_margin(x)
+            expected_levels, expected_margin = self._allocating_pass(disc, x)
+            np.testing.assert_array_equal(levels, expected_levels)
+            assert margin == expected_margin
+
+    def test_rejects_heads_the_stack_cannot_serve(self, disc):
+        odd = copy.deepcopy(disc)
+        odd.models[0].network.layers[0].activation = get_activation("tanh")
+        with pytest.raises(ConfigurationError, match="ReLU"):
+            odd._stack_heads()
+
     def test_artifact_round_trip_rebuilds_the_stack(self, disc, tiny_corpus):
         loaded = type(disc)._from_artifacts(
             disc._artifact_meta(), disc._artifact_arrays()
@@ -783,6 +837,158 @@ class TestBufferRing:
             for slot in slots:
                 assert not np.shares_memory(kept.joint, slot)
                 assert not np.shares_memory(kept.levels, slot)
+
+
+class TestExactFitBatches:
+    """A chunk that is exactly one batch, arriving with nothing buffered,
+    is handed off as it is; every other batch takes the segment path.
+    Either way the batches are what slicing the whole stream gives."""
+
+    @staticmethod
+    def _stream(rng, sizes, unlabeled, trace_len=5):
+        return [
+            ShotChunk(
+                feedline=(
+                    rng.normal(size=(size, trace_len))
+                    + 1j * rng.normal(size=(size, trace_len))
+                ).astype(np.complex64),
+                prepared_levels=(
+                    None
+                    if i in unlabeled
+                    else rng.integers(0, 3, (size, 2)).astype(np.int8)
+                ),
+                chunk_id=i,
+            )
+            for i, size in enumerate(sizes)
+        ]
+
+    @staticmethod
+    def _reference(chunks, size):
+        """Per batch: its rows, its labels (None when a contributing
+        chunk has none) and the chunk holding it whole, if one does."""
+        feed = np.concatenate([chunk.feedline for chunk in chunks])
+        owner = np.concatenate(
+            [np.full(chunk.n_shots, i) for i, chunk in enumerate(chunks)]
+        )
+        offsets = np.cumsum([0] + [chunk.n_shots for chunk in chunks])
+        batches = []
+        for start in range(0, feed.shape[0], size):
+            stop = min(start + size, feed.shape[0])
+            owners = sorted(set(owner[start:stop].tolist()))
+            labels = None
+            if all(chunks[i].prepared_levels is not None for i in owners):
+                labels = np.concatenate(
+                    [
+                        chunks[i].prepared_levels[
+                            max(start - offsets[i], 0) : stop - offsets[i]
+                        ]
+                        for i in owners
+                    ]
+                )
+            whole = owners[0] if len(owners) == 1 else None
+            batches.append((feed[start:stop], labels, whole))
+        return batches
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        sizes=st.lists(
+            st.integers(min_value=1, max_value=30), min_size=1, max_size=10
+        ),
+        unlabeled=st.sets(st.integers(min_value=0, max_value=9), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        with_ring=st.booleans(),
+    )
+    def test_mixed_streams_match_the_reference(
+        self, size, sizes, unlabeled, seed, with_ring
+    ):
+        # Every other chunk is exactly one batch.
+        sizes = [size if i % 2 else n for i, n in enumerate(sizes)]
+        chunks = self._stream(np.random.default_rng(seed), sizes, unlabeled)
+        ring = BufferRing(max_batch=size, n_features=3) if with_ring else None
+        expected = self._reference(chunks, size)
+        n_batches = 0
+        # Checked as they come: ring slots are reused.
+        for batch, (rows, labels, whole) in zip(
+            MicroBatcher(size).rebatch(chunks, ring=ring), expected
+        ):
+            assert batch.chunk_id == n_batches
+            n_batches += 1
+            np.testing.assert_array_equal(batch.feedline, rows)
+            if labels is None:
+                assert batch.prepared_levels is None
+            else:
+                np.testing.assert_array_equal(batch.prepared_levels, labels)
+            if whole is not None:
+                assert np.shares_memory(batch.feedline, chunks[whole].feedline)
+                assert not batch.feedline.flags.writeable
+        assert n_batches == len(expected)
+        assert all(chunk.feedline.flags.writeable for chunk in chunks)
+
+    def test_exact_fit_is_lent_to_the_ring_uncopied(self, rng):
+        """Chunks 0 and 3 arrive as exact fits with nothing buffered; the
+        8-shot chunk 5 arrives behind 4 buffered shots, so it is split."""
+        chunks = self._stream(rng, [8, 5, 3, 8, 4, 8, 4], unlabeled=())
+        ring = BufferRing(max_batch=8, n_features=3)
+        whole = {0: 0, 2: 3}
+        for batch in MicroBatcher(8).rebatch(chunks, ring=ring):
+            features = ring.paired_features(batch.feedline)
+            if batch.chunk_id in whole:
+                chunk = chunks[whole[batch.chunk_id]]
+                assert batch.feedline.base is chunk.feedline
+                assert batch.prepared_levels is chunk.prepared_levels
+                assert not batch.feedline.flags.writeable
+                assert np.shares_memory(features, ring._lent_features)
+            else:
+                assert not np.shares_memory(features, ring._lent_features)
+        assert ring.acquired == 3  # the three spanning batches only
+        assert all(chunk.feedline.flags.writeable for chunk in chunks)
+
+
+class TestDecideCallBudget:
+    """The engine spends a fixed, small number of calls per batch.
+
+    Counted with ``sys.setprofile`` inside one
+    :meth:`BatchDiscriminationEngine.process` on a ring-lent batch:
+    ``call`` events are Python frames, ``c_call`` events builtin and
+    method calls (numpy ufunc calls and operators raise neither). Set on
+    CPython 3.11 with numpy 2.4.6, where 5 Python-level and 8 C-level
+    calls land at every batch size (the pass before them made 27 and
+    30); the budget leaves one call of headroom on each.
+    """
+
+    PYTHON_CALLS = 6
+    C_CALLS = 9
+
+    @staticmethod
+    def _calls(engine, feedline, out):
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts and arg is not sys.setprofile:
+                counts[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            engine.process(feedline, out_features=out)
+        finally:
+            sys.setprofile(None)
+        return counts
+
+    def test_same_small_count_at_every_batch_size(self, fitted, tiny_corpus):
+        engine = BatchDiscriminationEngine(fitted, tiny_corpus.chip)
+        feed = np.ascontiguousarray(tiny_corpus.feedline, dtype=np.complex64)
+        counts = []
+        for n_shots in (1, 16, 256):
+            ring = BufferRing(max_batch=n_shots, n_features=engine.n_features)
+            batch = feed[:n_shots]
+            ring.lend(batch)
+            out = ring.paired_features(batch)
+            engine.process(batch, out_features=out)  # builds the fused bank
+            counts.append(self._calls(engine, batch, out))
+        assert counts[0] == counts[1] == counts[2], counts
+        assert counts[0]["call"] <= self.PYTHON_CALLS, counts
+        assert counts[0]["c_call"] <= self.C_CALLS, counts
 
 
 class TestPipelineEngineParity:
