@@ -34,19 +34,26 @@ def _top2_levels_and_margins(
 
     ``logits`` is level-major, ``(..., n_levels, n)`` with ``n_levels
     >= 2``, so each level is one contiguous row per head; it is
-    overwritten. Levels are one ``argmax`` (its first maximum on ties,
-    as in :meth:`MLPClassifier.predict`); the top two logits are a
-    running max and second max over the few level rows (cheaper than
-    numpy reductions over so short an axis). ``p_top - p_second`` is
-    ``(1 - exp(second - top)) / sum_j exp(l_j - top)``, in the logits'
-    dtype.
+    overwritten. The top two logits are a running max and second max
+    over the few level rows (cheaper than numpy reductions over so
+    short an axis). ``p_top - p_second`` is ``(1 - exp(second - top))
+    / sum_j exp(l_j - top)``, in the logits' dtype.
+
+    A level is the first maximal logit, as in
+    :meth:`MLPClassifier.predict`, read off the running max's own
+    comparisons rather than an ``argmax`` over the level axis (whose
+    cost grows faster with the batch): level 1 where it beats level 0,
+    then each further level where its row beats the running top. The
+    comparisons are strict, so a tie keeps the earlier level, exactly
+    as ``argmax`` does.
     """
-    levels = logits.argmax(axis=-2)
     first, following = logits[..., 0, :], logits[..., 1, :]
+    levels = (following > first).astype(np.intp)
     top = np.maximum(first, following)
     second = np.minimum(first, following)
     for level in range(2, logits.shape[-2]):
         row = logits[..., level, :]
+        levels[row > top] = level
         np.maximum(second, np.minimum(row, top), out=second)
         np.maximum(top, row, out=top)
     logits -= top[..., None, :]

@@ -30,6 +30,7 @@ __all__ = [
     "matched_filter_kernel",
     "apply_matched_filter",
     "fuse_demod_decimation",
+    "padded_width",
     "MatchedFilterBank",
     "FusedKernelBank",
 ]
@@ -37,6 +38,27 @@ __all__ = [
 _VARIANCE_MODES = ("sum", "difference", "unit")
 
 _COMPLEX64 = np.dtype(np.complex64)
+
+#: Column multiple of a fused bank's score block. OpenBLAS's float32
+#: GEMM runs the columns past the last multiple of 4 through a slower
+#: edge path: a 256 x 1000 x 45 product took 333 us at one thread and
+#: 188 us at two, padded to 48 columns 284 and 157 us (46, 47, 52, 56
+#: and 64 columns were all slower than 48).
+_KERNEL_COLUMNS = 4
+
+#: Largest float32 product, in multiply-adds (``M * N * K``), that
+#: OpenBLAS (0.3.31) computes with its small-matrix kernel, which sums
+#: in another order than its blocked GEMM. Pad columns that carry a
+#: batch over this bound move its scores: at a 1000-float window, 21-
+#: and 22-shot batches (945,000 and 990,000 unpadded, 1,008,000 and
+#: 1,056,000 padded) moved, every other batch of 1-300 shots did not.
+_SMALL_GEMM_MACS = 100**3
+
+
+def padded_width(n_filters: int) -> int:
+    """Columns of a fused bank's score block: ``n_filters`` rounded up
+    to the BLAS kernel's multiple of 4 (45 -> 48)."""
+    return -(-n_filters // _KERNEL_COLUMNS) * _KERNEL_COLUMNS
 
 
 def _class_stats(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +178,20 @@ class FusedKernelBank:
     imaginary half. Serving runs at the digitizer's own precision;
     ``weights`` keep the fitted complex128 values.
 
+    Score blocks are :func:`padded_width` columns wide, and from
+    ``padded_from`` shots up the GEMM runs on all of them: zero weight
+    columns up to the BLAS kernel's multiple of 4, so OpenBLAS's
+    blocked GEMM runs every column through its fast kernel. The pad
+    columns score exactly 0 and nothing reads them; :meth:`scores`
+    returns the ``n_filters`` view. Smaller batches multiply by the
+    unpadded ``n_filters``-column view of the same weights: there
+    OpenBLAS's small-matrix kernel (numpy's matrix-vector product at
+    one shot) serves the product, gains nothing from the pad and would
+    sum it in another order. On OpenBLAS 0.3.31 every score of a 1-300
+    shot batch was bit-identical to the unpadded product's, at one and
+    two threads; a BLAS whose kernels switch elsewhere may differ from
+    it in the last bit.
+
     Attributes
     ----------
     weights:
@@ -166,13 +202,19 @@ class FusedKernelBank:
     decimation:
         Boxcar factor folded into the weights.
     real_weights:
-        ``(2 * n_samples, n_filters)`` float32 rows ``[Re W; -Im W]``.
+        ``(2 * n_samples, padded_width(n_filters))`` float32 rows
+        ``[Re W; -Im W]``, zero past column ``n_filters``.
+    padded_from:
+        Smallest batch the padded GEMM serves: the first whose unpadded
+        product is over OpenBLAS's small-matrix bound (23 shots for 45
+        filters over a 1000-float window), and at least 2.
     """
 
     weights: np.ndarray
     filters_per_qubit: int
     decimation: int
     real_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    padded_from: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights)
@@ -185,11 +227,18 @@ class FusedKernelBank:
                 f"{weights.shape[0]} rows not divisible by "
                 f"{self.filters_per_qubit} filters per qubit"
             )
-        real = np.empty((2 * weights.shape[1], weights.shape[0]), np.float32)
-        real[0::2] = weights.real.T
-        real[1::2] = -weights.imag.T
+        n_filters = weights.shape[0]
+        real = np.zeros(
+            (2 * weights.shape[1], padded_width(n_filters)), np.float32
+        )
+        real[0::2, :n_filters] = weights.real.T
+        real[1::2, :n_filters] = -weights.imag.T
+        macs_per_shot = max(1, n_filters * real.shape[0])
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "real_weights", real)
+        object.__setattr__(
+            self, "padded_from", max(2, _SMALL_GEMM_MACS // macs_per_shot + 1)
+        )
 
     @property
     def n_filters(self) -> int:
@@ -203,13 +252,15 @@ class FusedKernelBank:
     def scores(self, feedline: np.ndarray, out: np.ndarray | None = None):
         """Score a raw feedline batch: ``Re(feedline[:, :m] @ W.T)``.
 
-        ``out`` — an optional preallocated ``(n_shots, n_filters)``
-        float block the scores are written into (the zero-copy serving
-        path); a fresh float32 array is returned when omitted. Scores
-        are float32 either way: a complex64 window is read in place,
-        anything else is cast to complex64 once. The checks read
-        attributes only, so a 2-D complex64 batch and a matching ``out``
-        cost one ``view`` and the GEMM.
+        Returns the ``(n_shots, n_filters)`` scores, a view of a padded
+        ``(n_shots, padded_width(n_filters))`` block (see the class
+        docstring). ``out`` — an optional preallocated block of that
+        padded shape (a ring feature block, the zero-copy serving path)
+        the GEMM writes into; a fresh float32 block is used when
+        omitted. Scores are float32 either way: a complex64 window is
+        read in place, anything else is cast to complex64 once. The
+        checks read attributes only, so a 2-D complex64 batch and a
+        matching ``out`` cost one ``view`` and the GEMM.
         """
         if feedline.__class__ is not np.ndarray or feedline.ndim != 2:
             feedline = np.atleast_2d(np.asarray(feedline))
@@ -224,15 +275,21 @@ class FusedKernelBank:
         if window.dtype != _COMPLEX64 or not unit_stride:
             window = window.astype(np.complex64, order="C")  # repro: allow(no-hidden-copy) only complex64 with unit element stride has a float32 (re, im) pair view; chunks and ring slots are complex64
         pairs = window.view(np.float32)
+        weights = self.real_weights
+        if out is not None:
+            expected = (feedline.shape[0], weights.shape[1])
+            if out.shape != expected or out.dtype.kind != "f":
+                raise ShapeError(
+                    f"out must be a float array of shape {expected}, got "
+                    f"{out.dtype} with shape {out.shape}"
+                )
+        if feedline.shape[0] < self.padded_from:
+            weights = weights[:, :n_filters]
+            if out is not None:
+                out = out[:, :n_filters]
         if out is None:
-            return pairs @ self.real_weights
-        expected = (feedline.shape[0], n_filters)
-        if out.shape != expected or out.dtype.kind != "f":
-            raise ShapeError(
-                f"out must be a float array of shape {expected}, got "
-                f"{out.dtype} with shape {out.shape}"
-            )
-        return np.matmul(pairs, self.real_weights, out=out)
+            return (pairs @ weights)[:, :n_filters]
+        return np.matmul(pairs, weights, out=out)[:, :n_filters]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ spanning chunks is assembled into a slot's feedline buffer. Either way
 the engine writes raw matched-filter scores into the ring-owned
 feature block :meth:`BufferRing.paired_features` returns, and the head
 stack reads them as they are (its layer 1 has the scaler folded in), so
-neither traces nor features are allocated per batch. The head stack
+neither traces nor features are allocated per batch. A feature block
+is the engine's ``feature_width`` columns wide, the features padded to
+the BLAS kernel's multiple of 4 (45 -> 48): the fused bank's GEMM fills
+every column of a large batch (the pad with zeros) and the heads read
+the first ``n_features`` columns as a strided view (see
+:class:`~repro.dsp.matched_filter.FusedKernelBank`). The head stack
 itself still allocates per batch: one GEMM output per layer (biases
 and ReLUs are applied in place), the logits, and the epilogue's level,
 top, second, norm and margin rows. At small batches those are a few
@@ -67,8 +72,9 @@ class BufferRing:
         Largest batch any slot must hold — the pipeline's
         ``batch_size``.
     n_features:
-        Feature columns of the paired float buffer (``n_qubits *
-        filters_per_qubit``).
+        Columns of the paired float buffers: the engine's
+        ``feature_width``, ``n_qubits * filters_per_qubit`` padded to
+        the fused bank's GEMM width.
     slots:
         Ring depth; 2 covers the one-in-flight serving loop.
 

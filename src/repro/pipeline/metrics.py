@@ -157,15 +157,31 @@ STAGE_ORDER = ("matched_filter", "discriminate", "sink")
 
 
 class StageTimings:
-    """One :class:`LatencyStats` per pipeline stage."""
+    """One :class:`LatencyStats` per pipeline stage, in :data:`STAGE_ORDER`.
+
+    The stages appear with the first recorded batch, so a run that
+    served nothing has none.
+    """
 
     def __init__(self) -> None:
         self.stages: dict[str, LatencyStats] = {}
 
-    def record(self, stage: str, seconds: float, n_shots: int) -> None:
-        if stage not in self.stages:
-            self.stages[stage] = LatencyStats(stage)
-        self.stages[stage].record(seconds, n_shots)
+    def record_batch(self, seconds: tuple[float, ...], n_shots: int) -> None:
+        """Record one batch's time in each :data:`STAGE_ORDER` stage.
+
+        One Python call per batch appends to every stage's window: the
+        times are ``perf_counter`` differences and ``n_shots`` a
+        batch's size, so :meth:`LatencyStats.record`'s checks hold by
+        construction and are not repeated. Samples, counts and totals
+        end up as one :meth:`LatencyStats.record` per stage leaves them.
+        """
+        if not self.stages:
+            self.stages = {name: LatencyStats(name) for name in STAGE_ORDER}
+        for stats, value in zip(self.stages.values(), seconds):
+            stats._samples.append(value)
+            stats._count += 1
+            stats._total_seconds += value
+            stats._total_shots += n_shots
 
     def __getitem__(self, stage: str) -> LatencyStats:
         return self.stages[stage]
@@ -174,13 +190,7 @@ class StageTimings:
         return stage in self.stages
 
     def ordered(self) -> list[LatencyStats]:
-        known = [self.stages[s] for s in STAGE_ORDER if s in self.stages]
-        extra = [
-            stats
-            for name, stats in self.stages.items()
-            if name not in STAGE_ORDER
-        ]
-        return known + extra
+        return list(self.stages.values())
 
     def compute_per_shot_us(self) -> float:
         """Mean per-shot compute latency over all non-sink stages."""

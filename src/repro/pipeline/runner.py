@@ -201,7 +201,7 @@ class ReadoutPipeline:
                 # make_buffer_ring arms the use-after-recycle sanitizer
                 # when REPRO_SANITIZE is set; plain ring otherwise.
                 self._ring = make_buffer_ring(
-                    self.config.batch_size, engine.n_features
+                    self.config.batch_size, engine.feature_width
                 )
                 self._engine = engine
             engine, ring = self._engine, self._ring
@@ -214,12 +214,17 @@ class ReadoutPipeline:
                 result = engine.process(
                     feedline, out_features=ring.paired_features(feedline)
                 )
-                for stage, seconds in result.stage_seconds.items():
-                    timings.record(stage, seconds, n)
-
                 t0 = time.perf_counter()
                 sink.consume(result.levels, result.joint, batch.chunk_id)
-                timings.record("sink", time.perf_counter() - t0, n)
+                stage_seconds = result.stage_seconds
+                timings.record_batch(
+                    (
+                        stage_seconds["matched_filter"],
+                        stage_seconds["discriminate"],
+                        time.perf_counter() - t0,
+                    ),
+                    n,
+                )
 
                 # One histogram per batch: the run's counts and the
                 # drift monitor's EWMA both fold it.

@@ -162,6 +162,10 @@ class EraserSpeculationSink(ResultSink):
     stream triggered. It is the pipeline's default sink and runs inline,
     on the thread that decides: its work is CPU-bound Python, which a
     consumer thread could not overlap with the engine under the GIL.
+    Small batches walk their |2> hits one by one; a batch dense in hits
+    under the default two-hit policy is folded in a fixed number of
+    numpy calls (``LevelStreamSpeculator._advance``), with the same
+    counters either way.
     """
 
     def __init__(

@@ -41,7 +41,7 @@ import numpy as np
 # now that the engine packs labels with ``place_values``).
 from repro.data.basis import digits_to_state, place_values
 from repro.discriminators.mlr import MLRDiscriminator
-from repro.dsp.matched_filter import FusedKernelBank
+from repro.dsp.matched_filter import FusedKernelBank, padded_width
 from repro.exceptions import DataError, NotFittedError
 from repro.physics.device import ChipConfig
 
@@ -112,6 +112,10 @@ class BatchDiscriminationEngine:
         self.discriminator = discriminator
         self.chip = chip
         self.n_features = chip.n_qubits * extractor.filters_per_qubit
+        # Columns of the score block a fused bank's GEMM fills (the
+        # features, then zero pad to the BLAS kernel's width); what a
+        # buffer ring's feature blocks are sized to.
+        self.feature_width = padded_width(self.n_features)
         self._place_values = place_values(chip.n_qubits, chip.n_levels)
         # Per-trace-length cache (typically one entry; truncated-window
         # serving adds one per distinct window).
@@ -123,9 +127,10 @@ class BatchDiscriminationEngine:
         """Discriminate one micro-batch of raw feedline traces.
 
         ``out_features`` — optional preallocated ``(n_shots,
-        n_features)`` float32 buffer (a :class:`~repro.pipeline.buffers
-        .BufferRing` feature block) the fused GEMM writes raw scores
-        into; without one the scores get a fresh array.
+        feature_width)`` float32 buffer (a :class:`~repro.pipeline
+        .buffers.BufferRing` feature block) the fused GEMM writes raw
+        scores into; without one the scores get a fresh array. Either
+        way the heads read the block's first ``n_features`` columns.
         """
         if feedline.__class__ is not np.ndarray or feedline.ndim != 2:
             feedline = np.atleast_2d(np.asarray(feedline))

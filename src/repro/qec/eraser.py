@@ -28,6 +28,14 @@ __all__ = [
     "LevelStreamSpeculator",
 ]
 
+#: |2> readouts from which a batch under a one- or two-hit policy is
+#: folded in numpy (:meth:`LevelStreamSpeculator._fold_pairs`) instead
+#: of walked hit by hit. The fold costs about 20 us plus 0.04 us per
+#: hit, the loop 5 us plus 0.16 us per hit: measured on the default
+#: policy with uniform three-level traffic, the loop won at 88 hits
+#: (21.0 against 23.6 us) and the fold at 138 (25.3 against 28.0 us).
+_PAIR_FOLD_MIN_HITS = 112
+
 
 @dataclass(frozen=True)
 class EraserConfig:
@@ -180,17 +188,26 @@ class LevelStreamSpeculator:
         levels = np.asarray(levels)
         fired_rows, fired_qubits = self._advance(levels)
         flags = np.zeros(levels.shape, dtype=bool)
-        if fired_rows:
+        if len(fired_rows):
             flags[fired_rows, fired_qubits] = True
         return flags
 
-    def _advance(self, levels: np.ndarray) -> tuple[list[int], list[int]]:
+    def _advance(
+        self, levels: np.ndarray
+    ) -> tuple[list[int] | np.ndarray, list[int] | np.ndarray]:
         """Fold one ``(n_shots, n_qubits)`` level array into the state.
 
         Returns the ``(rows, qubits)`` where an LRC request fired, in
-        the order they fired. :meth:`update` turns them into the
+        the order they fired: lists from the per-hit loop, integer
+        arrays from the pair fold. :meth:`update` turns them into the
         per-shot flags array; the pipeline's sink, which keeps only the
         counters, calls this directly and builds no flags.
+
+        A policy that fires on one or two hits (``direct_evidence_cycles
+        <= 2``) folds a batch with at least ``_PAIR_FOLD_MIN_HITS`` |2>
+        readouts in a fixed number of numpy calls (:meth:`_fold_pairs`);
+        any other batch or policy walks its hits one by one. Both leave
+        the same state, so consecutive batches may take either.
         """
         if levels.ndim != 2 or levels.shape[1] != self.n_qubits:
             raise ConfigurationError(
@@ -201,26 +218,82 @@ class LevelStreamSpeculator:
         first_cycle = self.shots_seen
         # (qubit, row) of every |2> readout, qubit-major and rows ascending.
         qubits, rows = (levels == 2).T.nonzero()
-        fired_qubits: list[int] = []
-        fired_rows: list[int] = []
-        for q, row in zip(qubits.tolist(), rows.tolist()):
-            cycle = first_cycle + row
-            pending = self._pending[q]
-            while pending and cycle - pending[0] >= window:
-                del pending[0]
-            pending.append(cycle)
-            if len(pending) >= needed:
-                # The requested LRC resets the evidence, as in run_eraser.
-                pending.clear()
-                fired_qubits.append(q)
-                fired_rows.append(row)
-        if fired_rows:
+        hits = np.bincount(qubits, minlength=self.n_qubits)
+        if needed <= 2 and qubits.size >= _PAIR_FOLD_MIN_HITS:
+            fired_rows, fired_qubits = self._fold_pairs(qubits, rows, hits)
+        else:
+            fired_qubits: list[int] = []
+            fired_rows: list[int] = []
+            for q, row in zip(qubits.tolist(), rows.tolist()):
+                cycle = first_cycle + row
+                pending = self._pending[q]
+                while pending and cycle - pending[0] >= window:
+                    del pending[0]
+                pending.append(cycle)
+                if len(pending) >= needed:
+                    # The requested LRC resets the evidence, as in run_eraser.
+                    pending.clear()
+                    fired_qubits.append(q)
+                    fired_rows.append(row)
+        if len(fired_rows):
             self.flags_per_qubit += np.bincount(
                 fired_qubits, minlength=self.n_qubits
             )
-        self.leaked_per_qubit += np.bincount(qubits, minlength=self.n_qubits)
+        self.leaked_per_qubit += hits
         self.shots_seen += levels.shape[0]
         return fired_rows, fired_qubits
+
+    def _fold_pairs(
+        self, qubits: np.ndarray, rows: np.ndarray, hits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The per-hit loop's fires and state, for ``direct_evidence_cycles
+        <= 2``, in numpy.
+
+        ``qubits`` and ``rows`` are the batch's |2> readouts, qubit-major
+        and rows ascending, and ``hits`` their count per qubit. With one
+        needed hit every hit fires and no evidence is ever pending. With
+        two, a qubit's pending evidence is at most its last hit, and
+        only if that hit did not fire; so a hit fires when its qubit's
+        previous hit lies within the window and did not fire itself.
+        Cut each qubit's hits into runs of close hits: the fires sit at
+        the odd positions of each run. Parity restarts at every qubit
+        boundary, where a qubit's first hit continues the run of the
+        cycle it carries pending from earlier batches (that cycle is
+        position 0) when the two are close.
+        """
+        if self.config.direct_evidence_cycles == 1:
+            return rows, qubits
+        window = self.config.window
+        cycles = rows + self.shots_seen
+        # The qubits hit in this batch, and where their hits start and end.
+        present = hits.nonzero()[0]
+        ends = hits.cumsum()[present]
+        firsts = ends - hits[present]
+        lasts = ends - 1
+        # Each qubit's pending cycle, one window back when it has none.
+        before = self.shots_seen - window
+        carried = np.array(
+            [pending[-1] if pending else before for pending in self._pending]
+        )
+        # Is each hit within the window of its qubit's previous hit (at
+        # a qubit's first hit: of its carried cycle)?
+        close = np.empty(cycles.size, dtype=bool)
+        np.less(cycles[1:] - cycles[:-1], window, out=close[1:])
+        close[firsts] = cycles[firsts] - carried[present] < window
+        # Index of each hit's run start: the hit itself when it is not
+        # close, one before a qubit's first hit that continues the
+        # carried run; maximum.accumulate spreads it along the run.
+        index = np.arange(cycles.size)
+        starts = np.where(close, -1, index)
+        starts[firsts] = firsts - close[firsts]
+        odd = (index - np.maximum.accumulate(starts)) & 1
+        # A qubit's last hit is its pending evidence unless it fired.
+        for q, cycle, fired in zip(
+            present.tolist(), cycles[lasts].tolist(), odd[lasts].tolist()
+        ):
+            self._pending[q] = [] if fired else [cycle]
+        fires = odd.nonzero()[0]
+        return rows[fires], qubits[fires]
 
     def summary(self) -> dict:
         """Aggregate counters for the pipeline report."""

@@ -4,16 +4,22 @@
 ``_ReferenceSpeculator`` below is the original per-cycle loop (a circular
 evidence window with running per-qubit sums, one row at a time); the new
 consumer must reproduce its flags and summary bit for bit on any policy,
-any |2> density and any split of the stream into batches.
+any |2> density and any split of the stream into batches. Batches dense
+in |2> hits under a one- or two-hit policy are folded in numpy instead
+of walked; ``TestPairFold`` holds the fold to the per-hit loop.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.pipeline.sink import EraserSpeculationSink
+from repro.qec import eraser
 from repro.qec.eraser import EraserConfig, LevelStreamSpeculator
 
 
@@ -139,6 +145,119 @@ def test_empty_batch_is_a_no_op():
     flags = spec.update(np.zeros((0, 3), dtype=np.int64))
     assert flags.shape == (0, 3)
     assert spec.summary()["shots_seen"] == 0
+
+
+class _LoopOnly:
+    """Runs a speculator's calls with the pair fold switched off: the
+    per-hit loop alone, the reference the fold must reproduce."""
+
+    def __init__(self, speculator):
+        self.speculator = speculator
+
+    def __getattr__(self, name):
+        method = getattr(self.speculator, name)
+
+        def loop_only(*args):
+            saved = eraser._PAIR_FOLD_MIN_HITS
+            eraser._PAIR_FOLD_MIN_HITS = sys.maxsize
+            try:
+                return method(*args)
+            finally:
+                eraser._PAIR_FOLD_MIN_HITS = saved
+
+        return loop_only
+
+
+_PAIR_POLICIES = [
+    (window, needed)
+    for window in range(1, 6)
+    for needed in (1, 2)
+    if needed <= window
+]
+
+
+class TestPairFold:
+    """Batches dense in |2> hits under a one- or two-hit policy take the
+    numpy fold; sparse ones and every other policy walk the hits. The
+    fold must leave exactly what the loop leaves, whichever path each
+    batch of a stream takes."""
+
+    @staticmethod
+    def _stream(policy, n_qubits, n_shots, density, seed):
+        window, needed = policy
+        config = EraserConfig(
+            window=window, activity_threshold=1, direct_evidence_cycles=needed
+        )
+        rng = np.random.default_rng(seed)
+        return config, _levels(rng, n_shots, n_qubits, density), rng
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        policy=st.sampled_from(_PAIR_POLICIES),
+        n_qubits=st.integers(min_value=1, max_value=5),
+        n_shots=st.integers(min_value=1, max_value=2000),
+        density=st.floats(min_value=0.0, max_value=0.9),
+        n_cuts=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fold_and_loop_agree_across_path_switches(
+        self, policy, n_qubits, n_shots, density, n_cuts, seed
+    ):
+        config, levels, rng = self._stream(
+            policy, n_qubits, n_shots, density, seed
+        )
+        cuts = rng.integers(0, n_shots + 1, size=n_cuts).tolist()
+        bounds = sorted({0, n_shots, *cuts})
+        folded = LevelStreamSpeculator(n_qubits, config)
+        looped = LevelStreamSpeculator(n_qubits, config)
+        flagged = LevelStreamSpeculator(n_qubits, config)
+        flagged_loop = LevelStreamSpeculator(n_qubits, config)
+        reference = _LoopOnly(looped)
+        flags_reference = _LoopOnly(flagged_loop)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            batch = levels[start:stop]
+            rows, qubits = folded._advance(batch)
+            expected_rows, expected_qubits = reference._advance(batch)
+            assert list(map(int, rows)) == expected_rows
+            assert list(map(int, qubits)) == expected_qubits
+            assert folded._pending == looped._pending
+            np.testing.assert_array_equal(
+                flagged.update(batch), flags_reference.update(batch)
+            )
+        assert folded.summary() == looped.summary()
+        assert flagged.summary() == flagged_loop.summary() == looped.summary()
+
+    def test_a_stream_switches_paths_both_ways(self, monkeypatch):
+        """Dense 300-shot and sparse 10-shot batches alternate, so the
+        stream crosses the fold's bound in both directions."""
+        config = EraserConfig(window=3, activity_threshold=1)
+        rng = np.random.default_rng(11)
+        folded = LevelStreamSpeculator(5, config)
+        looped = _LoopOnly(LevelStreamSpeculator(5, config))
+        folds = []
+        fold = folded._fold_pairs
+        monkeypatch.setattr(
+            folded, "_fold_pairs", lambda *a: folds.append(1) or fold(*a)
+        )
+        for size in (300, 10, 300, 10, 10, 300):
+            batch = _levels(rng, size, 5, 0.33)
+            rows, qubits = folded._advance(batch)
+            assert (list(map(int, rows)), list(map(int, qubits))) == (
+                looped._advance(batch)
+            )
+        assert len(folds) == 3
+        assert folded.summary() == looped.summary()
+
+    def test_longer_policies_keep_the_loop(self, monkeypatch):
+        config = EraserConfig(
+            window=5, activity_threshold=1, direct_evidence_cycles=3
+        )
+        speculator = LevelStreamSpeculator(4, config)
+        monkeypatch.setattr(
+            speculator, "_fold_pairs", lambda *a: pytest.fail("folded")
+        )
+        speculator.update(_levels(np.random.default_rng(3), 400, 4, 0.5))
+        assert speculator.total_flags > 0
 
 
 class TestEraserConfigBounds:

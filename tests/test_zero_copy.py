@@ -22,12 +22,19 @@ from repro.data.basis import digits_to_state
 from repro.discriminators import MLRDiscriminator
 from repro.dsp.demod import demod_tone, demodulate
 from repro.dsp.filters import boxcar_decimate
-from repro.dsp.matched_filter import FusedKernelBank, fuse_demod_decimation
+from repro.analysis.sanitizers import ENV_FLAG as SANITIZE_FLAG
+from repro.analysis.sanitizers.ring import GuardedBufferRing
+from repro.dsp.matched_filter import (
+    FusedKernelBank,
+    fuse_demod_decimation,
+    padded_width,
+)
 from repro.exceptions import ConfigurationError, DataError, ShapeError
 from repro.ml import stratified_split
 from repro.ml.nn.activations import get_activation
 from repro.physics.device import multi_feedline_chips
 from repro.pipeline import shm as shm_module
+from repro.pipeline.metrics import STAGE_ORDER, StageTimings
 from repro.pipeline import (
     EXECUTOR_NAMES,
     BatchDiscriminationEngine,
@@ -133,9 +140,9 @@ class TestFusedKernelMath:
         )
         feed = rng.normal(size=(9, 40)) + 1j * rng.normal(size=(9, 40))
         expected = bank.scores(feed)
-        out = np.empty((9, 6))
+        out = np.empty((9, 8))  # six filters, padded to the GEMM's 8
         got = bank.scores(feed, out=out)
-        assert got is out
+        assert got.base is out and got.shape == (9, 6)
         np.testing.assert_array_equal(got, expected)
 
     @staticmethod
@@ -165,19 +172,20 @@ class TestFusedKernelMath:
         pairs = window.astype(np.complex128).view(np.float64)
         n = pairs.shape[1]
         eps32 = np.finfo(np.float32).eps
-        weights = bank.real_weights.astype(np.float64)
+        weights = bank.real_weights[:, : bank.n_filters].astype(np.float64)
         bound = n * eps32 * (np.abs(pairs) @ np.abs(weights))
         assert np.all(np.abs(got - expected) <= bound)
 
     def test_real_weights_interleave_re_and_minus_im(self, rng):
         bank, _ = self._bank_and_feed(rng)
-        assert bank.real_weights.shape == (80, 6)
+        assert bank.real_weights.shape == (80, 8)  # 6 filters, 2 pad
         assert bank.real_weights.dtype == np.float32
         np.testing.assert_array_equal(
-            bank.real_weights[0::2], bank.weights.real.T.astype(np.float32)
+            bank.real_weights[0::2, :6],
+            bank.weights.real.T.astype(np.float32),
         )
         np.testing.assert_array_equal(
-            bank.real_weights[1::2],
+            bank.real_weights[1::2, :6],
             -bank.weights.imag.T.astype(np.float32),
         )
 
@@ -191,9 +199,9 @@ class TestFusedKernelMath:
         self._assert_within_sgemm_bound(
             bank, feed, bank.scores(feed), expected
         )
-        out = np.empty((33, 6))
-        assert bank.scores(feed, out=out) is out
-        self._assert_within_sgemm_bound(bank, feed, out, expected)
+        out = np.empty((33, 8))
+        assert bank.scores(feed, out=out).base is out
+        self._assert_within_sgemm_bound(bank, feed, out[:, :6], expected)
 
     def test_real_gemm_on_slot_wider_than_window(self, rng):
         """Truncated serving: a ring slot wider than the fused window
@@ -231,16 +239,96 @@ class TestFusedKernelMath:
         "out",
         [
             np.empty((9, 5)),
-            np.empty((8, 6)),
-            np.empty((9, 6), dtype=np.int64),
-            np.empty((9, 6), dtype=np.complex128),
+            np.empty((9, 6)),
+            np.empty((8, 8)),
+            np.empty((9, 8), dtype=np.int64),
+            np.empty((9, 8), dtype=np.complex128),
         ],
-        ids=["short-row", "short-batch", "int", "complex"],
+        ids=["short-row", "unpadded-row", "short-batch", "int", "complex"],
     )
     def test_bad_out_buffer_raises_shape_error(self, rng, out):
         bank, feed = self._bank_and_feed(rng)
         with pytest.raises(ShapeError):
             bank.scores(feed, out=out)
+
+
+class TestPaddedBank:
+    """The fused bank's GEMM runs at the BLAS kernel's width.
+
+    Zero weight columns pad the score block to a multiple of 4; scores
+    are the first ``n_filters`` columns and equal the unpadded product.
+    Below ``padded_from`` shots (OpenBLAS's small-matrix kernel, and
+    numpy's matrix-vector product at one shot) the GEMM runs on the
+    unpadded view. On OpenBLAS 0.3.31 every score is bit-for-bit; the
+    check allows 1 ulp, so another BLAS kernel cannot make it flaky.
+    """
+
+    @staticmethod
+    def _bank(rng, n_filters, n_samples):
+        weights = rng.normal(size=(n_filters, n_samples)) + 1j * rng.normal(
+            size=(n_filters, n_samples)
+        )
+        return FusedKernelBank(
+            weights=weights, filters_per_qubit=n_filters, decimation=1
+        )
+
+    @pytest.mark.parametrize("n_filters", range(3, 46))
+    def test_pad_columns_are_zero_at_every_served_width(self, rng, n_filters):
+        bank = self._bank(rng, n_filters, 20)
+        width = padded_width(n_filters)
+        assert width % 4 == 0 and n_filters <= width < n_filters + 4
+        assert bank.real_weights.shape == (40, width)
+        assert not np.any(bank.real_weights[:, n_filters:])
+        assert np.all(np.any(bank.real_weights[:, :n_filters], axis=0))
+
+    def test_padded_from_is_the_first_batch_over_the_small_gemm_bound(
+        self, rng
+    ):
+        # 45 filters over 500 complex samples: 45,000 multiply-adds a
+        # shot, so 22 shots (990,000) still fit OpenBLAS's 100**3.
+        assert self._bank(rng, 45, 500).padded_from == 23
+        # Never a one-shot batch: numpy runs that as a matrix-vector
+        # product whatever its size.
+        assert self._bank(rng, 45, 12000).padded_from == 2
+
+    @pytest.mark.parametrize("n_shots", [1, 2, 16, 21, 22, 23, 255, 256, 300])
+    def test_scores_are_the_unpadded_product(self, rng, n_shots):
+        bank = self._bank(rng, 45, 500)
+        feed = (
+            rng.normal(size=(n_shots, 500)) + 1j * rng.normal(size=(n_shots, 500))
+        ).astype(np.complex64)
+        unpadded = np.ascontiguousarray(bank.real_weights[:, :45])
+        expected = feed.view(np.float32) @ unpadded
+        block = np.full((n_shots, 48), np.nan, dtype=np.float32)
+        got = bank.scores(feed, out=block)
+        assert got.shape == (n_shots, 45) and got.base is block
+        np.testing.assert_array_max_ulp(got, expected, maxulp=1)
+        np.testing.assert_array_max_ulp(bank.scores(feed), expected, maxulp=1)
+        if n_shots >= bank.padded_from:
+            assert not np.any(block[:, 45:])  # the GEMM filled the pad
+        else:
+            assert np.isnan(block[:, 45:]).all()  # the unpadded view ran
+
+    def test_ring_feature_blocks_have_the_padded_width(
+        self, fitted, tiny_corpus, monkeypatch
+    ):
+        """Plain and sanitizer rings alike: the pipeline sizes its ring
+        from ``engine.feature_width``, 18 features padded to 20."""
+        for armed in (False, True):
+            if armed:
+                monkeypatch.setenv(SANITIZE_FLAG, "1")
+            else:
+                monkeypatch.delenv(SANITIZE_FLAG, raising=False)
+            pipeline = ReadoutPipeline(
+                fitted, tiny_corpus.chip, PipelineConfig(batch_size=32)
+            )
+            pipeline.run(CorpusTraceSource(tiny_corpus, chunk_size=48))
+            engine, ring = pipeline._engine, pipeline._ring
+            assert isinstance(ring, GuardedBufferRing) is armed
+            assert (engine.n_features, engine.feature_width) == (18, 20)
+            assert ring.n_features == engine.feature_width
+            assert ring._lent_features.shape == (32, 20)
+            assert all(slot.features.shape == (32, 20) for slot in ring._slots)
 
 
 class TestFusedEngineInvariance:
@@ -499,10 +587,9 @@ class TestStackedHeads:
 
     @staticmethod
     def _allocating_pass(disc, x):
-        """The served pass as it was before ReLUs ran in place and levels
-        came from one ``argmax``: a fresh array per activation and the
-        running first-max rule (``>`` and ``putmask``), on the same
-        float32 stack."""
+        """The served pass as it was before ReLUs ran in place: a fresh
+        array per activation and the running first-max rule (``>`` and
+        ``putmask``), on the same float32 stack."""
         (n_heads, width), layers = disc._head_stack
         (weights, bias), *deeper = layers
         h = weights @ x.T
@@ -532,9 +619,9 @@ class TestStackedHeads:
     def test_serves_the_allocating_pass_bit_for_bit(
         self, disc, tiny_corpus, n_shots
     ):
-        """In-place ReLUs and the one-``argmax`` levels change no bit:
-        levels and the mean margin equal the allocating pass exactly (at
-        one shot numpy takes its matrix-vector path)."""
+        """In-place ReLUs change no bit: levels and the mean margin equal
+        the allocating pass exactly (at one shot numpy takes its
+        matrix-vector path)."""
         raw, _ = self._raw_and_scaled(disc, tiny_corpus, 300)
         for start in range(0, 300 - n_shots + 1, max(n_shots, 37)):
             x = np.ascontiguousarray(raw[start : start + n_shots], np.float32)
@@ -688,6 +775,27 @@ class TestBoundedLatencyStats:
         with pytest.raises(ConfigurationError):
             LatencyStats(window=0)
 
+    def test_record_batch_leaves_what_per_stage_records_leave(self):
+        """One ``record_batch`` per batch fills every stage's window,
+        count and totals as a checked ``LatencyStats.record`` per stage
+        does, in report order; no batch, no stages."""
+        rng = np.random.default_rng(5)
+        timings = StageTimings()
+        assert timings.ordered() == []
+        reference = {name: LatencyStats(name) for name in STAGE_ORDER}
+        for _ in range(50):
+            seconds = tuple(float(s) for s in rng.random(3) * 1e-3)
+            n_shots = int(rng.integers(1, 300))
+            timings.record_batch(seconds, n_shots)
+            for name, value in zip(STAGE_ORDER, seconds):
+                reference[name].record(value, n_shots)
+        assert [stats.name for stats in timings.ordered()] == list(STAGE_ORDER)
+        for name in STAGE_ORDER:
+            assert timings[name].summary() == reference[name].summary()
+            assert list(timings[name]._samples) == list(
+                reference[name]._samples
+            )
+
 
 class TestBufferRing:
     def test_slots_are_reused_round_robin(self):
@@ -768,7 +876,7 @@ class TestBufferRing:
         self, fitted, tiny_corpus
     ):
         engine = BatchDiscriminationEngine(fitted, tiny_corpus.chip)
-        ring = BufferRing(max_batch=16, n_features=engine.n_features)
+        ring = BufferRing(max_batch=16, n_features=engine.feature_width)
         corpus = tiny_corpus.subset(np.arange(64))
         blocks, levels = [], []
         for batch in self._aligned_batches(corpus.feedline, ring, size=16):
@@ -776,7 +884,8 @@ class TestBufferRing:
             assert out is not None and out.dtype == np.float32
             out.fill(np.nan)
             result = engine.process(batch.feedline, out_features=out)
-            assert np.isfinite(out).all()  # the engine scored into it
+            # The engine scored into its feature columns.
+            assert np.isfinite(out[:, : engine.n_features]).all()
             blocks.append(out)
             levels.append(result.levels)
         assert ring.acquired == 0
@@ -815,7 +924,7 @@ class TestBufferRing:
         joint are fresh arrays, not views of the reused ring slots."""
         chip = tiny_corpus.chip
         engine = BatchDiscriminationEngine(fitted, chip)
-        ring = BufferRing(max_batch=16, n_features=engine.n_features)
+        ring = BufferRing(max_batch=16, n_features=engine.feature_width)
         source = CorpusTraceSource(tiny_corpus, chunk_size=16)
         results = []
         slots = []
@@ -980,7 +1089,9 @@ class TestDecideCallBudget:
         feed = np.ascontiguousarray(tiny_corpus.feedline, dtype=np.complex64)
         counts = []
         for n_shots in (1, 16, 256):
-            ring = BufferRing(max_batch=n_shots, n_features=engine.n_features)
+            ring = BufferRing(
+                max_batch=n_shots, n_features=engine.feature_width
+            )
             batch = feed[:n_shots]
             ring.lend(batch)
             out = ring.paired_features(batch)
@@ -989,6 +1100,49 @@ class TestDecideCallBudget:
         assert counts[0] == counts[1] == counts[2], counts
         assert counts[0]["call"] <= self.PYTHON_CALLS, counts
         assert counts[0]["c_call"] <= self.C_CALLS, counts
+
+
+class TestRunnerCallBudget:
+    """The serving loop spends a fixed number of Python calls per batch.
+
+    Counted with ``sys.setprofile`` over whole :meth:`ReadoutPipeline
+    .run` calls of 10 and 20 sixteen-shot batches cut from 16-shot
+    chunks (the exact-fit hand-off ``paced-b16`` serves); the
+    difference over 10 is the per-batch count, free of per-run set-up.
+    ``call`` events are Python frames, generator resumptions included.
+    Set on CPython 3.11 with numpy 2.4.6, where 21 land per batch (26
+    while each stage's time took two calls); the budget leaves one call
+    of headroom. It holds the unarmed loop: the sanitizer ring's checks
+    are Python calls of their own.
+    """
+
+    PYTHON_CALLS = 22
+
+    def test_per_batch_python_calls(self, fitted, tiny_corpus, monkeypatch):
+        monkeypatch.delenv(SANITIZE_FLAG, raising=False)
+        pipeline = ReadoutPipeline(
+            fitted, tiny_corpus.chip, PipelineConfig(batch_size=16)
+        )
+
+        def calls(n_batches):
+            corpus = tiny_corpus.subset(np.arange(16 * n_batches))
+            source = CorpusTraceSource(corpus, chunk_size=16)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                pipeline.run(source)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        calls(1)  # builds the engine, its fused bank and the ring
+        per_batch = (calls(20) - calls(10)) / 10
+        assert per_batch <= self.PYTHON_CALLS, per_batch
 
 
 class TestPipelineEngineParity:
