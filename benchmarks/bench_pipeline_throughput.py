@@ -66,11 +66,14 @@ def _spec(shots, batch_size, registry_dir=None):
 
 
 def _stream_cold_and_warm(profile, n_shots=2000, batch_size=64):
-    """Cold (fit + stream) then warm (load + stream) runs, one registry."""
+    """Cold (fit + stream) then warm (load + stream) runs, one registry.
+
+    Returns the two runs' feedline reports.
+    """
     with tempfile.TemporaryDirectory() as registry_dir:
         spec = _spec(n_shots, batch_size, registry_dir)
-        cold = serve_once(spec, profile=profile)
-        warm = serve_once(spec, profile=profile)
+        cold = serve_once(spec, profile=profile).feedline_reports["feedline-0"]
+        warm = serve_once(spec, profile=profile).feedline_reports["feedline-0"]
     return cold, warm
 
 
@@ -104,7 +107,8 @@ def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
 
         fit_calls.clear()
         with ReadoutService(spec, profile=profile) as service:
-            reports = [service.run() for _ in range(repeat)]
+            for _ in range(repeat):
+                service.run()
             stats = service.stats
         refits_during_runs = len(fit_calls) - stats.cold_fits
     finally:
@@ -125,7 +129,7 @@ def _serve_warm_vs_cold(profile, shots=2000, repeat=2, batch_size=64):
             "refits_during_runs": refits_during_runs,
             "shots_per_second": stats.shots_per_second,
             "second_run_calibration_cached": (
-                reports[-1].calibration_cached if repeat > 1 else None
+                stats.runs[-1].calibration_cached if repeat > 1 else None
             ),
         },
     }

@@ -9,12 +9,14 @@ validated against the serving chip, every chunk file against its
 checksum, and the replayed run reproduces the recorded assignment
 counts exactly.
 
-The same round trip is available from the CLI::
+The same round trip runs from the CLI on the spec files beside this
+example: `record_spec.json` records 512 shots into `./corpus`, and
+`replay_spec.json` serves that corpus back::
 
-    PYTHONPATH=src python -m repro record --out corpus --shots 512 \
-        --qubits-per-feedline 2 --json record.json
-    PYTHONPATH=src python -m repro replay --corpus corpus \
-        --qubits-per-feedline 2 --json replay.json
+    PYTHONPATH=src python -m repro serve --spec examples/record_spec.json \
+        --json record.json
+    PYTHONPATH=src python -m repro serve --spec examples/replay_spec.json \
+        --json replay.json
 """
 
 from __future__ import annotations
@@ -73,9 +75,14 @@ def main() -> None:
             )
         )
 
-        print(f"recorded counts: {recorded.assignment_counts}")
-        print(f"replayed counts: {replayed.assignment_counts}")
-        match = replayed.assignment_counts == recorded.assignment_counts
+        # A session reports per feedline; this one serves feedline-0.
+        recorded_counts, replayed_counts = (
+            report.feedline_reports["feedline-0"].assignment_counts
+            for report in (recorded, replayed)
+        )
+        print(f"recorded counts: {recorded_counts}")
+        print(f"replayed counts: {replayed_counts}")
+        match = replayed_counts == recorded_counts
         print(f"bit-deterministic replay: {'yes' if match else 'NO'}")
 
 

@@ -25,10 +25,10 @@ from repro.serve import (
 
 
 def main() -> None:
-    # One frozen spec is the single source of truth: serve_once(spec)
-    # and the `repro pipeline` / `repro serve` CLI flags all take this
-    # same object. (Sections left out take defaults; ServeSpec.from_file
-    # loads the identical structure from JSON.)
+    # One frozen spec is the single source of truth: serve_once(spec),
+    # ReadoutService and `repro serve --spec` all take this same object.
+    # (Sections left out take defaults; ServeSpec.from_file loads the
+    # identical structure from JSON.)
     spec = ServeSpec(
         traffic=TrafficSpec(shots=200, chunk_size=50),
         cluster=ClusterSpec(qubits_per_feedline=2),

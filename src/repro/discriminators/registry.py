@@ -9,7 +9,7 @@ registry:
 - :func:`register` is a class decorator that publishes a discriminator
   under a design name (plus optional aliases) for everything that selects
   designs by string: ``experiments.common.get_trained``, the pipeline's
-  calibration factory, and CLI/bench ``--design`` choices.
+  calibration factory, and a serving spec's ``calibration.design``.
 - Each registered class provides a ``from_profile(profile)`` classmethod
   mapping a sizing :class:`~repro.config.Profile` to a ready-to-fit
   instance (training budget, learning rate, derived seed).

@@ -27,9 +27,5 @@ class ShapeError(ReproError, ValueError):
     """An array argument has an incompatible shape."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative algorithm failed to converge within its budget."""
-
-
 class ShardCrashedError(ReproError, RuntimeError):
     """A process shard died or its pipe broke in the middle of a call."""

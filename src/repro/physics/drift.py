@@ -144,7 +144,7 @@ class DriftModel:
         return cls(**data)
 
 
-#: Canned drift used by the ``repro serve --drift-demo`` flag and the
+#: Canned drift of ``examples/serve_spec_drift_demo.json`` and the
 #: drift-recalibration benchmark: strong enough that accuracy visibly
 #: degrades within a few hundred shots, mild enough that a single
 #: recalibration fully recovers it.

@@ -14,7 +14,8 @@ share one feature front-end) and ``"q<i>"`` for genuinely per-qubit
 artifacts. ``version`` (default 0) numbers recalibrations of the same
 logical artifact: hot recalibration fits version N+1 while version N
 keeps serving, then atomically swaps — the fit-once contract holds *per
-version* (see :meth:`CalibrationRegistry.supersede`).
+version*, and a stored version is never rewritten (recalibration picks
+the next one through :meth:`CalibrationRegistry.latest_version`).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _artifact_file_lock(artifact_path: Path) -> Iterator[bool]:
     first process fits while the rest block, then re-check the (now
     stored) artifact and load it instead.
 
-    Because ``invalidate``/``prune`` may unlink a sidecar while a fit
+    Because ``prune`` may unlink a sidecar while a fit
     holds it, acquisition re-checks after locking that the path still
     names the locked inode — a lock won on an unlinked or replaced file
     would not exclude the next opener — and retries on a fresh file
@@ -173,7 +174,7 @@ def _artifact_file_lock(artifact_path: Path) -> Iterator[bool]:
 def _unlink_lock_sidecar(artifact_path: Path) -> None:
     """Remove an artifact's lock sidecar — unless a cold fit holds it.
 
-    ``invalidate``/``prune`` used to unlink sidecars unconditionally.
+    ``prune`` used to unlink sidecars unconditionally.
     That defeats the cross-process fit dedup: a fitter holds the flock
     on inode X, the prune unlinks the path, and the next cold caller
     opens a *fresh* sidecar inode it can lock immediately — two
@@ -358,20 +359,6 @@ class CalibrationRegistry:
             raise DataError(f"no calibration artifact for {key}")
         return Discriminator.load_artifacts(path)
 
-    def invalidate(self, key: CalibrationKey) -> bool:
-        """Drop one stored artifact; returns whether it existed.
-
-        The artifact file always goes; its lock sidecar is removed only
-        when no cold fit currently holds it (see
-        :func:`_unlink_lock_sidecar`).
-        """
-        path = self.path_for(key)
-        _unlink_lock_sidecar(path)
-        if path.is_file():
-            path.unlink()
-            return True
-        return False
-
     def latest_version(self, key: CalibrationKey) -> int | None:
         """Highest stored version of ``key``'s logical artifact.
 
@@ -385,24 +372,6 @@ class CalibrationRegistry:
             == (key.device, key.profile, key.qubit)
         ]
         return max(versions) if versions else None
-
-    def supersede(
-        self, key: CalibrationKey, discriminator: Discriminator
-    ) -> CalibrationKey:
-        """Store a recalibrated artifact as the next version of ``key``.
-
-        The new artifact lands atomically at ``max(stored, key) + 1``
-        while every existing version stays on disk and keeps serving —
-        swapping a live session to the returned key is the caller's
-        (atomic) pointer update, so no reader ever observes a partial
-        recalibration. Fit-once is preserved per version: old versions
-        are never rewritten.
-        """
-        latest = self.latest_version(key)
-        next_version = max(key.version, -1 if latest is None else latest) + 1
-        new_key = key.with_version(next_version)
-        self.save(new_key, discriminator)
-        return new_key
 
     def prune(
         self,

@@ -301,8 +301,9 @@ def _device_slug(device: str, chip: ChipConfig) -> str:
 
 
 def _profile_slug(profile: Profile, design: str = DEFAULT_DESIGN) -> str:
-    """Registry profile slug: name plus seed, so ``--seed`` overrides
-    calibrate freshly instead of hitting the base-seed artifact.
+    """Registry profile slug: name plus seed, so a seed override
+    (``calibration.seed``) calibrates freshly instead of hitting the
+    base-seed artifact.
 
     Non-default designs are baked into the slug too — otherwise a warm
     registry would silently serve whichever design was stored first.

@@ -7,8 +7,8 @@ paper's *persistent* datapath explicit:
   JSON round-trip-stable configuration layer (:class:`TrafficSpec` /
   :class:`ClusterSpec` / :class:`BatchingSpec` / :class:`CalibrationSpec`
   / :class:`DriftSpec` / :class:`RecalibrationSpec`) with exhaustive
-  all-errors-at-once validation. Every other configuration surface
-  (``PipelineConfig``, ``repro pipeline`` flags) is derived from it.
+  all-errors-at-once validation. The per-feedline ``PipelineConfig``
+  is derived from it, and ``repro serve`` loads it from a JSON file.
 - :mod:`repro.serve.service` — :class:`ReadoutService`, the long-lived
   session: ``warm()`` once (pre-fit/load all discriminators in the
   feedline workers that keep them, forking the process shards), then
@@ -18,9 +18,12 @@ paper's *persistent* datapath explicit:
   service hot-swaps the next artifact version without dropping the
   session — accumulating cumulative :class:`ServiceStats`.
   :func:`serve_once` is the one turnkey entry point: warm, run once,
-  tear down.
+  tear down. Every run returns a
+  :class:`~repro.pipeline.cluster.ClusterReport`, one feedline or many.
 
-CLI: ``repro serve --spec spec.json [--shots N] [--repeat K] [--json]``.
+CLI: ``repro serve --spec spec.json [--shots N] [--seed S] [--repeat K]
+[--json PATH]`` is the one serving command; recording and replay are
+``traffic.record_path`` and ``traffic.backend = "replay"`` in the spec.
 """
 
 from repro.serve.service import (

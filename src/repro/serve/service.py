@@ -51,30 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         FeedlineSpec,
         MultiFeedlineRunner,
     )
-    from repro.pipeline.metrics import PipelineReport
     from repro.pipeline.shm import SharedTraceBlock
 
 __all__ = ["ReadoutService", "RunStats", "ServiceStats", "serve_once"]
-
-
-def _report_calibration_cached(report) -> bool | None:
-    """Whether a run served warm calibration on every feedline.
-
-    ``PipelineReport`` carries the flag directly; a ``ClusterReport``
-    aggregates its feedlines (``None`` when no feedline reports one).
-    """
-    cached = getattr(report, "calibration_cached", None)
-    if cached is not None:
-        return bool(cached)
-    feedlines = getattr(report, "feedline_reports", None)
-    if not feedlines:
-        return None
-    flags = [
-        r.calibration_cached
-        for r in feedlines.values()
-        if r.calibration_cached is not None
-    ]
-    return all(flags) if flags else None
 
 
 @dataclass(frozen=True)
@@ -157,21 +136,18 @@ class ServiceStats:
 
     def record(
         self,
-        report,
+        report: "ClusterReport",
         wall_seconds: float,
-        calibration_cached: bool | None = None,
+        calibration_cached: bool | None,
         recalibrated: bool = False,
     ) -> RunStats:
         """Fold one run's report into the cumulative stats.
 
-        ``calibration_cached`` overrides the flag derived from the
-        report — :class:`ReadoutService` passes its session-cycle view
-        (did *this cycle* pay cold fits before this run).
-        ``recalibrated`` marks a run whose drift alarm triggered a hot
-        recalibration after it completed.
+        ``calibration_cached`` is the session-cycle view
+        :class:`ReadoutService` keeps (did *this cycle* pay cold fits
+        before this run). ``recalibrated`` marks a run whose drift alarm
+        triggered a hot recalibration after it completed.
         """
-        if calibration_cached is None:
-            calibration_cached = _report_calibration_cached(report)
         run = RunStats(
             index=len(self.runs),
             n_shots=report.n_shots,
@@ -181,8 +157,8 @@ class ServiceStats:
             ),
             accuracy=report.accuracy,
             calibration_cached=calibration_cached,
-            drift_score=getattr(report, "drift_score", None),
-            drift_alarm=getattr(report, "drift_alarm", None),
+            drift_score=report.drift_score,
+            drift_alarm=report.drift_alarm,
             recalibrated=recalibrated,
         )
         self.runs.append(run)
@@ -537,16 +513,18 @@ class ReadoutService:
 
     def run(
         self, shots: int | None = None, seed: int | None = None
-    ) -> "PipelineReport | ClusterReport":
+    ) -> "ClusterReport":
         """Serve one run of traffic against the warm state.
 
         Each feedline worker serves on the pipeline it keeps for the
         served artifact version; the run sends it only the traffic and
-        the version. Returns the feedline's :class:`PipelineReport` on a
-        one-feedline session, and a :class:`ClusterReport` on more
-        feedlines. A failed run closes the session (a dead process shard
-        raises :class:`~repro.exceptions.ShardCrashedError`); the next
-        run re-warms.
+        the version. Returns the runner's :class:`ClusterReport`, one
+        feedline or many: each feedline's
+        :class:`~repro.pipeline.metrics.PipelineReport` is in its
+        ``feedline_reports`` (``"feedline-0"`` on one feedline). A failed
+        run closes the session (a dead process shard raises
+        :class:`~repro.exceptions.ShardCrashedError`); the next run
+        re-warms.
 
         Parameters
         ----------
@@ -608,11 +586,7 @@ class ReadoutService:
             self._session_shots += max(r.n_shots for r in feedline_reports)
             if self._runs_since_recal is not None:
                 self._runs_since_recal += 1
-            # A one-feedline session answers with its feedline's report.
-            report = cluster
-            if cluster.n_feedlines == 1:
-                (report,) = feedline_reports
-            recalibrated = self._maybe_recalibrate(report, drift_model)
+            recalibrated = self._maybe_recalibrate(cluster, drift_model)
         except BaseException:
             # An exception escaping mid-run (a worker's error, or a
             # ShardCrashedError for a dead one) must not leak the shard
@@ -622,17 +596,17 @@ class ReadoutService:
             self.close()
             raise
         self.stats.record(
-            report, wall, calibration_cached=cycle_cached,
+            cluster, wall, calibration_cached=cycle_cached,
             recalibrated=recalibrated,
         )
-        return report
+        return cluster
 
     # -- hot recalibration ---------------------------------------------
 
-    def _recalibration_due(self, report) -> bool:
+    def _recalibration_due(self, report: "ClusterReport") -> bool:
         """Whether this run's drift alarm should trigger a refit now."""
         recal = self.spec.recalibration
-        if not recal.enabled or not getattr(report, "drift_alarm", False):
+        if not recal.enabled or not report.drift_alarm:
             return False
         if (
             recal.max_recalibrations is not None
@@ -660,7 +634,7 @@ class ReadoutService:
             profile = dataclasses.replace(profile, shots_per_state=budget)
         return profile
 
-    def _maybe_recalibrate(self, report, drift_model) -> bool:
+    def _maybe_recalibrate(self, report: "ClusterReport", drift_model) -> bool:
         """Refit against the drifted device when the alarm demands it.
 
         Runs *between* serving runs on the session's own state — the
@@ -729,14 +703,14 @@ class ReadoutService:
 
 def serve_once(
     spec: ServeSpec, *, profile: Profile | None = None
-) -> "PipelineReport | ClusterReport":
+) -> "ClusterReport":
     """One-shot serving: warm a session, run once, tear it down.
 
-    The turnkey entry point (``repro pipeline``, ``record`` and
-    ``replay`` stand on it): the same datapath as a long-lived
-    :class:`ReadoutService`, scoped to a single run. The spec carries
-    everything the run needs (``spec.with_traffic`` changes the shots or
-    seed); ``profile`` is the same ad-hoc sizing override
+    The turnkey entry point: the same datapath as a long-lived
+    :class:`ReadoutService`, scoped to a single run, and the same
+    :class:`ClusterReport` back. The spec carries everything the run
+    needs (``spec.with_traffic`` changes the shots or seed);
+    ``profile`` is the same ad-hoc sizing override
     :class:`ReadoutService` takes.
     """
     with ReadoutService(spec, profile=profile) as service:

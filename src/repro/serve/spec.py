@@ -1,9 +1,9 @@
 """Declarative serving configuration: one spec, every front end.
 
 :class:`ServeSpec` is the one frozen, composable source of truth for a
-serving session: the ``repro pipeline`` flags, ``repro serve`` spec
-files and the per-feedline :class:`repro.pipeline.PipelineConfig` all
-derive from it. Its sections:
+serving session: ``repro serve`` spec files load into it and the
+per-feedline :class:`repro.pipeline.PipelineConfig` derives from it.
+Its sections:
 
 - :class:`TrafficSpec` — what is streamed (shots per run, source
   chunking, traffic seed) and which instrument backend it comes from
@@ -452,10 +452,9 @@ class ServeSpec:
 
     Aggregates :class:`TrafficSpec`, :class:`ClusterSpec`,
     :class:`BatchingSpec`, :class:`CalibrationSpec`, :class:`DriftSpec`
-    and :class:`RecalibrationSpec`; every front end (``repro pipeline``
-    flags, ``repro serve --spec``, :func:`repro.serve.serve_once`) is
-    derived from this object. Frozen, fully validated on construction,
-    JSON round-trip stable.
+    and :class:`RecalibrationSpec`; both front ends (``repro serve
+    --spec`` and :func:`repro.serve.serve_once`) take this object.
+    Frozen, fully validated on construction, JSON round-trip stable.
     """
 
     traffic: TrafficSpec = field(default_factory=TrafficSpec)

@@ -377,8 +377,8 @@ class TestRunPipelineApi:
             qudit_shots=10, spectral_max_points=100, seed=611,
         )
 
-    def test_single_feedline_returns_pipeline_report(self):
-        from repro.pipeline import PipelineReport
+    def test_single_feedline_returns_cluster_report(self):
+        from repro.pipeline import ClusterReport
         from repro.serve import (
             BatchingSpec, ClusterSpec, ServeSpec, TrafficSpec, serve_once,
         )
@@ -389,8 +389,10 @@ class TestRunPipelineApi:
             batching=BatchingSpec(batch_size=20),
         )
         report = serve_once(spec, profile=self._tiny_profile())
-        assert isinstance(report, PipelineReport)
+        assert isinstance(report, ClusterReport)
+        assert report.n_feedlines == 1
         assert report.n_shots == 40
+        assert report.feedline_reports["feedline-0"].n_shots == 40
 
     def test_multi_feedline_returns_cluster_report(self):
         from repro.pipeline import ClusterReport

@@ -683,7 +683,8 @@ class TestServiceIntegration:
 
     @pytest.fixture(scope="class")
     def service_recording(self, tmp_path_factory):
-        """serve_once with a recording tee: (corpus_path, report)."""
+        """serve_once with a recording tee: (corpus_path, feedline-0's
+        report, registry)."""
         root = tmp_path_factory.mktemp("service-recording")
         corpus_path = root / "corpus"
         spec = ServeSpec(
@@ -697,7 +698,8 @@ class TestServiceIntegration:
             ),
         )
         report = serve_once(spec, profile=tiny_profile())
-        return corpus_path, report, root / "registry"
+        feedline = report.feedline_reports["feedline-0"]
+        return corpus_path, feedline, root / "registry"
 
     def test_recording_session_persists_a_loadable_corpus(
         self, service_recording
@@ -723,6 +725,7 @@ class TestServiceIntegration:
             calibration=CalibrationSpec(registry_dir=str(registry)),
         )
         replayed = serve_once(spec, profile=tiny_profile())
+        replayed = replayed.feedline_reports["feedline-0"]
         assert replayed.assignment_counts == recorded_report.assignment_counts
         assert replayed.accuracy == recorded_report.accuracy
 
@@ -740,8 +743,8 @@ class TestServiceIntegration:
             calibration=CalibrationSpec(registry_dir=str(registry)),
         )
         with ReadoutService(spec, profile=tiny_profile()) as service:
-            first = service.run()
-            second = service.run()
+            first = service.run().feedline_reports["feedline-0"]
+            second = service.run().feedline_reports["feedline-0"]
             assert service.stats.cold_fits == 0
             assert service.backend is not None
             assert service.backend.name == "replay"
@@ -779,7 +782,8 @@ class TestServiceIntegration:
             feeder.join(timeout=10)
         assert report.n_shots == 40
         assert (
-            report.assignment_counts == recorded_report.assignment_counts
+            report.feedline_reports["feedline-0"].assignment_counts
+            == recorded_report.assignment_counts
         )
 
     def test_dummy_backend_serves_chance_level_traffic(self, tmp_path):

@@ -410,26 +410,12 @@ class TestRegistryVersioning:
             key, lambda: MLRDiscriminator(epochs=4, seed=9), tiny_corpus
         )
         assert registry.latest_version(key) == 0
-        first = registry.supersede(key, fitted)
-        second = registry.supersede(key, fitted)
-        assert (first.version, second.version) == (1, 2)
+        first, second = key.with_version(1), key.with_version(2)
+        registry.save(first, fitted)
+        registry.save(second, fitted)
         assert registry.latest_version(key) == 2
         assert set(registry.keys()) == {key, first, second}
         assert key in registry and first in registry and second in registry
-
-    def test_supersede_never_rewrites_served_versions(
-        self, tmp_path, tiny_corpus
-    ):
-        from repro.discriminators.mlr import MLRDiscriminator
-
-        registry = CalibrationRegistry(tmp_path)
-        key = CalibrationKey("dev", "all", "tiny")
-        fitted, _ = registry.get_or_fit(
-            key, lambda: MLRDiscriminator(epochs=4, seed=9), tiny_corpus
-        )
-        before = registry.path_for(key).read_bytes()
-        registry.supersede(key, fitted)
-        assert registry.path_for(key).read_bytes() == before
 
     def test_fit_once_holds_per_version(self, tmp_path, tiny_corpus):
         from repro.discriminators.mlr import MLRDiscriminator
@@ -854,95 +840,3 @@ class TestDriftServiceMechanics:
             assert service.session_shots == 60, "re-warm restarts the clock"
         finally:
             service.close()
-
-
-class TestServeCliDriftFlags:
-    @pytest.fixture()
-    def spec_file(self, tmp_path):
-        spec = ServeSpec(
-            traffic=TrafficSpec(shots=60, chunk_size=30),
-            cluster=ClusterSpec(qubits_per_feedline=2),
-            batching=BatchingSpec(batch_size=30),
-            calibration=CalibrationSpec(
-                registry_dir=str(tmp_path / "registry")
-            ),
-        )
-        return str(spec.to_file(tmp_path / "spec.json"))
-
-    def test_drift_demo_flag_enables_injection_and_recal(
-        self, capsys, tmp_path, spec_file
-    ):
-        import repro.cli as cli
-
-        out_path = tmp_path / "session.json"
-        code = cli.main([
-            "serve", "--spec", spec_file, "--repeat", "2",
-            "--drift-demo", "--json", str(out_path),
-        ])
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["spec"]["drift"] == DEMO_DRIFT.to_dict()
-        assert payload["spec"]["recalibration"]["enabled"] is True
-        assert all(
-            run["drift_score"] is not None
-            for run in payload["service"]["runs"]
-        )
-
-    def test_individual_drift_flags_override_the_spec(
-        self, capsys, tmp_path, spec_file
-    ):
-        import repro.cli as cli
-
-        out_path = tmp_path / "session.json"
-        code = cli.main([
-            "serve", "--spec", spec_file,
-            "--drift-if-detune", "1e-4",
-            "--drift-threshold", "0.5",
-            "--json", str(out_path),
-        ])
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["spec"]["drift"]["if_detune_ghz_per_kshot"] == 1e-4
-        assert payload["spec"]["recalibration"]["threshold"] == 0.5
-        assert payload["spec"]["recalibration"]["enabled"] is False
-
-    def test_drift_no_recal_keeps_recovery_off(
-        self, capsys, tmp_path, spec_file
-    ):
-        import repro.cli as cli
-
-        out_path = tmp_path / "session.json"
-        code = cli.main([
-            "serve", "--spec", spec_file, "--drift-demo",
-            "--drift-no-recal", "--json", str(out_path),
-        ])
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["spec"]["recalibration"]["enabled"] is False
-
-    def test_drift_no_recal_overrides_a_spec_that_enables_it(
-        self, capsys, tmp_path
-    ):
-        # Regression: the flag used to merely skip *enabling* — a spec
-        # with recalibration already on silently recalibrated anyway.
-        import repro.cli as cli
-
-        spec = ServeSpec(
-            traffic=TrafficSpec(shots=60, chunk_size=30),
-            cluster=ClusterSpec(qubits_per_feedline=2),
-            batching=BatchingSpec(batch_size=30),
-            calibration=CalibrationSpec(
-                registry_dir=str(tmp_path / "registry")
-            ),
-            recalibration=RecalibrationSpec(enabled=True),
-        )
-        spec_file = str(spec.to_file(tmp_path / "spec.json"))
-        out_path = tmp_path / "session.json"
-        code = cli.main([
-            "serve", "--spec", spec_file, "--drift-no-recal",
-            "--json", str(out_path),
-        ])
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["spec"]["recalibration"]["enabled"] is False
-        assert payload["service"]["recalibrations"] == 0

@@ -141,18 +141,18 @@ class TestReportAndCLI:
     def test_cli_runs_fast_experiment(self, capsys):
         from repro.cli import main
 
-        assert main(["sec7b", "--profile", "quick"]) == 0
+        assert main(["run", "sec7b", "--profile", "quick"]) == 0
         out = capsys.readouterr().out
         assert "17" in out
 
     def test_cli_rejects_unknown_experiment(self, capsys):
         from repro.cli import main
 
-        assert main(["table99"]) == 2
+        assert main(["run", "table99"]) == 2
 
     def test_cli_rejects_unknown_profile(self):
         from repro.cli import main
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            main(["sec7b", "--profile", "mega"])
+            main(["run", "sec7b", "--profile", "mega"])

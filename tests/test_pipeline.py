@@ -265,7 +265,7 @@ class TestCalibrationRegistry:
         with pytest.raises(ConfigurationError):
             CalibrationKey(device="dev", profile="")
 
-    def test_save_load_contains_invalidate(self, tmp_path, pipeline_mlr, tiny_corpus):
+    def test_save_load_contains(self, tmp_path, pipeline_mlr, tiny_corpus):
         registry = CalibrationRegistry(tmp_path)
         key = CalibrationKey("chip-a", "all", "tiny")
         assert key not in registry
@@ -276,9 +276,6 @@ class TestCalibrationRegistry:
         assert np.array_equal(
             loaded.predict(tiny_corpus), pipeline_mlr.predict(tiny_corpus)
         )
-        assert registry.invalidate(key)
-        assert key not in registry
-        assert not registry.invalidate(key)
 
     def test_load_missing_key_raises(self, tmp_path):
         with pytest.raises(DataError):

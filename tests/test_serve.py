@@ -36,7 +36,6 @@ from repro.serve import (
     TrafficSpec,
     serve_once,
 )
-from repro.serve.service import _report_calibration_cached
 
 
 def tiny_profile(**overrides) -> Profile:
@@ -55,6 +54,11 @@ def tiny_profile(**overrides) -> Profile:
     )
     params.update(overrides)
     return Profile(**params)
+
+
+def feedline_0(report: ClusterReport) -> PipelineReport:
+    """The first feedline's report: all of a one-feedline session."""
+    return report.feedline_reports["feedline-0"]
 
 
 def tiny_spec(**calibration) -> ServeSpec:
@@ -342,9 +346,9 @@ class TestReadoutServiceWarmReuse:
         monkeypatch.setattr(MLRDiscriminator, "fit", counting_fit)
         spec = tiny_spec(registry_dir=str(tmp_path / "registry"))
         with ReadoutService(spec, profile=tiny_profile()) as service:
-            first = service.run()
+            first = feedline_0(service.run())
             assert len(fits) == 1, "warm-up performs the one cold fit"
-            second = service.run()
+            second = feedline_0(service.run())
         assert len(fits) == 1, "a warmed service must never refit"
         assert first.calibration_cached is False
         assert second.calibration_cached is True
@@ -407,7 +411,7 @@ class TestReadoutServiceWarmReuse:
             report = service.run()
         assert len(fits) == 1, "second session loads the stored artifact"
         assert service.stats.cold_fits == 0
-        assert report.calibration_cached is True
+        assert feedline_0(report).calibration_cached is True
 
     def test_session_private_registry_created_and_cleaned(self):
         spec = ServeSpec(
@@ -483,10 +487,10 @@ class TestReadoutServiceWarmReuse:
         # run counts from earlier cycles must not mask it.
         spec = tiny_spec()
         service = ReadoutService(spec, profile=tiny_profile())
-        assert service.run().calibration_cached is False
+        assert feedline_0(service.run()).calibration_cached is False
         service.close()
-        assert service.run().calibration_cached is False
-        assert service.run().calibration_cached is True
+        assert feedline_0(service.run()).calibration_cached is False
+        assert feedline_0(service.run()).calibration_cached is True
         service.close()
         assert service.stats.cold_fits == 2, "cumulative across cycles"
 
@@ -528,30 +532,63 @@ class TestReadoutServiceWarmReuse:
             )
 
         with ReadoutService(spec(1), profile=tiny_profile()) as service:
-            alone = service.run()
+            alone = feedline_0(service.run())
         with ReadoutService(spec(2), profile=tiny_profile()) as service:
-            member = service.run().feedline_reports["feedline-0"]
+            member = feedline_0(service.run())
         assert alone.assignment_counts == member.assignment_counts
         assert alone.accuracy == member.accuracy
 
+    @pytest.mark.parametrize("feedlines", [1, 2])
+    def test_run_returns_a_cluster_report(self, feedlines):
+        spec = ServeSpec(
+            traffic=TrafficSpec(shots=30, chunk_size=15),
+            cluster=ClusterSpec(
+                feedlines=feedlines, executor="serial", qubits_per_feedline=2
+            ),
+            batching=BatchingSpec(batch_size=15),
+        )
+        with ReadoutService(spec, profile=tiny_profile()) as service:
+            report = service.run()
+            run = service.stats.runs[-1]
+        # One shape out: a one-feedline session is a one-feedline cluster.
+        assert isinstance(report, ClusterReport)
+        names = [f"feedline-{i}" for i in range(feedlines)]
+        assert list(report.feedline_reports) == names
+        assert report.n_shots == 30 * feedlines
+        payload = report.to_dict()
+        assert list(payload["feedlines"]) == names
+        # The session digest reads the cluster's aggregate fields.
+        assert (run.n_shots, run.accuracy) == (report.n_shots, report.accuracy)
+        assert (run.drift_score, run.drift_alarm) == (
+            report.drift_score, report.drift_alarm
+        )
 
-def _fake_report(n_shots, wall, accuracy=None, cached=None):
-    return PipelineReport(
+
+def _fake_report(n_shots, wall, **feedline_fields):
+    """A one-feedline run's report, as ReadoutService.run returns it."""
+    feedline = PipelineReport(
         n_shots=n_shots,
         n_batches=1,
         wall_seconds=wall,
         shots_per_second=n_shots / wall,
         stage_summaries={},
-        accuracy=accuracy,
-        calibration_cached=cached,
+        **feedline_fields,
+    )
+    return ClusterReport(
+        executor="serial",
+        workers=1,
+        n_shots=n_shots,
+        wall_seconds=wall,
+        shots_per_second=n_shots / wall,
+        feedline_reports={"feedline-0": feedline},
     )
 
 
 class TestServiceStats:
     def test_cumulative_math(self):
         stats = ServiceStats()
-        stats.record(_fake_report(100, 0.5, accuracy=0.9, cached=False), 2.0)
-        stats.record(_fake_report(300, 0.5, accuracy=0.8, cached=True), 3.0)
+        stats.record(_fake_report(100, 0.5, accuracy=0.9), 2.0, False)
+        stats.record(_fake_report(300, 0.5, accuracy=0.8), 3.0, True)
         assert stats.n_runs == 2
         assert stats.total_shots == 400
         assert stats.total_run_seconds == pytest.approx(5.0)
@@ -571,7 +608,7 @@ class TestServiceStats:
         # perf_counter tick. Rates must degrade to 0.0, never to
         # Infinity (which is not strict JSON) or ZeroDivisionError.
         stats = ServiceStats()
-        run = stats.record(_fake_report(100, 1.0), 0.0)
+        run = stats.record(_fake_report(100, 1.0), 0.0, None)
         assert run.shots_per_second == 0.0
         payload = json.dumps(stats.to_dict(), allow_nan=False)
         assert "Infinity" not in payload
@@ -595,7 +632,7 @@ class TestServiceStats:
 
     def test_to_dict_schema(self):
         stats = ServiceStats(warm_seconds=1.5, cold_fits=2)
-        stats.record(_fake_report(10, 0.1), 0.2)
+        stats.record(_fake_report(10, 0.1), 0.2, None)
         payload = json.loads(json.dumps(stats.to_dict()))
         assert payload["warm_seconds"] == 1.5
         assert payload["cold_fits"] == 2
@@ -605,29 +642,11 @@ class TestServiceStats:
 
     def test_format_table_mentions_warmup_and_cumulative(self):
         stats = ServiceStats(warm_seconds=0.5, cold_fits=1)
-        stats.record(_fake_report(10, 0.1, cached=True), 0.2)
+        stats.record(_fake_report(10, 0.1), 0.2, True)
         text = stats.format_table()
         assert "readout service" in text
         assert "warm-up" in text
         assert "cumulative" in text
-
-    def test_cluster_cached_aggregation(self):
-        def cluster(flags):
-            return ClusterReport(
-                executor="serial",
-                workers=1,
-                n_shots=10,
-                wall_seconds=1.0,
-                shots_per_second=10.0,
-                feedline_reports={
-                    f"f{i}": _fake_report(5, 0.1, cached=flag)
-                    for i, flag in enumerate(flags)
-                },
-            )
-
-        assert _report_calibration_cached(cluster([True, True])) is True
-        assert _report_calibration_cached(cluster([True, False])) is False
-        assert _report_calibration_cached(cluster([None, None])) is None
 
 
 class TestServeCli:
@@ -662,15 +681,17 @@ class TestServeCli:
         assert payload["service"]["total_shots"] == 120
         assert payload["service"]["shots_per_second"] > 0
         assert len(payload["runs"]) == 2
-        assert payload["runs"][1]["calibration_cached"] is True
+        # Every run is a ClusterReport record, one feedline here.
+        feedlines = [run["feedlines"]["feedline-0"] for run in payload["runs"]]
+        assert feedlines[1]["calibration_cached"] is True
         # Fresh registry: cold fit attributed to run 0, warm thereafter.
         assert [
             r["calibration_cached"] for r in payload["service"]["runs"]
         ] == [False, True]
         # Same spec'd traffic served twice: identical discrimination.
         assert (
-            payload["runs"][0]["assignment_counts"]
-            == payload["runs"][1]["assignment_counts"]
+            feedlines[0]["assignment_counts"]
+            == feedlines[1]["assignment_counts"]
         )
 
     def test_serve_shots_override(self, capsys, tmp_path, spec_file):
@@ -704,10 +725,11 @@ class TestServeCli:
         # with the same seed write the same spec and serve the same
         # traffic.
         assert by_flag["spec"] == by_file["spec"] == seeded.to_dict()
-        assert (
-            by_flag["runs"][0]["assignment_counts"]
-            == by_file["runs"][0]["assignment_counts"]
+        by_flag_counts, by_file_counts = (
+            record["runs"][0]["feedlines"]["feedline-0"]["assignment_counts"]
+            for record in (by_flag, by_file)
         )
+        assert by_flag_counts == by_file_counts
 
     def test_serve_requires_spec_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -717,6 +739,11 @@ class TestServeCli:
     def test_serve_rejects_bad_repeat(self, spec_file):
         with pytest.raises(ConfigurationError, match="repeat"):
             cli.main(["serve", "--spec", spec_file, "--repeat", "0"])
+
+    def test_serve_rejects_bad_shots_override(self, spec_file):
+        # The override folds into the spec, whose validation names it.
+        with pytest.raises(ConfigurationError, match="shots"):
+            cli.main(["serve", "--spec", spec_file, "--shots", "0"])
 
     def test_serve_reports_every_spec_problem(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -733,30 +760,6 @@ class TestServeCli:
                 "cluster.executor must be one of: serial, process; "
                 f"got {executor!r}"
             ) in message
-
-    def test_legacy_positional_form_forwards_seed(
-        self, capsys, tmp_path, spec_file
-    ):
-        # `repro --seed N serve ...` must reach serve's traffic seed,
-        # exactly like the explicit `repro serve --seed N` form.
-        paths = {name: tmp_path / f"{name}.json" for name in "abc"}
-        assert cli.main(
-            ["--seed", "12345", "serve", "--spec", spec_file,
-             "--json", str(paths["a"])]
-        ) == 0
-        assert cli.main(
-            ["serve", "--spec", spec_file, "--seed", "12345",
-             "--json", str(paths["b"])]
-        ) == 0
-        assert cli.main(
-            ["serve", "--spec", spec_file, "--json", str(paths["c"])]
-        ) == 0
-        counts = {
-            name: json.loads(path.read_text())["runs"][0]["assignment_counts"]
-            for name, path in paths.items()
-        }
-        assert counts["a"] == counts["b"], "legacy form must forward --seed"
-        assert counts["a"] != counts["c"], "seed must change the traffic"
 
     def test_serve_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -789,7 +792,7 @@ class TestCrossProcessFitLock:
         artifact = tmp_path / "dev" / "prof" / "all.npz"
         with _artifact_file_lock(artifact) as locked:
             assert locked is True
-            # prune/invalidate racing the fit: sidecar disappears.
+            # prune racing the fit: sidecar disappears.
             artifact.with_name("all.npz.lock").unlink()
             with _artifact_file_lock(artifact) as relocked:
                 assert relocked is True  # fresh inode, no deadlock
@@ -839,7 +842,7 @@ class TestCrossProcessFitLock:
         # Regression: prune used to unlink a sidecar a cold fitter was
         # holding, letting the next cold caller lock a *fresh* inode
         # and fit the same key concurrently. A held sidecar must
-        # survive prune/invalidate; an unheld one must still go.
+        # survive prune; an unheld one must still go.
         from repro.pipeline.registry import _artifact_file_lock
 
         registry = CalibrationRegistry(tmp_path)
@@ -854,8 +857,6 @@ class TestCrossProcessFitLock:
             assert report.removed == (key,)
             assert not registry.path_for(key).exists(), "artifact pruned"
             assert lock_path.is_file(), "held sidecar must survive prune"
-            registry.invalidate(key)
-            assert lock_path.is_file(), "held sidecar survives invalidate"
         # Released: the next prune really cleans up.
         registry.prune(max_bytes=0)
         assert not lock_path.exists()
@@ -917,11 +918,11 @@ class TestCrossProcessFitLock:
         # clean their sidecars exactly like version 0.
         registry = CalibrationRegistry(tmp_path)
         key = CalibrationKey("chip-versions", "all", "tiny")
-        fitted, _ = registry.get_or_fit(
-            key, lambda: MLRDiscriminator(epochs=4, seed=9), tiny_corpus
-        )
-        new_key = registry.supersede(key, fitted)
-        assert new_key.version == 1
+        new_key = key.with_version(1)
+        for stored in (key, new_key):
+            registry.get_or_fit(
+                stored, lambda: MLRDiscriminator(epochs=4, seed=9), tiny_corpus
+            )
         assert registry.path_for(new_key).name == "all.v1.npz"
         assert set(registry.keys()) == {key, new_key}
         report = registry.prune(max_bytes=0)
@@ -1020,32 +1021,12 @@ class TestClusterReportPlacement:
 
 class TestServiceStatsDriftColumns:
     def test_format_table_has_drift_alarm_recal_columns(self):
-        from repro.pipeline import PipelineReport
-        from repro.serve import ServiceStats
-
         stats = ServiceStats()
-        quiet = PipelineReport(
-            n_shots=10,
-            n_batches=1,
-            wall_seconds=0.1,
-            shots_per_second=100.0,
-            stage_summaries={},
-            accuracy=0.9,
-            calibration_cached=True,
+        stats.record(_fake_report(10, 0.1, accuracy=0.9), 0.1, True)
+        noisy = _fake_report(
+            10, 0.1, accuracy=0.8, drift_score=0.123, drift_alarm=True
         )
-        stats.record(quiet, 0.1)
-        noisy = PipelineReport(
-            n_shots=10,
-            n_batches=1,
-            wall_seconds=0.1,
-            shots_per_second=100.0,
-            stage_summaries={},
-            accuracy=0.8,
-            calibration_cached=True,
-            drift_score=0.123,
-            drift_alarm=True,
-        )
-        stats.record(noisy, 0.1, recalibrated=True)
+        stats.record(noisy, 0.1, True, recalibrated=True)
         text = stats.format_table()
         header = text.splitlines()[1]
         for column in ("drift", "alarm", "recal"):
@@ -1159,7 +1140,7 @@ class TestSharedRegistrySessions:
                 "two sessions racing one cold key must fit exactly once"
             )
             # Both warmed sessions serve identical seeded traffic.
-            reports = [service.run() for service in services]
+            reports = [feedline_0(service.run()) for service in services]
             counts = [r.assignment_counts for r in reports]
             assert counts[0] == counts[1]
         finally:
@@ -1183,7 +1164,7 @@ class TestSharedRegistrySessions:
                 time.sleep(0.005)
             spec = ServeSpec.from_file(spec_file)
             with ReadoutService(spec, profile=tiny_profile()) as service:
-                report = service.run()
+                report = feedline_0(service.run())
             out = {
                 "cold_fits": service.stats.cold_fits,
                 "assignment_counts": report.assignment_counts,
@@ -1219,7 +1200,7 @@ class TestSharedRegistrySessions:
         with ReadoutService(
             quiet_spec, profile=tiny_profile()
         ) as quiet:
-            before = quiet.run().assignment_counts
+            before = feedline_0(quiet.run()).assignment_counts
             assert quiet.artifact_versions() == {"feedline-0": 0}
 
             # A second session on the same key drifts, alarms, and hot
@@ -1251,4 +1232,4 @@ class TestSharedRegistrySessions:
             # The warm first session is untouched mid-run: same served
             # artifact version, bit-identical seeded traffic results.
             assert quiet.artifact_versions() == {"feedline-0": 0}
-            assert quiet.run().assignment_counts == before
+            assert feedline_0(quiet.run()).assignment_counts == before
