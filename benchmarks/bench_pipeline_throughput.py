@@ -212,7 +212,7 @@ def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
     """Fused zero-copy serving vs the offline oracle, replayed.
 
     Traffic is pre-generated once, published to shared memory once
-    (:meth:`MultiFeedlineRunner.publish_replay`) and replayed
+    (:class:`~repro.pipeline.shm.SharedTraceBlock`) and replayed
     ``rounds`` times (:meth:`MultiFeedlineRunner.dispatch_replay`), so
     the timed window contains discrimination only — the honest serving
     number, with the simulator out of the loop. The oracle is offline
@@ -222,7 +222,11 @@ def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
     """
     from repro.data import generate_corpus
     from repro.physics.device import default_five_qubit_chip
-    from repro.pipeline import CalibrationRegistry, fit_or_load_discriminator
+    from repro.pipeline import (
+        CalibrationRegistry,
+        SharedTraceBlock,
+        fit_or_load_discriminator,
+    )
 
     chip = default_five_qubit_chip()
     corpus = generate_corpus(
@@ -239,7 +243,9 @@ def _zero_copy(profile, shots=2000, batch_size=256, rounds=3):
             registry_dir=registry_dir,
         ) as runner:
             runner.prefit()  # cold fit lands before any timed replay
-            block = runner.publish_replay(corpus)
+            block = SharedTraceBlock(
+                corpus.feedline, corpus.prepared_levels, label="feedline-0"
+            )
             try:
                 served = max(
                     (runner.dispatch_replay(block) for _ in range(rounds)),

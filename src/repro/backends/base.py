@@ -1,20 +1,16 @@
 """The instrument-backend contract: where shot traffic comes from.
 
-Every trace the runtime serves used to originate in the in-process
-simulator — :class:`~repro.pipeline.source.SimulatorTraceSource`
-constructed inline wherever traffic was needed. :class:`InstrumentBackend`
-decouples that: a backend is a *session-scoped* traffic endpoint
-(``open()``/``close()``/context manager) that answers repeated
-:meth:`~InstrumentBackend.acquire` calls with streams of
-:class:`~repro.pipeline.source.ShotChunk` batches, the same unit the
-pipeline already consumes. The serving layer never needs to know whether
-the chunks were simulated in-process, replayed from a recorded corpus, or
+:class:`InstrumentBackend` is the one seam for shot traffic: a
+*session-scoped* endpoint (``open()``/``close()``/context manager) that
+answers repeated :meth:`~InstrumentBackend.acquire` calls with streams
+of :class:`~repro.pipeline.source.ShotChunk` batches, the unit the
+pipeline consumes. The serving layer never needs to know whether the
+chunks were simulated in-process, replayed from a recorded corpus, or
 framed in over a socket from an external digitizer process.
 
-The existing :class:`~repro.pipeline.source.TraceSource` stays the
-pipeline-facing streaming unit; :meth:`InstrumentBackend.trace_source`
-adapts one acquisition into that shape so ``ReadoutPipeline.run`` is
-untouched.
+:meth:`InstrumentBackend.trace_source` adapts one acquisition into the
+pipeline-facing :class:`~repro.pipeline.source.TraceSource` shape, so
+``ReadoutPipeline.run`` streams any backend unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from abc import ABC, abstractmethod
 from typing import Iterator
 
 from repro.analysis.sanitizers import enabled as _sanitize_enabled
-from repro.exceptions import ConfigurationError
 from repro.physics.device import ChipConfig
 from repro.pipeline.source import ShotChunk, TraceSource
 
@@ -70,18 +65,12 @@ class InstrumentBackend(ABC):
         """Stream one run of traffic as chunk batches, in chunk_id order.
 
         ``shots`` is the *requested* shot count; backends bound to a
-        fixed stream (a recorded corpus, a remote frame sequence) may
-        deliver their own count instead — :meth:`resolve_shots` tells
-        the caller what to expect. ``seed`` selects the traffic stream
-        where the backend generates traffic; replay-style backends
-        ignore it (their stream is already fixed).
+        fixed stream (a recorded corpus, a remote frame sequence) deliver
+        their own count instead, and the run report counts what was
+        served. ``seed`` selects the traffic stream where the backend
+        generates traffic; replay-style backends ignore it (their stream
+        is already fixed).
         """
-
-    def resolve_shots(self, shots: int) -> int:
-        """Shots an ``acquire(shots)`` call will actually deliver."""
-        if shots < 1:
-            raise ConfigurationError(f"shots must be >= 1, got {shots}")
-        return int(shots)
 
     def describe(self) -> dict:
         """Capability description (JSON-able; extended by subclasses)."""
@@ -119,12 +108,7 @@ class AcquisitionTraceSource(TraceSource):
         self.backend = backend
         self.chip = backend.chip
         self.seed = seed
-        self._n_shots = backend.resolve_shots(shots)
         self._requested = int(shots)
-
-    @property
-    def n_shots(self) -> int:
-        return self._n_shots
 
     def chunks(self) -> Iterator[ShotChunk]:
         stream = self.backend.acquire(self._requested, seed=self.seed)

@@ -66,7 +66,8 @@ class DummyBackend(InstrumentBackend):
     def acquire(
         self, shots: int, seed: int | None = None
     ) -> Iterator[ShotChunk]:
-        shots = self.resolve_shots(shots)
+        if shots < 1:
+            raise ConfigurationError(f"shots must be >= 1, got {shots}")
         rng = check_random_state(seed)
         chip = self.chip
         chunk_id = 0

@@ -68,9 +68,6 @@ class RecordingBackend(InstrumentBackend):
             yield chunk
         writer.checkpoint()
 
-    def resolve_shots(self, shots: int) -> int:
-        return self.inner.resolve_shots(shots)
-
     def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
@@ -92,9 +89,8 @@ class ReplayBackend(InstrumentBackend):
     """Serves a recorded corpus back, bit-deterministically.
 
     ``acquire`` ignores both its arguments: the stream is fixed — the
-    recorded chunks, in recorded order, as read-only views.
-    :meth:`resolve_shots` reports the corpus size so callers size their
-    run bookkeeping from the data, not the request.
+    recorded chunks, in recorded order, as read-only views — so a run
+    serves the corpus's shot count, not the request.
 
     Parameters
     ----------
@@ -152,10 +148,6 @@ class ReplayBackend(InstrumentBackend):
     ) -> Iterator[ShotChunk]:
         del shots, seed  # the recorded stream is already fixed
         return self.corpus.chunks()
-
-    def resolve_shots(self, shots: int) -> int:
-        del shots
-        return self.corpus.n_shots
 
     def describe(self) -> dict:
         info = super().describe()

@@ -1,27 +1,23 @@
 """Simulator-instrument backend: the in-process dispersive simulator.
 
-Wraps the existing :class:`~repro.pipeline.source.SimulatorTraceSource` /
-:class:`~repro.pipeline.source.DriftingTraceSource` pair behind the
+The one producer of simulated traffic, behind the
 :class:`~repro.backends.base.InstrumentBackend` contract, so the serving
 layer resolves simulated traffic through the same registry as recorded
 or external traffic. The backend owns the *session shot clock*: each
-acquisition's drift offset continues where the previous one stopped, so
-drift accumulates across runs exactly as
-:class:`~repro.serve.service.ReadoutService` threaded it by hand before.
+acquisition's drift clock continues where the previous one stopped, so
+drift accumulates across runs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from repro._util import check_random_state
 from repro.backends.base import InstrumentBackend
 from repro.exceptions import ConfigurationError
 from repro.physics.device import ChipConfig
-from repro.pipeline.source import (
-    DriftingTraceSource,
-    ShotChunk,
-    SimulatorTraceSource,
-)
+from repro.physics.simulator import ReadoutSimulator
+from repro.pipeline.source import ShotChunk
 
 __all__ = ["SimulatorBackend"]
 
@@ -73,28 +69,35 @@ class SimulatorBackend(InstrumentBackend):
     def acquire(
         self, shots: int, seed: int | None = None
     ) -> Iterator[ShotChunk]:
-        shots = self.resolve_shots(shots)
-        if self.drift is not None:
-            source = DriftingTraceSource(
-                self.chip,
-                self.drift,
-                n_shots=shots,
-                chunk_size=self.chunk_size,
-                seed=seed,
-                shot_offset=self._delivered,
+        """Simulate ``shots`` uniformly random joint basis states.
+
+        One RNG, seeded by ``seed``, draws every chunk's levels and every
+        simulator's noise, so a seed fixes the whole stream. Under drift,
+        each chunk is simulated on the device the drift model predicts
+        at that chunk's position on the session clock.
+        """
+        if shots < 1:
+            raise ConfigurationError(f"shots must be >= 1, got {shots}")
+        chip = self.chip
+        rng = check_random_state(seed)
+        stationary = ReadoutSimulator(chip, seed=rng)
+        for chunk_id, start in enumerate(range(0, shots, self.chunk_size)):
+            size = min(self.chunk_size, shots - start)
+            digits = rng.integers(0, chip.n_levels, size=(size, chip.n_qubits))
+            simulator = stationary
+            if self.drift is not None:
+                chip_now = self.drift.chip_at(chip, self._delivered)
+                if chip_now is not chip:
+                    simulator = ReadoutSimulator(chip_now, seed=rng)
+            result = simulator.simulate(digits)
+            yield ShotChunk(
+                feedline=result.feedline,
+                prepared_levels=result.prepared_levels,
+                chunk_id=chunk_id,
             )
-        else:
-            source = SimulatorTraceSource(
-                self.chip,
-                n_shots=shots,
-                chunk_size=self.chunk_size,
-                seed=seed,
-            )
-        for chunk in source.chunks():
-            yield chunk
             # Advance per chunk: an abandoned acquisition leaves the
             # clock at the shots it actually streamed.
-            self._delivered += chunk.n_shots
+            self._delivered += size
 
     def describe(self) -> dict:
         info = super().describe()

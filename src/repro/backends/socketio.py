@@ -177,7 +177,11 @@ class SocketBackend(InstrumentBackend):
         peer fails the run instead of hanging it.
 
     The stream is single-use: one ``hello``, the chunk frames, one
-    ``end``. A second acquisition on the same connection raises.
+    ``end``. A second acquisition on the same connection raises. The
+    ``hello`` declares the acquisition and the frames must match it: a
+    chunk whose byte counts disagree with its shape, a chunk past the
+    declared shot count, or an ``end`` short of the declared shots or
+    chunks raises :class:`~repro.exceptions.DataError`.
     """
 
     name = "socket"
@@ -257,10 +261,6 @@ class SocketBackend(InstrumentBackend):
             )
         return self._hello
 
-    def resolve_shots(self, shots: int) -> int:
-        del shots
-        return int(self._require_open()["n_shots"])
-
     def acquire(
         self, shots: int, seed: int | None = None
     ) -> Iterator[ShotChunk]:
@@ -274,33 +274,62 @@ class SocketBackend(InstrumentBackend):
         self._exhausted = True
         trace_len = int(hello["trace_len"])
         n_qubits = int(hello["n_qubits"])
+        declared = int(hello["n_shots"])
+        feedline_dtype = np.dtype(hello["feedline_dtype"])
+        levels_dtype = (
+            np.dtype(hello["levels_dtype"]) if hello.get("labeled") else None
+        )
+        received = 0
+        n_chunks = 0
         while True:
             header = _recv_header(self._sock)
             kind = header.get("type")
             if kind == "end":
-                return
+                break
             if kind != "chunk":
                 raise DataError(
                     f"unexpected socket frame type {kind!r} mid-stream"
                 )
+            chunk_id = int(header["chunk_id"])
             n = int(header["n_shots"])
-            feed_bytes = _recv_exact(
-                self._sock, int(header["feedline_nbytes"])
+            if received + n > declared:
+                raise DataError(
+                    f"socket chunk {chunk_id} brings the stream to "
+                    f"{received + n} shots; the hello declared {declared}"
+                )
+            feedline_nbytes = int(header["feedline_nbytes"])
+            levels_nbytes = int(header.get("levels_nbytes", 0))
+            expected = (
+                n * trace_len * feedline_dtype.itemsize,
+                0 if levels_dtype is None
+                else n * n_qubits * levels_dtype.itemsize,
             )
+            if (feedline_nbytes, levels_nbytes) != expected:
+                raise DataError(
+                    f"socket chunk {chunk_id} of {n} shots carries "
+                    f"({feedline_nbytes}, {levels_nbytes}) feedline and "
+                    f"level bytes; its shape needs {expected}"
+                )
             feedline = np.frombuffer(
-                feed_bytes, dtype=np.dtype(hello["feedline_dtype"])
+                _recv_exact(self._sock, feedline_nbytes), dtype=feedline_dtype
             ).reshape(n, trace_len)
             levels = None
-            levels_nbytes = int(header.get("levels_nbytes", 0))
-            if levels_nbytes:
+            if levels_dtype is not None:
                 levels = np.frombuffer(
-                    _recv_exact(self._sock, levels_nbytes),
-                    dtype=np.dtype(hello["levels_dtype"]),
+                    _recv_exact(self._sock, levels_nbytes), dtype=levels_dtype
                 ).reshape(n, n_qubits)
+            received += n
+            n_chunks += 1
             yield ShotChunk(
                 feedline=feedline,
                 prepared_levels=levels,
-                chunk_id=int(header["chunk_id"]),
+                chunk_id=chunk_id,
+            )
+        if (received, n_chunks) != (declared, header.get("n_chunks")):
+            raise DataError(
+                f"socket stream ended after {received} shots in {n_chunks} "
+                f"chunks; the peer declared {declared} shots in "
+                f"{header.get('n_chunks')} chunks"
             )
 
     def describe(self) -> dict:

@@ -5,7 +5,11 @@ corpus, one table. This package is the *serving* counterpart the paper's
 online-decoding premise implies:
 
 - :mod:`repro.pipeline.source` — :class:`TraceSource` streams shots in
-  bounded chunks from the simulator or a saved corpus.
+  bounded chunks; an instrument backend (:mod:`repro.backends`) adapts
+  simulated, recorded or socket traffic to it, and
+  :class:`CorpusTraceSource` replays an in-memory corpus.
+- :mod:`repro.pipeline.shm` — one published :class:`SharedTraceBlock`
+  replayed by every feedline's worker through a zero-copy mapping.
 - :mod:`repro.pipeline.batching` — :class:`MicroBatcher` re-chunks the
   stream into fixed-size dispatch batches.
 - :mod:`repro.pipeline.stages` — the fused engine: demod and
@@ -61,20 +65,12 @@ from repro.pipeline.sink import (
     QueueingSink,
     ResultSink,
 )
-from repro.pipeline.source import (
-    CorpusTraceSource,
-    DriftingTraceSource,
-    ShotChunk,
-    SimulatorTraceSource,
-    TraceSource,
-)
+from repro.pipeline.source import CorpusTraceSource, ShotChunk, TraceSource
 from repro.pipeline.stages import BatchDiscriminationEngine, BatchResult
 
 __all__ = [
     "ShotChunk",
     "TraceSource",
-    "SimulatorTraceSource",
-    "DriftingTraceSource",
     "CorpusTraceSource",
     "SharedTraceDescriptor",
     "SharedTraceBlock",

@@ -39,10 +39,10 @@ back. Workers run on one of two executors:
 Every feedline's traffic seed is derived deterministically from the
 profile seed and the feedline index, so the same cluster run yields
 bit-identical assignment counts under any executor and any partitioning.
-Each feedline belongs to one worker for the runner's life: feedlines are
-placed longest-first (qubit count x trace length), each onto the
-least-loaded worker, so no worker idles while another runs a long tail.
-The aggregate report lists feedlines in declared order, with the worker
+Each feedline belongs to one worker for the runner's life, round-robin
+by declared index (feedline ``i`` on worker ``i % workers``): a
+session's feedlines share one geometry, so they cost the same. The
+aggregate report lists feedlines in declared order, with the worker
 that owns each.
 """
 
@@ -60,7 +60,6 @@ from typing import Callable, Sequence
 
 from repro._util import json_finite
 from repro.config import Profile
-from repro.data.dataset import ReadoutCorpus
 from repro.discriminators.mlr import MLRDiscriminator
 from repro.exceptions import ConfigurationError, ShardCrashedError
 from repro.physics.device import ChipConfig
@@ -323,37 +322,6 @@ def _run_feedline(
     return task.name, worker.run(task)
 
 
-def _placement_weight(spec: FeedlineSpec) -> int:
-    """Relative cost of one feedline: qubit count x trace length.
-
-    Every stage of the chain (demod, matched filter, per-qubit heads)
-    scales with the number of multiplexed channels and the samples per
-    trace — and so does calibration (corpus size, kernel estimation) —
-    so this product tracks a feedline's wall time without running it.
-    """
-    return spec.chip.n_qubits * spec.chip.trace_len
-
-
-def _assign_workers(
-    feedlines: Sequence[FeedlineSpec], workers: int
-) -> dict[str, int]:
-    """Feedline name -> worker index: longest-first onto the least loaded.
-
-    Placing the heaviest feedlines first keeps a heavy one from landing
-    last on an otherwise busy worker and stretching the cluster wall
-    time. The sort is stable and ties go to the lowest index, so equal
-    feedlines deal out round-robin in declared order.
-    """
-    load = [0] * workers
-    # Keys in declared order; values filled in placement order.
-    owners = dict.fromkeys((spec.name for spec in feedlines), 0)
-    for spec in sorted(feedlines, key=_placement_weight, reverse=True):
-        index = load.index(min(load))
-        owners[spec.name] = index
-        load[index] += _placement_weight(spec)
-    return owners
-
-
 class _RemoteTraceback(Exception):
     """A worker's traceback text, chained as the cause of its error."""
 
@@ -581,9 +549,9 @@ class ClusterReport:
         Per-feedline :class:`PipelineReport`, in feedline order.
     placement:
         Feedline name -> index of the worker that owns it, fixed for the
-        runner's life (longest-first onto the least-loaded worker; all
-        0 on ``serial``), so the scheduling decision is auditable from
-        the report alone.
+        runner's life (round-robin by declared index; all 0 on
+        ``serial``), so the scheduling decision is auditable from the
+        report alone.
     """
 
     executor: str
@@ -748,11 +716,11 @@ class MultiFeedlineRunner:
         across address spaces). A count above the feedline count is
         capped at it: a shard without a feedline would never run, so
         :attr:`workers` and every report count the shards that are
-        forked. Feedlines go longest-first onto the least-loaded shard,
-        and a shard runs its feedlines one after another. ``serial``
-        always runs (and reports) one worker, whatever is asked.
+        forked. Feedline ``i`` goes to shard ``i % workers``, and a
+        shard runs its feedlines one after another. ``serial`` always
+        runs (and reports) one worker, whatever is asked.
     config:
-        Per-feedline runtime config (batch size, drift detection).
+        Per-feedline runtime config (batch size, drift alarm).
     chunk_size:
         Shots per source chunk inside each feedline.
     registry_dir:
@@ -809,7 +777,10 @@ class MultiFeedlineRunner:
         )
         self.design = design
         # Feedline name -> worker index, fixed for the runner's life.
-        self._owners = _assign_workers(self.feedlines, self.workers)
+        self._owners = {
+            spec.name: index % self.workers
+            for index, spec in enumerate(self.feedlines)
+        }
         # The warm cycle's workers, started by the first _map() call and
         # kept across calls until close() (or a failed call) drops them:
         # on serial one in this process, on process forked shards.
@@ -1120,39 +1091,6 @@ class MultiFeedlineRunner:
             placement=dict(self._owners),
         )
 
-    def publish_replay(self, corpus: ReadoutCorpus) -> SharedTraceBlock:
-        """Validate a replay corpus and publish it to shared memory.
-
-        Every feedline replays the same recorded traffic (the record ->
-        replay serving path): the corpus — a
-        :class:`~repro.data.dataset.ReadoutCorpus` or a loaded
-        :class:`~repro.backends.corpus.RecordedCorpus` — is copied once
-        into a :class:`~repro.pipeline.shm.SharedTraceBlock` that every
-        feedline reads (readers never write). It must match every
-        feedline's qubit count and carry labels: the block ships traces
-        and ground truth together.
-
-        The caller owns the block: it passes it to :meth:`dispatch_replay`
-        as often as it likes and calls ``unlink()`` once no dispatch is
-        left. Nothing is left published when this raises.
-        """
-        for spec in self.feedlines:
-            if corpus.chip.n_qubits != spec.chip.n_qubits:
-                raise ConfigurationError(
-                    f"replay corpus has {corpus.chip.n_qubits} qubits, "
-                    f"feedline {spec.name!r} chip has {spec.chip.n_qubits}"
-                )
-        if corpus.prepared_levels is None:
-            raise ConfigurationError(
-                "replay corpus carries no prepared-level labels; "
-                "shared-memory replay needs a labeled corpus"
-            )
-        # The label names the feedlines reading the segment in
-        # sanitizer lifetime-audit witnesses (REPRO_SANITIZE).
-        return SharedTraceBlock.from_corpus(
-            corpus, label="+".join(spec.name for spec in self.feedlines)
-        )
-
     def dispatch_replay(self, block: SharedTraceBlock) -> ClusterReport:
         """Replay a published segment through the feedline workers.
 
@@ -1160,9 +1098,12 @@ class MultiFeedlineRunner:
         descriptor, and a worker attaches the segment by name at the
         first run that names it, then keeps the mapping and re-streams
         its read-only views on every later run, until the runner closes.
-        ``block`` is live (as :meth:`publish_replay` returns it) and stays
-        published, so a serving session dispatches the same block on
-        every run and unlinks it only after :meth:`close`.
+        The caller publishes ``block`` — a session from its corpus's
+        chunk files (:meth:`SharedTraceBlock.from_writer`), a
+        programmatic caller as ``SharedTraceBlock(feedline,
+        prepared_levels)`` — and owns it: the block must carry labels
+        for every feedline's qubit count, and stays published until the
+        caller unlinks it, after :meth:`close`.
         """
         return self.dispatch(
             [

@@ -62,28 +62,21 @@ class PipelineConfig:
         Queue capacity in batches for a caller-built
         :class:`~repro.pipeline.sink.QueueingSink`. The default sink
         runs inline and has no queue, so no pipeline run reads it.
-    drift_detection:
-        Monitor streamed assignments and score margins against the
-        calibration-time references carried in the served artifact (see
-        :class:`~repro.pipeline.drift.DriftMonitor`), surfacing
-        ``drift_score``/``drift_alarm`` in the report. Inert when the
-        artifact predates reference support.
     drift_threshold:
         Drift score at which the report's ``drift_alarm`` trips.
-    drift_ewma_alpha:
-        EWMA weight of the newest batch in the drift monitor.
     drift_min_shots:
         Shots the monitor must see before it may alarm.
 
-    Source chunking is the :class:`TraceSource`'s own knob, not runtime
+    Every run whose artifact carries calibration-time references
+    monitors drift (see :class:`~repro.pipeline.drift.DriftMonitor`),
+    surfacing ``drift_score``/``drift_alarm`` in the report. Source
+    chunking is the :class:`TraceSource`'s own knob, not runtime
     configuration — see ``chunk_size`` on the source constructors.
     """
 
     batch_size: int = 64
     max_pending: int = 8
-    drift_detection: bool = True
     drift_threshold: float = 0.1
-    drift_ewma_alpha: float = 0.25
     drift_min_shots: int = 50
 
     def __post_init__(self) -> None:
@@ -98,11 +91,6 @@ class PipelineConfig:
         if self.drift_threshold <= 0:
             problems.append(
                 f"drift_threshold must be positive, got {self.drift_threshold}"
-            )
-        if not 0.0 < self.drift_ewma_alpha <= 1.0:
-            problems.append(
-                "drift_ewma_alpha must be in (0, 1], got "
-                f"{self.drift_ewma_alpha}"
             )
         if self.drift_min_shots < 0:
             problems.append(
@@ -161,9 +149,7 @@ class ReadoutPipeline:
         return EraserSpeculationSink(self.chip.n_qubits)
 
     def _make_drift_monitor(self) -> DriftMonitor | None:
-        """Per-run drift monitor, when enabled and the artifact can."""
-        if not self.config.drift_detection:
-            return None
+        """Per-run drift monitor, when the artifact carries references."""
         reference = getattr(self.discriminator, "reference_assignment_", None)
         if reference is None:
             return None  # pre-reference artifact: nothing to score against
@@ -173,7 +159,6 @@ class ReadoutPipeline:
                 self.discriminator, "reference_margin_", None
             ),
             threshold=self.config.drift_threshold,
-            alpha=self.config.drift_ewma_alpha,
             min_shots=self.config.drift_min_shots,
             n_levels=self.chip.n_levels,
         )

@@ -5,9 +5,10 @@ pickling the full ``(n_shots, trace_len)`` complex array into the task
 payload — megabytes serialized, copied through a pipe, and deserialized
 per feedline. This module moves the hand-off to POSIX shared memory:
 the parent publishes a corpus once as a :class:`SharedTraceBlock`
-(every feedline replaying the corpus shares it) — from its arrays, or
-from a recorded corpus's chunk files with no array in between — ships
-only the tiny picklable :class:`SharedTraceDescriptor`
+(every feedline replaying the corpus shares it) — a programmatic caller
+from its arrays, a serving session from a recorded corpus's chunk files
+with no array in between — ships only the tiny picklable
+:class:`SharedTraceDescriptor`
 (segment name + dtypes + shapes), and workers attach by name and stream
 zero-copy chunk views straight out of the mapping via
 :class:`SharedMemoryTraceSource`.
@@ -29,7 +30,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.analysis.sanitizers import shmaudit
-from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.physics.device import ChipConfig
 from repro.pipeline.source import ShotChunk, TraceSource
@@ -188,13 +188,6 @@ class SharedTraceBlock:
         )
 
     @classmethod
-    def from_corpus(
-        cls, corpus: ReadoutCorpus, label: str | None = None
-    ) -> "SharedTraceBlock":
-        """Publish an existing corpus's arrays."""
-        return cls(corpus.feedline, corpus.prepared_levels, label=label)
-
-    @classmethod
     def from_writer(
         cls,
         fill: "Callable[[SharedTraceBlock], None]",
@@ -324,13 +317,9 @@ class SharedMemoryTraceSource(TraceSource):
             offset=descriptor.feedline_nbytes,
         )
 
-    @property
-    def n_shots(self) -> int:
-        return self.descriptor.n_shots
-
     def chunks(self) -> Iterator[ShotChunk]:
         for chunk_id, start in enumerate(
-            range(0, self.n_shots, self.chunk_size)
+            range(0, self.descriptor.n_shots, self.chunk_size)
         ):
             stop = start + self.chunk_size
             # Read-only views: the segment is shared with the creator

@@ -557,8 +557,8 @@ class ReadoutService:
             if self._backend is not None:
                 # One feedline streams the session backend's traffic. The
                 # backend owns the drift clock and stream lifetime; a
-                # replay/socket backend delivers its own shot count (the
-                # source resolves it) regardless of the request.
+                # replay/socket backend delivers its own shot count
+                # regardless of the request.
                 traffic = partial(
                     self._backend.trace_source, n_shots, seed=traffic_seed
                 )

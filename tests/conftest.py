@@ -77,7 +77,13 @@ def replay_once(runner, corpus):
     The runner closes before the segment is unlinked, so no worker still
     maps it. Returns the run's ``ClusterReport``.
     """
-    block = runner.publish_replay(corpus)
+    from repro.pipeline.shm import SharedTraceBlock
+
+    block = SharedTraceBlock(
+        corpus.feedline,
+        corpus.prepared_levels,
+        label="+".join(spec.name for spec in runner.feedlines),
+    )
     try:
         return runner.dispatch_replay(block)
     finally:

@@ -1102,7 +1102,9 @@ class TestShmLifetimeAuditor:
         monkeypatch.setattr(
             shmaudit, "GLOBAL_LEDGER", shmaudit.ShmLedger(log=log)
         )
-        block = SharedTraceBlock.from_corpus(tiny_corpus, label="corpus")
+        block = SharedTraceBlock(
+            tiny_corpus.feedline, tiny_corpus.prepared_levels, label="corpus"
+        )
         source = SharedMemoryTraceSource(
             block.descriptor, two_qubit_chip, chunk_size=128
         )

@@ -42,12 +42,14 @@ from repro.backends import (
     serve_corpus_over_socket,
 )
 from repro.backends.corpus import MANIFEST_NAME, CorpusWriter
+from repro.backends.socketio import _send_frame
 from repro.config import Profile
 from repro.data import generate_corpus
 from repro.data.basis import digits_to_state
 from repro.data.dataset import ReadoutCorpus
 from repro.exceptions import ConfigurationError, DataError, ShardCrashedError
 from repro.physics.device import make_feedline_chip, multi_feedline_chips
+from repro.physics.drift import DEMO_DRIFT
 from repro.pipeline import (
     EXECUTOR_NAMES,
     CalibrationRegistry,
@@ -57,7 +59,6 @@ from repro.pipeline import (
     fit_or_load_discriminator,
 )
 from repro.pipeline.shm import SharedMemoryTraceSource, SharedTraceBlock
-from repro.pipeline.source import SimulatorTraceSource
 from repro.serve import (
     BatchingSpec,
     CalibrationSpec,
@@ -159,25 +160,21 @@ class TestBackendContract:
         assert info["trace_len"] == chip.trace_len
         assert json.dumps(info)  # capability dicts must stay JSON-able
 
-    def test_resolve_shots_rejects_non_positive(self, chip):
+    @pytest.mark.parametrize("name", ["simulator", "dummy"])
+    def test_acquire_rejects_non_positive_shots(self, chip, name):
+        backend = create_backend(name, chip)
         with pytest.raises(ConfigurationError, match="shots"):
-            DummyBackend(chip).resolve_shots(0)
+            next(iter(backend.acquire(0)))
 
     def test_trace_source_adapts_one_acquisition(self, chip):
         backend = SimulatorBackend(chip, chunk_size=20)
         source = backend.trace_source(40, seed=9)
-        assert source.n_shots == 40
         assert source.chip is chip
-        direct = SimulatorTraceSource(
-            chip, n_shots=40, chunk_size=20, seed=9
-        )
-        assert_chunks_equal(source.chunks(), list(direct.chunks()))
-
-    def test_simulator_matches_legacy_source_bit_for_bit(self, chip):
-        backend = SimulatorBackend(chip, chunk_size=24)
-        legacy = SimulatorTraceSource(chip, n_shots=50, chunk_size=24, seed=7)
+        chunks = list(source.chunks())
+        assert [c.n_shots for c in chunks] == [20, 20]
+        assert backend.session_shots == 40
         assert_chunks_equal(
-            backend.acquire(50, seed=7), list(legacy.chunks())
+            chunks, list(SimulatorBackend(chip, 20).acquire(40, seed=9))
         )
 
     def test_simulator_session_clock_advances_per_chunk(self, chip):
@@ -187,6 +184,90 @@ class TestBackendContract:
         assert backend.session_shots == 40
         list(backend.acquire(20, seed=1))
         assert backend.session_shots == 60
+
+
+def _levels_text(chunks) -> str:
+    """Every shot's prepared levels as one digit string, qubit 0 first."""
+    levels = np.concatenate([c.prepared_levels for c in chunks])
+    return "".join(str(int(level)) for level in levels.reshape(-1))
+
+
+def _assert_pinned(chunks, sizes, levels, samples):
+    """A stream's chunking and levels exactly, its feedline at points.
+
+    Levels come from RNG draws alone, so they match exactly on every
+    CPU; the feedline goes through float math that may differ in the
+    last bit, hence ``rtol``.
+    """
+    assert [c.n_shots for c in chunks] == sizes
+    assert [c.chunk_id for c in chunks] == list(range(len(sizes)))
+    assert _levels_text(chunks) == levels
+    feedline = np.concatenate([c.feedline for c in chunks])
+    assert feedline.dtype == np.complex64
+    for (shot, sample), value in samples.items():
+        np.testing.assert_allclose(feedline[shot, sample], value, rtol=1e-5)
+
+
+class TestSimulatorStreamPin:
+    """``SimulatorBackend``'s stream, pinned shot for shot.
+
+    Recorded traffic, registries and every served count depend on these
+    draws, so any change to the draw order, the chunking or the drift
+    clock must show here.
+    """
+
+    @pytest.fixture(scope="class")
+    def chip(self):
+        return make_feedline_chip(0, n_qubits=2)
+
+    def test_stationary_stream(self, chip):
+        backend = SimulatorBackend(chip, chunk_size=24)
+        _assert_pinned(
+            list(backend.acquire(50, seed=7)),
+            [24, 24, 2],
+            "2122122000022012020120102021111112222112102021001122102222"
+            "121102200022102020002011200200100011102101",
+            {
+                (0, 0): 2.40234375 + 3.9453125j,
+                (11, 137): 0.09765625 + 5.78125j,
+                (23, 499): 4.921875 + 3.96484375j,
+                (24, 1): 3.6328125 - 1.484375j,
+                (37, 250): -1.484375 - 1.2109375j,
+                (49, 498): 3.41796875 - 2.1875j,
+            },
+        )
+
+    def test_drifting_stream_continues_its_clock(self, chip):
+        backend = SimulatorBackend(
+            chip, chunk_size=24, drift=DEMO_DRIFT, shot_offset=3000
+        )
+        _assert_pinned(
+            list(backend.acquire(60, seed=7)),
+            [24, 24, 12],
+            "2122122000022012020120102021111112222112102021001122102222"
+            "1211022000221020200020112002001000111020212022020021120020"
+            "0120",
+            {
+                (0, 100): -1.328125 + 2.36328125j,
+                (23, 311): -4.51171875 - 1.62109375j,
+                (30, 77): 1.89453125 + 2.67578125j,
+                (59, 499): -1.26953125 - 1.5625j,
+            },
+        )
+        assert backend.session_shots == 3060
+        _assert_pinned(
+            list(backend.acquire(40, seed=8)),
+            [24, 16],
+            "2002001212011111001120200010222100111111021021202020111122"
+            "2111121021010201111122",
+            {
+                (0, 100): -1.93359375 - 3.37890625j,
+                (17, 401): -1.85546875 - 3.30078125j,
+                (24, 2): 2.2265625 + 0.01953125j,
+                (39, 499): -1.8359375 + 2.109375j,
+            },
+        )
+        assert backend.session_shots == 3100
 
 
 class TestCorpusRecordReplay:
@@ -247,7 +328,6 @@ class TestCorpusRecordReplay:
         path, chunks = recorded
         with ReplayBackend(path, chip=chip) as backend:
             # acquire() args are ignored: the stream is the recording.
-            assert backend.resolve_shots(7) == 60
             assert_chunks_equal(backend.acquire(7, seed=999), chunks)
 
     def test_replay_backend_adopts_recorded_chip(self, recorded, chip):
@@ -474,7 +554,7 @@ class TestReadOnlyViews:
 
     def test_corpus_trace_source_unshuffled_views_are_read_only(self, chip):
         corpus = generate_corpus(chip, shots_per_state=4, seed=11)
-        source = CorpusTraceSource(corpus, chunk_size=8, shuffle=False)
+        source = CorpusTraceSource(corpus, chunk_size=8)
         for chunk in source.chunks():
             assert not chunk.feedline.flags.writeable
             with pytest.raises(ValueError):
@@ -484,15 +564,71 @@ class TestReadOnlyViews:
         # The corpus itself must stay untouched and writable for owners.
         assert corpus.feedline.flags.writeable
 
-    def test_shuffled_replay_still_yields_copies(self, chip):
-        corpus = generate_corpus(chip, shots_per_state=4, seed=11)
-        source = CorpusTraceSource(corpus, chunk_size=8, shuffle=True, seed=3)
-        chunk = next(iter(source.chunks()))
-        chunk.feedline[0, 0] = 123  # fancy-indexed copy: writes are safe
-        assert not np.any(corpus.feedline == 123)
+
+def _frame_peer(sock, chip, declared, sizes, short_bytes=0):
+    """Frame a labeled stream by hand: a hello declaring ``declared``
+    shots, one zero chunk per size (each ``short_bytes`` short of its
+    shape) and an end frame counting the chunks sent."""
+    _send_frame(
+        sock,
+        {
+            "type": "hello",
+            "format_version": CORPUS_FORMAT_VERSION,
+            "chip": chip.to_dict(),
+            "chip_sha": chip_sha(chip),
+            "n_shots": declared,
+            "labeled": True,
+            "trace_len": chip.trace_len,
+            "n_qubits": chip.n_qubits,
+            "feedline_dtype": np.dtype(np.complex64).str,
+            "levels_dtype": np.dtype(np.int8).str,
+        },
+    )
+    for chunk_id, n in enumerate(sizes):
+        feedline = np.zeros((n, chip.trace_len), np.complex64).tobytes()
+        feedline = feedline[short_bytes:]
+        levels = np.zeros((n, chip.n_qubits), np.int8).tobytes()
+        _send_frame(
+            sock,
+            {
+                "type": "chunk",
+                "chunk_id": chunk_id,
+                "n_shots": n,
+                "feedline_nbytes": len(feedline),
+                "levels_nbytes": len(levels),
+            },
+            feedline,
+            levels,
+        )
+    _send_frame(sock, {"type": "end", "n_chunks": len(sizes)})
 
 
 class TestSocketBackend:
+    @pytest.mark.parametrize(
+        "declared,sizes,short_bytes,match",
+        [
+            (100, [10, 10], 0, "after 20 shots in 2 chunks; the peer "
+             "declared 100 shots in 2 chunks"),
+            (15, [10, 10], 0, "chunk 1 brings the stream to 20 shots; the "
+             "hello declared 15"),
+            (10, [10], 8, r"chunk 0 of 10 shots carries \(9592, 20\) "
+             r"feedline and level bytes; its shape needs \(9600, 20\)"),
+        ],
+        ids=["short", "long", "mis-sized"],
+    )
+    def test_stream_disagreeing_with_its_hello_raises(
+        self, chip, declared, sizes, short_bytes, match
+    ):
+        server, client = socket.socketpair()
+        try:
+            _frame_peer(server, chip, declared, sizes, short_bytes)
+            with SocketBackend(sock=client, chip=chip) as backend:
+                with pytest.raises(DataError, match=match):
+                    list(backend.acquire(1))
+        finally:
+            server.close()
+            client.close()
+
     def test_socketpair_round_trip(self, recorded, chip):
         path, chunks = recorded
         server, client = socket.socketpair()
@@ -505,7 +641,6 @@ class TestSocketBackend:
             )
             feeder.start()
             with SocketBackend(sock=client, chip=chip) as backend:
-                assert backend.resolve_shots(1) == 60
                 assert_chunks_equal(backend.acquire(1), chunks)
             feeder.join(timeout=10)
             assert sent["n"] == len(chunks)
@@ -634,7 +769,7 @@ class TestExecutorReplayParity:
     @pytest.fixture(scope="class")
     def broadcast_corpus(self, feedline_chips, tmp_path_factory):
         # Recorded on the feedline-0 chip; geometry-compatible with
-        # every feedline, so publish_replay broadcasts it to all of them.
+        # every feedline, so one block broadcasts it to all of them.
         path = tmp_path_factory.mktemp("parity") / "corpus"
         inner = SimulatorBackend(feedline_chips[0], chunk_size=20)
         with RecordingBackend(inner, path) as backend:
@@ -879,7 +1014,7 @@ class TestCorpusIntoSegment:
                             np.load(path / entry[part]["file"]),
                         )
                     start = stop
-                assert start == source.n_shots
+                assert start == source.descriptor.n_shots
             finally:
                 source.close()
         finally:
@@ -1011,6 +1146,36 @@ class TestWarmReplaySession:
             assert publications == [self.BROADCAST], "a run published"
         finally:
             service.close()
+        assert shm_names() - before == set()
+
+    @pytest.mark.parametrize(
+        "fault,match",
+        [
+            ("qubits", "3 recorded qubits vs 2"),
+            ("labels", "carries no prepared-level labels"),
+        ],
+        ids=["qubits", "labels"],
+    )
+    def test_unfit_corpus_fails_warm_and_leaves_nothing(
+        self, fault, match, feedline_chips, registry_dir, tmp_path
+    ):
+        # The manifest is checked against every feedline before a
+        # segment exists: the one publish path refuses what no feedline
+        # can serve.
+        if fault == "qubits":
+            (chip,) = multi_feedline_chips(1, n_qubits=3)
+            inner = SimulatorBackend(chip, chunk_size=20)
+        else:
+            inner = DummyBackend(feedline_chips[0], 20, labeled=False)
+        path = tmp_path / "corpus"
+        with RecordingBackend(inner, path) as backend:
+            list(backend.acquire(20, seed=1))
+        before = shm_names()
+        service = ReadoutService(
+            self.spec(path, registry_dir, "serial"), profile=tiny_profile()
+        )
+        with pytest.raises(ConfigurationError, match=match):
+            service.warm()
         assert shm_names() - before == set()
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)

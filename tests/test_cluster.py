@@ -288,58 +288,36 @@ class TestClusterDeterminism:
 
 
 class TestHeterogeneousPlacement:
-    """Greedy longest-first placement of unequal feedlines on workers."""
-
-    def test_heaviest_feedline_dispatches_first(self):
-        from repro.pipeline.cluster import _assign_workers
-
-        light = make_feedline_chip(0, n_qubits=1, trace_len=80)
-        heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
-        owners = _assign_workers(
-            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)], 2
-        )
-        # Keys keep declared order; the heaviest takes worker 0.
-        assert list(owners.items()) == [("light", 1), ("heavy", 0)]
-
-    def test_weight_is_qubits_times_trace_length(self):
-        from repro.pipeline.cluster import _assign_workers
-
-        # 2 qubits x 100 samples outweighs 1 qubit x 150 samples.
-        wide = make_feedline_chip(0, n_qubits=2, trace_len=100)
-        long = make_feedline_chip(1, n_qubits=1, trace_len=150)
-        owners = _assign_workers(
-            [FeedlineSpec("long", long), FeedlineSpec("wide", wide)], 2
-        )
-        assert owners == {"wide": 0, "long": 1}
+    """Round-robin placement: feedline ``i`` on worker ``i % workers``."""
 
     def test_equal_weights_keep_declared_order(self):
-        from repro.pipeline.cluster import _assign_workers
-
         chips = multi_feedline_chips(4, n_qubits=2, trace_len=120)
         specs = [FeedlineSpec(f"f{i}", chip) for i, chip in enumerate(chips)]
-        # Equal feedlines deal out round-robin in declared order.
-        assert _assign_workers(specs, 2) == {
-            "f0": 0, "f1": 1, "f2": 0, "f3": 1
-        }
-        assert _assign_workers(specs, 1) == dict.fromkeys(
+
+        def owners(executor, workers):
+            # Built, not started: a process runner forks at its first call.
+            runner = MultiFeedlineRunner(
+                specs, tiny_profile(), executor=executor, workers=workers
+            )
+            return runner._owners
+
+        # Feedlines deal out round-robin in declared order.
+        assert owners("process", 2) == {"f0": 0, "f1": 1, "f2": 0, "f3": 1}
+        assert owners("serial", 2) == dict.fromkeys(
             ["f0", "f1", "f2", "f3"], 0
         )
 
     def test_seeds_stay_pinned_to_declared_index(self):
-        light = make_feedline_chip(0, n_qubits=1, trace_len=80)
-        heavy = make_feedline_chip(1, n_qubits=2, trace_len=200)
-        # Built, not started: a process runner forks at its first call.
+        chips = multi_feedline_chips(3, n_qubits=1, trace_len=80)
+        specs = [FeedlineSpec(name, chip) for name, chip in zip("abc", chips)]
         runner = MultiFeedlineRunner(
-            [FeedlineSpec("light", light), FeedlineSpec("heavy", heavy)],
-            tiny_profile(),
-            executor="process",
-            workers=2,
+            specs, tiny_profile(), executor="process", workers=2
         )
-        assert runner._owners == {"light": 1, "heavy": 0}
+        assert runner._owners == {"a": 0, "b": 1, "c": 0}
         tasks = runner._tasks(runner._simulated_traffic(10, seed=100))
         by_name = {t.name: t.source().seed for t in tasks}
-        # Declared order assigns seeds; placement must not.
-        assert by_name == {"light": 100, "heavy": 101}
+        # Declared order assigns seeds, whichever worker runs them.
+        assert by_name == {"a": 100, "b": 101, "c": 102}
 
     def test_reports_keep_declared_order_despite_placement(self, tmp_path):
         light = make_feedline_chip(0, n_qubits=1, trace_len=80)

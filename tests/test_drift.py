@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import SimulatorBackend
 from repro.config import Profile
 from repro.exceptions import ConfigurationError
 from repro.physics.device import default_five_qubit_chip, make_feedline_chip
@@ -18,10 +20,8 @@ from repro.physics.drift import DEMO_DRIFT, DriftModel
 from repro.pipeline import (
     CalibrationKey,
     CalibrationRegistry,
-    DriftingTraceSource,
     DriftMonitor,
     PipelineConfig,
-    SimulatorTraceSource,
 )
 from repro.serve import (
     BatchingSpec,
@@ -122,50 +122,47 @@ class TestDriftModel:
         assert a.to_dict() == b.to_dict()
 
 
-class TestDriftingTraceSource:
+class TestSimulatorDrift:
+    """``SimulatorBackend`` streams a drifting device on its shot clock."""
+
+    @staticmethod
+    def stream(chip, drift=None, shot_offset=0, shots=80, seed=5):
+        backend = SimulatorBackend(
+            chip, chunk_size=40, drift=drift, shot_offset=shot_offset
+        )
+        return list(backend.acquire(shots, seed=seed))
+
     def test_null_drift_matches_simulator_source(self):
         chip = make_feedline_chip(0, n_qubits=2)
-        plain = SimulatorTraceSource(chip, 80, chunk_size=40, seed=5)
-        drifting = DriftingTraceSource(
-            chip, DriftModel(), 80, chunk_size=40, seed=5
-        )
-        for a, b in zip(plain.chunks(), drifting.chunks()):
+        plain = self.stream(chip)
+        null = self.stream(chip, DriftModel())
+        assert len(plain) == len(null) == 2
+        for a, b in zip(plain, null):
             assert np.array_equal(a.feedline, b.feedline)
             assert np.array_equal(a.prepared_levels, b.prepared_levels)
 
     def test_drift_changes_the_traces(self):
         chip = make_feedline_chip(0, n_qubits=2)
-        plain = np.concatenate(
-            [c.feedline for c in
-             SimulatorTraceSource(chip, 80, chunk_size=40, seed=5).chunks()]
-        )
+        plain = np.concatenate([c.feedline for c in self.stream(chip)])
         drifted = np.concatenate(
-            [c.feedline for c in
-             DriftingTraceSource(
-                 chip, DEMO_DRIFT, 80, chunk_size=40, seed=5,
-                 shot_offset=5000,
-             ).chunks()]
+            [c.feedline for c in self.stream(chip, DEMO_DRIFT, 5000)]
         )
         assert not np.array_equal(plain, drifted)
 
     def test_shot_offset_continues_the_session_clock(self):
         chip = make_feedline_chip(0, n_qubits=2)
 
-        def stream(offset):
-            return np.concatenate([
-                c.feedline
-                for c in DriftingTraceSource(
-                    chip, DEMO_DRIFT, 60, chunk_size=30, seed=5,
-                    shot_offset=offset,
-                ).chunks()
-            ])
+        def feedline(offset):
+            return np.concatenate(
+                [c.feedline for c in self.stream(chip, DEMO_DRIFT, offset, 60)]
+            )
 
-        assert not np.array_equal(stream(0), stream(3000))
+        assert not np.array_equal(feedline(0), feedline(3000))
 
     def test_rejects_negative_offset(self):
         chip = make_feedline_chip(0, n_qubits=2)
         with pytest.raises(ConfigurationError, match="shot_offset"):
-            DriftingTraceSource(chip, DEMO_DRIFT, 10, shot_offset=-1)
+            SimulatorBackend(chip, drift=DEMO_DRIFT, shot_offset=-1)
 
 
 class TestDriftMonitor:
@@ -480,20 +477,6 @@ class TestPipelineDriftDetection:
             drift["assignment_divergence"], drift["margin_erosion"]
         )
 
-    def test_detection_can_be_disabled(self, tmp_path, two_qubit_chip):
-        report = serve_one_feedline(
-            fast_profile(),
-            two_qubit_chip,
-            60,
-            chunk_size=60,
-            registry_dir=tmp_path,
-            device="drift-test",
-            config=PipelineConfig(batch_size=60, drift_detection=False),
-        )
-        assert report.drift_score is None
-        assert report.drift_alarm is None
-        assert "drift" not in report.details
-
     def test_drifted_traffic_raises_the_score(self, tmp_path):
         chip = make_feedline_chip(0, n_qubits=2)
         kwargs = dict(
@@ -517,12 +500,9 @@ class TestPipelineDriftDetection:
 
     def test_config_validates_drift_knobs(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            PipelineConfig(
-                drift_threshold=0.0, drift_ewma_alpha=2.0, drift_min_shots=-1
-            )
+            PipelineConfig(drift_threshold=0.0, drift_min_shots=-1)
         message = str(excinfo.value)
         assert "drift_threshold" in message
-        assert "drift_ewma_alpha" in message
         assert "drift_min_shots" in message
 
 
@@ -827,6 +807,30 @@ class TestDriftServiceMechanics:
             "serve session 1's stored version as a warm hit"
         )
         assert versions == {0, 1, 2}
+
+    def test_one_and_two_feedline_sessions_drift_feedline0_alike(self):
+        # A one-feedline session's SimulatorBackend carries the drift
+        # clock; a multi-feedline session rebuilds its traffic every run
+        # from the service's own clock. feedline-0 must not tell them
+        # apart, run for run.
+        served = {}
+        for feedlines in (1, 2):
+            spec = _drift_spec(
+                False, drifting=True, feedlines=feedlines, shots=120
+            )
+            with ReadoutService(spec, profile=fast_profile()) as service:
+                served[feedlines] = [
+                    service.run().feedline_reports["feedline-0"]
+                    for _ in range(3)
+                ]
+        for one, two in zip(served[1], served[2]):
+            assert one.assignment_counts == two.assignment_counts
+            assert one.drift_alarm == two.drift_alarm
+            assert math.isclose(
+                one.drift_score, two.drift_score, rel_tol=1e-6
+            )
+        # The clock moved: the device drifted between run 0 and run 2.
+        assert served[1][0].assignment_counts != served[1][2].assignment_counts
 
     def test_session_shots_clock_accumulates_and_resets(self):
         spec = _drift_spec(False, drifting=True, shots=60)

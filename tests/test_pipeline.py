@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.backends import SimulatorBackend
 from repro.config import Profile
 from repro.data import digits_to_state, generate_corpus
 from repro.data.basis import place_values
@@ -31,7 +32,6 @@ from repro.pipeline import (
     ReadoutPipeline,
     ResultSink,
     ShotChunk,
-    SimulatorTraceSource,
 )
 from repro.qec.eraser import EraserConfig, LevelStreamSpeculator
 from repro.serve import CalibrationSpec, ServeSpec, serve_once
@@ -66,42 +66,25 @@ def pipeline_mlr(tiny_corpus):
 
 class TestSources:
     def test_simulator_source_streams_exact_total(self, two_qubit_chip):
-        source = SimulatorTraceSource(two_qubit_chip, n_shots=50, chunk_size=16, seed=1)
+        source = SimulatorBackend(two_qubit_chip, chunk_size=16).trace_source(
+            50, seed=1
+        )
         chunks = list(source.chunks())
         assert [c.n_shots for c in chunks] == [16, 16, 16, 2]
         assert [c.chunk_id for c in chunks] == [0, 1, 2, 3]
         assert all(c.feedline.shape[1] == two_qubit_chip.trace_len for c in chunks)
 
     def test_simulator_source_is_seeded(self, two_qubit_chip):
-        a = next(SimulatorTraceSource(two_qubit_chip, 8, seed=3).chunks())
-        b = next(SimulatorTraceSource(two_qubit_chip, 8, seed=3).chunks())
+        backend = SimulatorBackend(two_qubit_chip)
+        a = next(backend.trace_source(8, seed=3).chunks())
+        b = next(backend.trace_source(8, seed=3).chunks())
         assert np.array_equal(a.feedline, b.feedline)
         assert np.array_equal(a.prepared_levels, b.prepared_levels)
-
-    def test_simulator_source_restricted_states(self, two_qubit_chip):
-        computational = np.array([0, 1, 3, 4])  # digits < 2 in base 3
-        source = SimulatorTraceSource(
-            two_qubit_chip, 30, chunk_size=30, states=computational, seed=4
-        )
-        chunk = next(source.chunks())
-        labels = chunk.joint_labels(two_qubit_chip.n_levels)
-        assert set(np.unique(labels)) <= set(computational.tolist())
-
-    def test_simulator_source_rejects_bad_states(self, two_qubit_chip):
-        with pytest.raises(ConfigurationError):
-            SimulatorTraceSource(two_qubit_chip, 10, states=np.array([99]))
 
     def test_corpus_source_replays_in_order(self, tiny_corpus):
         source = CorpusTraceSource(tiny_corpus, chunk_size=70)
         feed = np.concatenate([c.feedline for c in source.chunks()], axis=0)
         assert np.array_equal(feed, tiny_corpus.feedline)
-
-    def test_corpus_source_shuffle_preserves_multiset(self, tiny_corpus):
-        source = CorpusTraceSource(tiny_corpus, chunk_size=64, shuffle=True, seed=5)
-        labels = np.concatenate(
-            [c.joint_labels(tiny_corpus.n_levels) for c in source.chunks()]
-        )
-        assert sorted(labels.tolist()) == sorted(tiny_corpus.labels.tolist())
 
     @pytest.mark.parametrize("n_levels", [2, 3, 4])
     @pytest.mark.parametrize("n_qubits", [1, 2, 5])
@@ -691,7 +674,9 @@ class TestPipelineEndToEnd:
         before = threading.active_count()
         pipeline = ReadoutPipeline(pipeline_mlr, five_qubit_chip)
         with pytest.raises(DataError):
-            pipeline.run(SimulatorTraceSource(five_qubit_chip, 8, seed=1))
+            pipeline.run(
+                SimulatorBackend(five_qubit_chip).trace_source(8, seed=1)
+            )
         assert threading.active_count() == before
 
     def test_report_is_json_serializable(self, tiny_corpus, pipeline_mlr):
@@ -925,14 +910,10 @@ class TestPipelineConfigValidation:
         config = PipelineConfig(
             batch_size=32,
             max_pending=4,
-            drift_detection=False,
             drift_threshold=0.2,
-            drift_ewma_alpha=0.5,
             drift_min_shots=10,
         )
         assert config.batch_size == 32
         assert config.max_pending == 4
-        assert config.drift_detection is False
         assert config.drift_threshold == 0.2
-        assert config.drift_ewma_alpha == 0.5
         assert config.drift_min_shots == 10

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import RecordingBackend, SimulatorBackend, load_corpus
-from repro.backends.corpus import RecordedCorpus
 from repro.config import Profile
 from repro.data import ReadoutCorpus, generate_corpus
 from repro.data.basis import digits_to_state
@@ -70,6 +69,11 @@ def tiny_profile(**overrides) -> Profile:
     )
     params.update(overrides)
     return Profile(**params)
+
+
+def publish(corpus) -> SharedTraceBlock:
+    """Publish an in-memory corpus's traces and labels to one segment."""
+    return SharedTraceBlock(corpus.feedline, corpus.prepared_levels)
 
 
 @pytest.fixture(scope="module")
@@ -702,7 +706,7 @@ class TestRebatchLinearity:
 
 
 class TestCorpusSourceViews:
-    """Regression: unshuffled replay copied every chunk via fancy
+    """Regression: in-order replay once copied every chunk via fancy
     indexing; it must yield contiguous views."""
 
     def test_unshuffled_chunks_are_views(self, tiny_corpus):
@@ -712,22 +716,6 @@ class TestCorpusSourceViews:
             assert np.shares_memory(
                 chunk.prepared_levels, tiny_corpus.prepared_levels
             )
-
-    def test_shuffled_chunks_still_copy_and_permute(self, tiny_corpus):
-        source = CorpusTraceSource(tiny_corpus, chunk_size=64, shuffle=True,
-                                   seed=5)
-        chunks = list(source.chunks())
-        assert not any(
-            np.shares_memory(c.feedline, tiny_corpus.feedline)
-            for c in chunks
-        )
-        merged = np.concatenate([c.feedline for c in chunks])
-        assert merged.shape == tiny_corpus.feedline.shape
-        assert not np.array_equal(merged, tiny_corpus.feedline)
-        np.testing.assert_array_equal(
-            np.sort(merged.view(np.float64).ravel()),
-            np.sort(tiny_corpus.feedline.view(np.float64).ravel()),
-        )
 
 
 class TestBoundedLatencyStats:
@@ -906,7 +894,9 @@ class TestBufferRing:
         block = raw.reshape(8, 10)
         assert ring.paired_features(block) is None
         assert ring.paired_features(block[:4]) is None
-        shared = SharedTraceBlock.from_corpus(tiny_corpus.subset(np.arange(8)))
+        shared = SharedTraceBlock(
+            tiny_corpus.feedline[:8], tiny_corpus.prepared_levels[:8]
+        )
         try:
             source = SharedMemoryTraceSource(
                 shared.descriptor, tiny_corpus.chip, chunk_size=4
@@ -1304,7 +1294,7 @@ class TestServingFlipBound:
 
 class TestSharedMemoryReplay:
     def test_block_round_trip_and_views(self, tiny_corpus):
-        block = SharedTraceBlock.from_corpus(tiny_corpus)
+        block = publish(tiny_corpus)
         try:
             source = SharedMemoryTraceSource(
                 block.descriptor, tiny_corpus.chip, chunk_size=64
@@ -1331,7 +1321,7 @@ class TestSharedMemoryReplay:
     def test_descriptor_is_small_and_picklable(self, tiny_corpus):
         import pickle
 
-        block = SharedTraceBlock.from_corpus(tiny_corpus)
+        block = publish(tiny_corpus)
         try:
             payload = pickle.dumps(block.descriptor)
             # The whole point: descriptor bytes << trace bytes.
@@ -1343,7 +1333,7 @@ class TestSharedMemoryReplay:
             block.unlink()
 
     def test_qubit_mismatch_rejected(self, tiny_corpus, five_qubit_chip):
-        block = SharedTraceBlock.from_corpus(tiny_corpus)
+        block = publish(tiny_corpus)
         try:
             with pytest.raises(ShapeError):
                 SharedMemoryTraceSource(block.descriptor, five_qubit_chip)
@@ -1361,7 +1351,7 @@ class TestSharedMemoryReplay:
 
         monkeypatch.setattr(shm_module.os, "pwrite", no_space)
         with pytest.raises(OSError):
-            SharedTraceBlock.from_corpus(tiny_corpus)
+            publish(tiny_corpus)
         assert set(shm_dir.glob("psm_*")) == before
 
 
@@ -1427,15 +1417,13 @@ class TestClusterReplay:
                 assert counts == reference
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_publish_replay_publishes_one_segment(
+    def test_one_block_serves_every_feedline(
         self, executor, feedline_chips, replay_corpus, warm_registry
     ):
         before = self._segments()
         with self._runner(feedline_chips, warm_registry, executor) as runner:
-            block = runner.publish_replay(replay_corpus)
+            block = publish(replay_corpus)
             try:
-                assert isinstance(block, SharedTraceBlock)
-                assert block.label == "feedline-0+feedline-1"
                 segment = Path("/dev/shm") / block.descriptor.name
                 assert self._segments() - before == {segment}
                 # Every run re-streams the one published segment.
@@ -1453,32 +1441,3 @@ class TestClusterReplay:
                 second.feedline_reports[name].assignment_counts
                 == report.assignment_counts
             )
-
-    @pytest.mark.parametrize(
-        "fault,match",
-        [
-            ("qubits", "replay corpus has 3 qubits"),
-            ("labels", "carries no prepared-level labels"),
-        ],
-        ids=["qubits", "labels"],
-    )
-    def test_publish_replay_rejects_bad_corpus(
-        self, fault, match, feedline_chips, replay_corpus
-    ):
-        if fault == "qubits":
-            (chip,) = multi_feedline_chips(1, n_qubits=3, trace_len=120)
-            corpus = generate_corpus(chip, shots_per_state=1, seed=5)
-        else:
-            corpus = RecordedCorpus(
-                Path("unlabeled"),
-                {},
-                replay_corpus.chip,
-                replay_corpus.feedline.copy(),
-                None,
-                [replay_corpus.n_traces],
-            )
-        before = self._segments()
-        with self._runner(feedline_chips, None) as runner:
-            with pytest.raises(ConfigurationError, match=match):
-                runner.publish_replay(corpus)
-        assert self._segments() == before
